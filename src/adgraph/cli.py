@@ -17,11 +17,12 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from . import __version__
 from .corpus import (
     CanonicalizationError,
+    CrawlRecord,
     FormatError,
     assign_ranks,
     dedup_by_landing,
@@ -36,6 +37,7 @@ from .communities import (
 )
 from .extractor import (
     KIND_ORDER,
+    SiteIdProfile,
     dump_profiles,
     extract_profiles,
     flag_anomalies,
@@ -46,7 +48,9 @@ from .extractor import (
 )
 from .graphs import (
     FAMILY_ORDER,
+    BipartiteGraph,
     IdFamily,
+    Metagraph,
     build_bipartite,
     build_metagraph,
     connected_components,
@@ -68,6 +72,7 @@ from .history import (
 )
 from .stats import (
     DEFAULT_SEED,
+    PublisherRecord,
     category_distribution,
     fit_power_law,
     loglikelihood_ratio,
@@ -79,27 +84,41 @@ from .stats import (
     shannon_diversity,
 )
 
-
-class ConfigError(ValueError):
-    """Invalid parameter combination (exit code 2)."""
+_ANOMALY_THRESHOLD = 40  # extract's default; report uses it too
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("ADGRAPH_THREADS", "1"))
+def _at_least(low: float, kind: Callable[[str], float] = int) -> Callable[[str], float]:
+    """Argument type for a number with a lower bound (exit 2 when violated)."""
+
+    def parse(text: str) -> float:
+        value = kind(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _write_text(path: Path, text: str) -> None:
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError("must be in (0, 1]")
+    return value
+
+
+def _open_out(path: Path) -> IO[str]:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    with _open_out(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -120,12 +139,35 @@ def _fmt(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# extract
+# Stages: in-memory inputs -> files in an output directory -> what the next
+# stage needs. The subcommands and ``report`` all run these. ``out_dir`` is a
+# Path, or report's _Bundle, which also records every name joined onto it.
 # ---------------------------------------------------------------------------
 
-def _cmd_extract(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
+class _Bundle:
+    """The report directory; remembers the name of each artifact written."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.artifacts: list[str] = []
+
+    def __truediv__(self, name: str) -> Path:
+        self.artifacts.append(name)
+        return self.path / name
+
+
+def _extract_stage(
+    args: argparse.Namespace,
+    out_dir: Path | _Bundle,
+    profiles_name: str,
+    anomaly_threshold: int,
+) -> tuple[list[CrawlRecord], list[SiteIdProfile], dict[str, int]]:
+    """Crawl JSONL -> profiles, summary.json and site_ranks.csv.
+
+    Reads the files named by the shared extraction flags (``--in``,
+    ``--dict``, ``--blocklist``, ``--ranks``) and returns the deduplicated
+    records, their profiles and the landing-domain ranks.
+    """
     dictionary = load_dictionary(args.dict)
     blocklist = load_blocklist(args.blocklist)
     with open(args.infile, encoding="utf-8") as fh:
@@ -136,38 +178,31 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     records = dedup_by_landing(records)
     profiles = extract_profiles(records, dictionary, blocklist, threads=args.threads)
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(out_dir / profiles_name) as fh:
         dump_profiles(profiles, fh)
-
-    summary = summarize_extraction(profiles, corpus_size=len(records))
-    summary_obj = summary.to_json_obj()
-    summary_obj["skipped_lines"] = len(parsed.skips)
-    summary_obj["anomalies"] = [
-        {"domain": d, "distinct_keys": n} for d, n in flag_anomalies(profiles, args.anomaly_threshold)
+    summary = summarize_extraction(profiles, corpus_size=len(records)).to_json_obj()
+    summary["skipped_lines"] = len(parsed.skips)
+    summary["anomalies"] = [
+        {"domain": d, "distinct_keys": n} for d, n in flag_anomalies(profiles, anomaly_threshold)
     ]
-    _write_json(out.parent / "summary.json", summary_obj)
-
+    _write_json(out_dir / "summary.json", summary)
+    site_ranks = {r.landing_domain: r.rank for r in records if r.rank is not None}
     _write_csv(
-        out.parent / "site_ranks.csv",
+        out_dir / "site_ranks.csv",
         ["rank", "domain"],
-        [[r.rank, r.landing_domain] for r in sorted(records, key=lambda r: r.landing_domain) if r.rank],
+        [[rank, domain] for domain, rank in sorted(site_ranks.items())],
     )
-    if args.snapshot_id:
-        _write_json(
-            out.parent / "manifest.json",
-            {"snapshot_id": args.snapshot_id, "total_sites": len(records)},
-        )
-    _echo_config(out.parent, "extract", args)
-    return 0
+    return records, profiles, site_ranks
 
 
-# ---------------------------------------------------------------------------
-# graph
-# ---------------------------------------------------------------------------
-
-def _build_graphs(profiles, threshold, keep_intermediaries, normalizer_mode):
+def _graph_stage(
+    profiles: list[SiteIdProfile],
+    threshold: float,
+    keep_intermediaries: bool,
+    normalizer_mode: str,
+    out_dir: Path | _Bundle,
+) -> tuple[dict[IdFamily, BipartiteGraph], Metagraph]:
+    """Profiles -> bipartite_<family>.csv and metagraph.csv."""
     normalizers = None
     if normalizer_mode == "pre-exclusion":
         normalizers = family_normalizers(profiles)
@@ -180,60 +215,176 @@ def _build_graphs(profiles, threshold, keep_intermediaries, normalizer_mode):
         graphs[IdFamily.CONTAINER],
         normalizers=normalizers,
     )
-    return profiles, graphs, metagraph
-
-
-def _cmd_graph(args: argparse.Namespace) -> int:
-    if args.intermediary_threshold < 2:
-        raise ConfigError("--intermediary-threshold must be >= 2")
-    profiles = load_profiles(args.profiles)
-    _, graphs, metagraph = _build_graphs(
-        profiles, args.intermediary_threshold, args.keep_intermediaries, args.normalizer_mode
-    )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for family, bg in graphs.items():
-        with open(out_dir / f"bipartite_{family.value}.csv", "w", encoding="utf-8", newline="") as fh:
+        with _open_out(out_dir / f"bipartite_{family.value}.csv") as fh:
             dump_bipartite_csv(bg, fh)
-    with open(out_dir / "metagraph.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_out(out_dir / "metagraph.csv") as fh:
         dump_metagraph_csv(metagraph, fh)
-    _echo_config(out_dir, "graph", args)
-    return 0
+    return graphs, metagraph
 
 
-# ---------------------------------------------------------------------------
-# communities
-# ---------------------------------------------------------------------------
-
-def _partition_outputs(partition, out_dir: Path) -> None:
-    rows = []
-    ordered = sorted(partition.communities, key=lambda c: (-len(c), min(c)))
-    for community_id, community in enumerate(ordered):
-        for site in sorted(community):
-            rows.append([community_id, site])
-    _write_csv(out_dir / "communities.csv", ["community_id", "site"], rows)
-    distribution = community_size_distribution(partition)
+def _communities_stage(
+    metagraph: Metagraph,
+    top_fraction: float,
+    out_dir: Path | _Bundle,
+    max_communities: int | None = None,
+    weighted_paths: bool = False,
+) -> tuple[frozenset[str], ...]:
+    """Metagraph -> prune -> Girvan-Newman -> communities.csv and
+    communities_summary.json; returns the communities, largest first."""
+    pruned = prune_edges(metagraph, top_fraction)
+    partition = girvan_newman(pruned, max_communities, weighted_paths)
+    _write_csv(
+        out_dir / "communities.csv",
+        ["community_id", "site"],
+        [[i, site] for i, c in enumerate(partition.communities) for site in sorted(c)],
+    )
     _write_json(
         out_dir / "communities_summary.json",
         {
             "community_count": len(partition.communities),
             "modularity": float(partition.modularity),
-            "size_distribution": distribution.to_json_obj(),
+            "size_distribution": community_size_distribution(partition).to_json_obj(),
         },
+    )
+    return partition.communities
+
+
+def _id_counts_stage(profiles: list[SiteIdProfile], out_dir: Path | _Bundle, name: str) -> None:
+    histograms = per_site_id_counts(profiles)
+    _write_csv(
+        out_dir / name,
+        ["kind", "count", "fraction"],
+        [
+            [kind.value, count, _fmt(fraction)]
+            for kind in KIND_ORDER
+            for count, fraction in histograms[kind].items()
+        ],
     )
 
 
-def _cmd_communities(args: argparse.Namespace) -> int:
-    if not 0 < args.top_fraction <= 1:
-        raise ConfigError("--top-fraction must be in (0, 1]")
-    if args.max_communities is not None and args.max_communities < 1:
-        raise ConfigError("--max-communities must be >= 1")
-    metagraph = load_metagraph_csv(args.metagraph)
-    pruned = prune_edges(metagraph, args.top_fraction)
-    partition = girvan_newman(pruned, args.max_communities, args.weighted_paths)
+def _sizes_stage(
+    bipartite: BipartiteGraph, ranks: dict[str, int] | None, out_dir: Path | _Bundle, name: str
+) -> list[PublisherRecord]:
+    records = publisher_sizes(bipartite, ranks)
+    _write_csv(
+        out_dir / name,
+        ["key", "size", "mean_rank", "median_rank"],
+        [
+            [
+                r.key,
+                r.size,
+                _fmt(r.mean_rank) if r.mean_rank is not None else "",
+                _fmt(r.median_rank) if r.median_rank is not None else "",
+            ]
+            for r in records
+        ],
+    )
+    return records
+
+
+def _powerlaw_stage(sizes: list[int], out_dir: Path | _Bundle, name: str, **labels: str) -> None:
+    fit = fit_power_law(sizes)
+    fit.lr_statistic, fit.lr_p_value = loglikelihood_ratio(sizes, fit)
+    _write_json(out_dir / name, {**fit.to_json_obj(), **labels})
+
+
+def _popularity_stage(
+    records: list[PublisherRecord], max_size: int | None, out_dir: Path | _Bundle, name: str
+) -> None:
+    """Writes ``name`` and popularity_fit.json."""
+    series, fit = popularity_by_size(records, max_size)
+    _write_csv(
+        out_dir / name,
+        ["size", "mean_rank", "median_rank"],
+        [[size, _fmt(mean), _fmt(median)] for size, mean, median in series],
+    )
+    _write_json(out_dir / "popularity_fit.json", fit.to_json_obj())
+
+
+def _categories_stage(
+    profiles: list[SiteIdProfile], categories: dict[str, str], out_dir: Path | _Bundle, name: str
+) -> None:
+    _write_csv(
+        out_dir / name,
+        ["category", "fraction"],
+        [[label, _fmt(f)] for label, f in category_distribution(profiles, categories).items()],
+    )
+
+
+def _diversity_stage(
+    groups: Iterable[tuple[int, list[str]]],
+    categories: dict[str, str],
+    out_dir: Path | _Bundle,
+    name: str,
+) -> None:
+    """Shannon diversity of each community that has labeled sites."""
+    rows = []
+    for community_id, sites in groups:
+        labels = [categories[s] for s in sites if s in categories]
+        if not labels:
+            continue
+        report = shannon_diversity(labels)
+        rows.append(
+            [community_id, len(sites), len(labels), report.richness,
+             _fmt(report.shannon_h), _fmt(report.h_max)]
+        )
+    _write_csv(
+        out_dir / name,
+        ["community_id", "size", "labeled", "richness", "shannon_h", "h_max"],
+        rows,
+    )
+
+
+def _richness_stage(
+    groups: list[list[str]], categories: dict[str, str], trials: int, seed: int, out_dir: _Bundle
+) -> None:
+    rows = richness_vs_baseline(groups, categories, trials, seed)
+    _write_csv(
+        out_dir / "richness_vs_baseline.csv",
+        ["size", "observed_mean", "baseline_mean"],
+        [[size, _fmt(obs), _fmt(base)] for size, obs, base in rows],
+    )
+
+
+# ---------------------------------------------------------------------------
+# extract / graph / communities
+# ---------------------------------------------------------------------------
+
+def _cmd_extract(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    records, _, _ = _extract_stage(args, out.parent, out.name, args.anomaly_threshold)
+    if args.snapshot_id:
+        _write_json(
+            out.parent / "manifest.json",
+            {"snapshot_id": args.snapshot_id, "total_sites": len(records)},
+        )
+    _echo_config(out.parent, "extract", args)
+    return 0
+
+
+def _cmd_graph(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _partition_outputs(partition, out_dir)
+    _graph_stage(
+        load_profiles(args.profiles),
+        args.intermediary_threshold,
+        args.keep_intermediaries,
+        args.normalizer_mode,
+        out_dir,
+    )
+    _echo_config(out_dir, "graph", args)
+    return 0
+
+
+def _cmd_communities(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out_dir)
+    _communities_stage(
+        load_metagraph_csv(args.metagraph),
+        args.top_fraction,
+        out_dir,
+        args.max_communities,
+        args.weighted_paths,
+    )
     _echo_config(out_dir, "communities", args)
     return 0
 
@@ -243,14 +394,9 @@ def _cmd_communities(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_stats_ids(args: argparse.Namespace) -> int:
-    profiles = load_profiles(args.profiles)
-    histograms = per_site_id_counts(profiles)
-    rows = []
-    for kind in KIND_ORDER:
-        for count, fraction in histograms[kind].items():
-            rows.append([kind.value, count, _fmt(fraction)])
-    _write_csv(Path(args.out), ["kind", "count", "fraction"], rows)
-    _echo_config(Path(args.out).parent, "stats_ids", args)
+    out = Path(args.out)
+    _id_counts_stage(load_profiles(args.profiles), out.parent, out.name)
+    _echo_config(out.parent, "stats_ids", args)
     return 0
 
 
@@ -267,67 +413,43 @@ def _load_site_ranks(path) -> dict[str, int]:
 
 
 def _cmd_stats_sizes(args: argparse.Namespace) -> int:
+    out = Path(args.out)
     profiles = load_profiles(args.profiles)
     ranks = _load_site_ranks(args.site_ranks) if args.site_ranks else None
     bipartite = build_bipartite(profiles, IdFamily(args.family))
-    records = publisher_sizes(bipartite, ranks)
-    rows = [
-        [
-            r.key,
-            r.size,
-            _fmt(r.mean_rank) if r.mean_rank is not None else "",
-            _fmt(r.median_rank) if r.median_rank is not None else "",
-        ]
-        for r in records
-    ]
-    _write_csv(Path(args.out), ["key", "size", "mean_rank", "median_rank"], rows)
-    _echo_config(Path(args.out).parent, "stats_sizes", args)
+    _sizes_stage(bipartite, ranks, out.parent, out.name)
+    _echo_config(out.parent, "stats_sizes", args)
     return 0
 
 
 def _cmd_stats_powerlaw(args: argparse.Namespace) -> int:
-    profiles = load_profiles(args.profiles)
-    bipartite = build_bipartite(profiles, IdFamily(args.family))
+    out = Path(args.out)
+    bipartite = build_bipartite(load_profiles(args.profiles), IdFamily(args.family))
     if args.population == "publishers":
         sizes = [r.size for r in publisher_sizes(bipartite)]
     else:
         sizes = [c.size for c in connected_components(bipartite)]
-    fit = fit_power_law(sizes)
-    fit.lr_statistic, fit.lr_p_value = loglikelihood_ratio(sizes, fit)
-    obj = fit.to_json_obj()
-    obj["population"] = args.population
-    obj["family"] = args.family
-    _write_json(Path(args.out), obj)
-    _echo_config(Path(args.out).parent, "stats_powerlaw", args)
+    _powerlaw_stage(sizes, out.parent, out.name, population=args.population, family=args.family)
+    _echo_config(out.parent, "stats_powerlaw", args)
     return 0
 
 
 def _cmd_stats_popularity(args: argparse.Namespace) -> int:
+    out = Path(args.out)
     profiles = load_profiles(args.profiles)
     ranks = _load_site_ranks(args.site_ranks)
     bipartite = build_bipartite(profiles, IdFamily.PUBLISHER)
-    records = publisher_sizes(bipartite, ranks)
-    series, fit = popularity_by_size(records, args.max_size)
-    _write_csv(
-        Path(args.out),
-        ["size", "mean_rank", "median_rank"],
-        [[size, _fmt(mean), _fmt(median)] for size, mean, median in series],
-    )
-    _write_json(Path(args.out).parent / "popularity_fit.json", fit.to_json_obj())
-    _echo_config(Path(args.out).parent, "stats_popularity", args)
+    _popularity_stage(publisher_sizes(bipartite, ranks), args.max_size, out.parent, out.name)
+    _echo_config(out.parent, "stats_popularity", args)
     return 0
 
 
 def _cmd_stats_categories(args: argparse.Namespace) -> int:
+    out = Path(args.out)
     profiles = load_profiles(args.profiles)
     categories = load_category_map(args.categories)
-    histogram = category_distribution(profiles, categories)
-    _write_csv(
-        Path(args.out),
-        ["category", "fraction"],
-        [[label, _fmt(fraction)] for label, fraction in histogram.items()],
-    )
-    _echo_config(Path(args.out).parent, "stats_categories", args)
+    _categories_stage(profiles, categories, out.parent, out.name)
+    _echo_config(out.parent, "stats_categories", args)
     return 0
 
 
@@ -344,32 +466,14 @@ def _read_communities_csv(path) -> list[tuple[int, list[str]]]:
 
 
 def _cmd_stats_diversity(args: argparse.Namespace) -> int:
+    out = Path(args.out)
     categories = load_category_map(args.categories)
-    groups = _read_communities_csv(args.communities)
-    rows = []
-    for community_id, sites in groups:
-        labels = [categories[s] for s in sites if s in categories]
-        if not labels:
-            continue
-        report = shannon_diversity(labels)
-        rows.append(
-            [community_id, len(sites), len(labels), report.richness,
-             _fmt(report.shannon_h), _fmt(report.h_max)]
-        )
-    _write_csv(
-        Path(args.out),
-        ["community_id", "size", "labeled", "richness", "shannon_h", "h_max"],
-        rows,
-    )
-    _echo_config(Path(args.out).parent, "stats_diversity", args)
+    _diversity_stage(_read_communities_csv(args.communities), categories, out.parent, out.name)
+    _echo_config(out.parent, "stats_diversity", args)
     return 0
 
 
 def _cmd_stats_poisson(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
-    if args.size < 1:
-        raise ConfigError("--size must be >= 1")
     categories = load_category_map(args.categories)
     mean_richness = poisson_sampling_baseline(categories, args.size, args.trials, args.seed)
     _write_json(
@@ -453,8 +557,6 @@ def _cmd_history_classes(args: argparse.Namespace) -> int:
 
 
 def _cmd_history_top(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ConfigError("--k must be >= 1")
     snapshots = load_snapshots(args.snapshots)
     series = top_publishers_series(snapshots, args.k)
     rows = []
@@ -471,154 +573,45 @@ def _cmd_history_top(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
-    if not 0 < args.top_fraction <= 1:
-        raise ConfigError("--top-fraction must be in (0, 1]")
-    if args.intermediary_threshold < 2:
-        raise ConfigError("--intermediary-threshold must be >= 2")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: list[str] = []
+    bundle = _Bundle(Path(args.out_dir))
     skipped: list[dict[str, str]] = []
 
-    def emit(name: str) -> Path:
-        artifacts.append(name)
-        return out_dir / name
+    def attempt(analysis: str, stage: Callable, *stage_args) -> None:
+        try:
+            stage(*stage_args)
+        except ValueError as exc:
+            skipped.append({"analysis": analysis, "reason": str(exc)})
 
-    dictionary = load_dictionary(args.dict)
-    blocklist = load_blocklist(args.blocklist)
-    with open(args.infile, encoding="utf-8") as fh:
-        parsed = parse_crawl_jsonl(fh)
-    records = parsed.records
-    if args.ranks:
-        records = assign_ranks(records, load_rank_list(args.ranks))
-    records = dedup_by_landing(records)
-    profiles = extract_profiles(records, dictionary, blocklist, threads=args.threads)
-
-    with open(emit("profiles.jsonl"), "w", encoding="utf-8", newline="\n") as fh:
-        dump_profiles(profiles, fh)
-    summary = summarize_extraction(profiles, corpus_size=len(records)).to_json_obj()
-    summary["skipped_lines"] = len(parsed.skips)
-    summary["anomalies"] = [
-        {"domain": d, "distinct_keys": n} for d, n in flag_anomalies(profiles)
-    ]
-    _write_json(emit("summary.json"), summary)
-    site_ranks = {
-        r.landing_domain: r.rank
-        for r in records
-        if r.rank is not None
-    }
-    _write_csv(
-        emit("site_ranks.csv"),
-        ["rank", "domain"],
-        [[rank, domain] for domain, rank in sorted(site_ranks.items())],
+    _, profiles, site_ranks = _extract_stage(args, bundle, "profiles.jsonl", _ANOMALY_THRESHOLD)
+    graphs, metagraph = _graph_stage(
+        profiles, args.intermediary_threshold, False, args.normalizer_mode, bundle
     )
-
-    _, graphs, metagraph = _build_graphs(
-        profiles, args.intermediary_threshold, False, args.normalizer_mode
-    )
-    for family, bg in graphs.items():
-        with open(emit(f"bipartite_{family.value}.csv"), "w", encoding="utf-8", newline="") as fh:
-            dump_bipartite_csv(bg, fh)
-    with open(emit("metagraph.csv"), "w", encoding="utf-8", newline="") as fh:
-        dump_metagraph_csv(metagraph, fh)
-
-    pruned = prune_edges(metagraph, args.top_fraction)
-    partition = girvan_newman(pruned)
-    _partition_outputs(partition, out_dir)
-    artifacts.extend(["communities.csv", "communities_summary.json"])
-
+    communities = _communities_stage(metagraph, args.top_fraction, bundle)
     # Community report skeleton: the legal entity column is filled by hand.
-    ordered = sorted(partition.communities, key=lambda c: (-len(c), min(c)))
     _write_csv(
-        emit("communities_report.csv"),
+        bundle / "communities_report.csv",
         ["community_id", "size", "entity", "websites"],
-        [[i, len(c), "", ";".join(sorted(c))] for i, c in enumerate(ordered)],
+        [[i, len(c), "", ";".join(sorted(c))] for i, c in enumerate(communities)],
     )
-
-    histograms = per_site_id_counts(profiles)
-    _write_csv(
-        emit("id_counts.csv"),
-        ["kind", "count", "fraction"],
-        [
-            [kind.value, count, _fmt(fraction)]
-            for kind in KIND_ORDER
-            for count, fraction in histograms[kind].items()
-        ],
-    )
-    records_by_size = publisher_sizes(graphs[IdFamily.PUBLISHER], site_ranks or None)
-    _write_csv(
-        emit("publisher_sizes.csv"),
-        ["key", "size", "mean_rank", "median_rank"],
-        [
-            [
-                r.key,
-                r.size,
-                _fmt(r.mean_rank) if r.mean_rank is not None else "",
-                _fmt(r.median_rank) if r.median_rank is not None else "",
-            ]
-            for r in records_by_size
-        ],
-    )
-
-    try:
-        sizes = [r.size for r in records_by_size]
-        fit = fit_power_law(sizes)
-        fit.lr_statistic, fit.lr_p_value = loglikelihood_ratio(sizes, fit)
-        _write_json(emit("powerlaw_publisher.json"), fit.to_json_obj())
-    except ValueError as exc:
-        skipped.append({"analysis": "powerlaw_publisher", "reason": str(exc)})
-    try:
-        series, fit = popularity_by_size(records_by_size)
-        _write_csv(
-            emit("popularity.csv"),
-            ["size", "mean_rank", "median_rank"],
-            [[size, _fmt(mean), _fmt(median)] for size, mean, median in series],
-        )
-        _write_json(emit("popularity_fit.json"), fit.to_json_obj())
-    except ValueError as exc:
-        skipped.append({"analysis": "popularity", "reason": str(exc)})
+    _id_counts_stage(profiles, bundle, "id_counts.csv")
+    # Publisher sizes come from the Publisher graph after intermediary
+    # exclusion, unlike `stats sizes`, which counts every key in profiles.
+    by_size = _sizes_stage(graphs[IdFamily.PUBLISHER], site_ranks, bundle, "publisher_sizes.csv")
+    attempt("powerlaw_publisher", _powerlaw_stage,
+            [r.size for r in by_size], bundle, "powerlaw_publisher.json")
+    attempt("popularity", _popularity_stage, by_size, None, bundle, "popularity.csv")
 
     if args.categories:
         categories = load_category_map(args.categories)
-        _write_csv(
-            emit("categories.csv"),
-            ["category", "fraction"],
-            [[label, _fmt(f)] for label, f in category_distribution(profiles, categories).items()],
-        )
-        diversity_rows = []
-        for community_id, community in enumerate(ordered):
-            labels = [categories[s] for s in sorted(community) if s in categories]
-            if not labels:
-                continue
-            report = shannon_diversity(labels)
-            diversity_rows.append(
-                [community_id, len(community), len(labels), report.richness,
-                 _fmt(report.shannon_h), _fmt(report.h_max)]
-            )
-        _write_csv(
-            emit("diversity.csv"),
-            ["community_id", "size", "labeled", "richness", "shannon_h", "h_max"],
-            diversity_rows,
-        )
-        try:
-            richness = richness_vs_baseline(
-                [sorted(c) for c in ordered], categories, args.trials, args.seed
-            )
-            _write_csv(
-                emit("richness_vs_baseline.csv"),
-                ["size", "observed_mean", "baseline_mean"],
-                [[size, _fmt(obs), _fmt(base)] for size, obs, base in richness],
-            )
-        except ValueError as exc:
-            skipped.append({"analysis": "richness_vs_baseline", "reason": str(exc)})
+        groups = [sorted(c) for c in communities]
+        _categories_stage(profiles, categories, bundle, "categories.csv")
+        _diversity_stage(enumerate(groups), categories, bundle, "diversity.csv")
+        attempt("richness_vs_baseline", _richness_stage,
+                groups, categories, args.trials, args.seed, bundle)
 
-    _write_json(
-        emit("report_manifest.json"),
-        {"artifacts": sorted(set(artifacts)), "skipped": skipped},
-    )
-    _echo_config(out_dir, "report", args)
+    manifest = bundle / "report_manifest.json"
+    _write_json(manifest, {"artifacts": sorted(set(bundle.artifacts)), "skipped": skipped})
+    _echo_config(bundle.path, "report", args)
     return 0
 
 
@@ -634,34 +627,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="crawl JSONL -> profiles JSONL + summary")
-    p.add_argument("--in", dest="infile", required=True, help="crawl JSONL input")
-    p.add_argument("--out", required=True, help="profiles JSONL output path")
-    p.add_argument("--dict", default=None, help="dictionary file (default: packaged)")
-    p.add_argument("--blocklist", default=None, help="keyword blocklist file (default: packaged)")
-    p.add_argument("--ranks", default=None, help="rank,domain CSV keyed by requested domain")
-    p.add_argument("--snapshot-id", default=None, help="also write manifest.json with this id")
-    p.add_argument("--anomaly-threshold", type=int, default=40)
-    p.add_argument("--threads", type=int, default=_default_threads())
-    p.set_defaults(func=_cmd_extract)
-
-    p = sub.add_parser("graph", help="profiles -> bipartite + metagraph CSV dumps")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--intermediary-threshold", type=float, default=100)
-    p.add_argument("--keep-intermediaries", action="store_true")
-    p.add_argument(
+    # Flags that report shares with extract, graph and communities.
+    extract_flags = argparse.ArgumentParser(add_help=False)
+    extract_flags.add_argument("--in", dest="infile", required=True, help="crawl JSONL input")
+    extract_flags.add_argument("--dict", default=None, help="dictionary file (default: packaged)")
+    extract_flags.add_argument(
+        "--blocklist", default=None, help="keyword blocklist file (default: packaged)"
+    )
+    extract_flags.add_argument(
+        "--ranks", default=None, help="rank,domain CSV keyed by requested domain"
+    )
+    extract_flags.add_argument(
+        "--threads", type=_at_least(1), default=os.environ.get("ADGRAPH_THREADS", "1")
+    )
+    graph_flags = argparse.ArgumentParser(add_help=False)
+    graph_flags.add_argument("--intermediary-threshold", type=_at_least(2, float), default=100)
+    graph_flags.add_argument(
         "--normalizer-mode",
         choices=["projected", "pre-exclusion"],
         default="projected",
         help="population over which the 1/n weights are computed",
     )
+    communities_flags = argparse.ArgumentParser(add_help=False)
+    communities_flags.add_argument("--top-fraction", type=_fraction, default=0.05)
+
+    p = sub.add_parser("extract", parents=[extract_flags],
+                       help="crawl JSONL -> profiles JSONL + summary")
+    p.add_argument("--out", required=True, help="profiles JSONL output path")
+    p.add_argument("--snapshot-id", default=None, help="also write manifest.json with this id")
+    p.add_argument("--anomaly-threshold", type=_at_least(1), default=_ANOMALY_THRESHOLD)
+    p.set_defaults(func=_cmd_extract)
+
+    p = sub.add_parser("graph", parents=[graph_flags],
+                       help="profiles -> bipartite + metagraph CSV dumps")
+    p.add_argument("--profiles", required=True)
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--keep-intermediaries", action="store_true")
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("communities", help="metagraph -> prune -> Girvan-Newman")
+    p = sub.add_parser("communities", parents=[communities_flags],
+                       help="metagraph -> prune -> Girvan-Newman")
     p.add_argument("--metagraph", required=True, help="metagraph edge CSV")
-    p.add_argument("--top-fraction", type=float, default=0.05)
-    p.add_argument("--max-communities", type=int, default=None)
+    p.add_argument("--max-communities", type=_at_least(1), default=None)
     p.add_argument("--weighted-paths", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_communities)
@@ -691,7 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = stats_sub.add_parser("popularity", help="rank vs publisher size")
     p.add_argument("--profiles", required=True)
     p.add_argument("--site-ranks", required=True)
-    p.add_argument("--max-size", type=int, default=None)
+    # The fit needs three size buckets, and sizes above --max-size share one.
+    p.add_argument("--max-size", type=_at_least(3), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_stats_popularity)
 
@@ -709,8 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stats_sub.add_parser("poisson", help="random-sampling richness baseline")
     p.add_argument("--categories", required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--size", type=_at_least(1), required=True)
+    p.add_argument("--trials", type=_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_stats_poisson)
@@ -731,24 +739,15 @@ def build_parser() -> argparse.ArgumentParser:
         if "per_pair" in extra:
             p.add_argument("--per-pair-universe", action="store_true")
         if "k" in extra:
-            p.add_argument("--k", type=int, default=10)
+            p.add_argument("--k", type=_at_least(1), default=10)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("report", help="full pipeline into one directory")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("report", parents=[extract_flags, graph_flags, communities_flags],
+                       help="full pipeline into one directory")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--dict", default=None)
-    p.add_argument("--blocklist", default=None)
-    p.add_argument("--ranks", default=None)
     p.add_argument("--categories", default=None)
-    p.add_argument("--intermediary-threshold", type=float, default=100)
-    p.add_argument(
-        "--normalizer-mode", choices=["projected", "pre-exclusion"], default="projected"
-    )
-    p.add_argument("--top-fraction", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_report)
 
     return parser
@@ -768,9 +767,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except ConfigError as exc:
-        print(f"adgraph: configuration error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, FormatError, CanonicalizationError, ValueError, KeyError) as exc:
         print(f"adgraph: input error: {exc}", file=sys.stderr)
         return 1

@@ -17,15 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import Edge, Metagraph, _edge
+from .graphs import Edge, Metagraph, _by_size, _component_of, _components, _edge
 
 Adjacency = dict[str, set[str]]
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Communities with the quality score and the edge-removal trace that
-    produced them."""
+    """Communities (largest first, ties by smallest member) with the quality
+    score and the edge-removal trace that produced them."""
 
     communities: tuple[frozenset[str], ...]
     modularity: Fraction
@@ -153,6 +153,23 @@ def _brandes_component(
     return {e: sc / 2 for e, sc in scores.items()}
 
 
+def _betweenness(
+    adj: Adjacency,
+    components: Iterable[frozenset[str]],
+    distances: Mapping[Edge, Fraction] | None,
+) -> dict[Edge, Fraction]:
+    """Brandes scores of every edge inside the given components."""
+    scores: dict[Edge, Fraction] = {}
+    for members in components:
+        scores.update(_brandes_component(adj, members, distances))
+    return scores
+
+
+def _distances(mg: Metagraph, weighted: bool) -> dict[Edge, Fraction] | None:
+    """Inverse edge weights as distances, or None for the hop metric."""
+    return {e: 1 / w for e, w in mg.weights.items()} if weighted else None
+
+
 def edge_betweenness(mg: Metagraph, weighted: bool = False) -> dict[Edge, Fraction]:
     """Betweenness for every metagraph edge.
 
@@ -160,43 +177,7 @@ def edge_betweenness(mg: Metagraph, weighted: bool = False) -> dict[Edge, Fracti
     weight as distance so heavier (higher-confidence) edges read as closer.
     """
     adj = mg.adjacency()
-    distances = None
-    if weighted:
-        distances = {e: 1 / w for e, w in mg.weights.items()}
-    scores: dict[Edge, Fraction] = {}
-    seen: set[str] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        component = _reachable(adj, start)
-        seen.update(component)
-        scores.update(_brandes_component(adj, component, distances))
-    return scores
-
-
-def _reachable(adj: Adjacency, start: str) -> set[str]:
-    stack = [start]
-    members = {start}
-    while stack:
-        node = stack.pop()
-        for nb in adj[node]:
-            if nb not in members:
-                members.add(nb)
-                stack.append(nb)
-    return members
-
-
-def _components_of(adj: Adjacency) -> tuple[frozenset[str], ...]:
-    seen: set[str] = set()
-    out: list[frozenset[str]] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        members = _reachable(adj, start)
-        seen.update(members)
-        out.append(frozenset(members))
-    out.sort(key=lambda c: (-len(c), min(c)))
-    return tuple(out)
+    return _betweenness(adj, _components(adj), _distances(mg, weighted))
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +202,17 @@ def girvan_newman(
         raise ValueError("max_communities must be >= 1")
     if not mg.nodes:
         return Partition(communities=(), modularity=Fraction(0))
-    adj = {n: set(nb) for n, nb in mg.adjacency().items()}
-    distances = {e: 1 / w for e, w in mg.weights.items()} if weighted_paths else None
+    adj = mg.adjacency()
+    distances = _distances(mg, weighted_paths)
 
-    initial = _components_of(adj)
-    if max_communities is not None and len(initial) >= max_communities:
-        return Partition(initial, modularity(mg, initial), ())
+    parts = tuple(_components(adj))
     # Candidates are scored as they appear so only the best is retained;
     # strictly-greater comparison keeps the earliest partition on ties.
-    best_parts, best_q, best_trace = initial, modularity(mg, initial), ()
+    best = Partition(parts, modularity(mg, parts))
+    if max_communities is not None and len(parts) >= max_communities:
+        return best
 
-    scores: dict[Edge, Fraction] = {}
-    seen: set[str] = set()
-    for start in sorted(adj):
-        if start not in seen:
-            comp = _reachable(adj, start)
-            seen.update(comp)
-            scores.update(_brandes_component(adj, comp, distances))
-
+    scores = _betweenness(adj, parts, distances)
     removals: list[Edge] = []
     while scores:
         u, v = min(scores, key=lambda e: (-scores[e], e))
@@ -248,26 +222,23 @@ def girvan_newman(
         removals.append((u, v))
 
         # Removal only perturbs the component that held the edge.
-        comp_u = _reachable(adj, u)
-        affected = [comp_u]
+        comp_u = _component_of(adj, u)
         split = v not in comp_u
-        if split:
-            affected.append(_reachable(adj, v))
-        stale = {e for e in scores if e[0] in comp_u or (split and e[0] in affected[1])}
-        for e in stale:
+        affected = [comp_u, _component_of(adj, v)] if split else [comp_u]
+        held = frozenset().union(*affected)
+        for e in [e for e in scores if e[0] in held]:
             del scores[e]
-        for comp in affected:
-            scores.update(_brandes_component(adj, comp, distances))
+        scores.update(_betweenness(adj, affected, distances))
 
         if split:
-            parts = _components_of(adj)
+            parts = tuple(sorted([p for p in parts if u not in p] + affected, key=_by_size))
             q = modularity(mg, parts)
             if max_communities is not None and len(parts) >= max_communities:
                 return Partition(parts, q, tuple(removals))
-            if q > best_q:
-                best_parts, best_q, best_trace = parts, q, tuple(removals)
+            if q > best.modularity:
+                best = Partition(parts, q, tuple(removals))
 
-    return Partition(best_parts, best_q, best_trace)
+    return best
 
 
 @dataclass(frozen=True)

@@ -368,7 +368,8 @@ def assign_ranks(records: Sequence[CrawlRecord], ranks: Mapping[str, int]) -> li
 def load_rank_list(path: str | Path) -> dict[str, int]:
     """Load a headerless ``rank,domain`` CSV into domain -> rank.
 
-    Duplicate domains: last occurrence wins (warning logged with the count).
+    Ranks are integers >= 1, as for the crawl JSONL ``rank``. Duplicate
+    domains: last occurrence wins (warning logged with the count).
     """
     ranks: dict[str, int] = {}
     duplicates = 0
@@ -381,6 +382,8 @@ def load_rank_list(path: str | Path) -> dict[str, int]:
             if len(parts) != 2 or not parts[0].strip().isdigit():
                 raise FormatError(f"{path}: malformed rank row {row_no}: {line!r}")
             rank, domain = int(parts[0]), parts[1].strip().lower()
+            if rank < 1:
+                raise FormatError(f"{path}: rank below 1 at row {row_no}: {line!r}")
             if not domain:
                 raise FormatError(f"{path}: empty domain at row {row_no}")
             if domain in ranks:

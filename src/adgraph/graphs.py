@@ -100,13 +100,6 @@ class Metagraph:
             adj[v].add(u)
         return adj
 
-    def degree_weight(self, node: str) -> Fraction:
-        total = Fraction(0)
-        for (u, v), w in self.weights.items():
-            if node in (u, v):
-                total += w
-        return total
-
     def total_weight(self) -> Fraction:
         return sum(self.weights.values(), Fraction(0))
 
@@ -141,6 +134,36 @@ def build_bipartite(profiles: Sequence[SiteIdProfile], family: IdFamily) -> Bipa
     )
 
 
+def _component_of(adj: Mapping[str, Iterable[str]], start: str) -> frozenset[str]:
+    """The nodes connected to ``start``, itself included (depth-first)."""
+    stack = [start]
+    members = {start}
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in members:
+                members.add(nb)
+                stack.append(nb)
+    return frozenset(members)
+
+
+def _by_size(members: frozenset[str]) -> tuple[int, str]:
+    """Component order: largest first, ties by smallest member."""
+    return -len(members), min(members)
+
+
+def _components(adj: Mapping[str, Iterable[str]]) -> list[frozenset[str]]:
+    """Every component of an undirected adjacency map, in ``_by_size`` order."""
+    seen: set[str] = set()
+    out: list[frozenset[str]] = []
+    for start in adj:
+        if start not in seen:
+            members = _component_of(adj, start)
+            seen.update(members)
+            out.append(members)
+    out.sort(key=_by_size)
+    return out
+
+
 def connected_components(graph: BipartiteGraph | Metagraph) -> list[Component]:
     """Undirected components, largest first, ties by smallest member."""
     adj: dict[str, set[str]]
@@ -152,24 +175,7 @@ def connected_components(graph: BipartiteGraph | Metagraph) -> list[Component]:
                 adj[key].add(site)
     else:
         adj = graph.adjacency()
-    seen: set[str] = set()
-    components: list[Component] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        members = {start}
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            for nb in adj[node]:
-                if nb not in members:
-                    members.add(nb)
-                    seen.add(nb)
-                    stack.append(nb)
-        components.append(Component(frozenset(members)))
-    components.sort(key=lambda c: (-c.size, min(c.members)))
-    return components
+    return [Component(members) for members in _components(adj)]
 
 
 def family_normalizers(profiles: Sequence[SiteIdProfile]) -> dict[IdFamily, int]:

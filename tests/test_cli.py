@@ -205,8 +205,18 @@ def test_exit_codes(tmp_path, crawl_file):
     # config error -> 2
     assert run(["communities", "--metagraph", "x.csv", "--top-fraction", "0",
                 "--out-dir", str(tmp_path)]) == 2
-    assert run(["extract", "--in", str(crawl_file), "--out", str(tmp_path / "p.jsonl"),
-                "--threads", "0"]) == 2
+    # config errors exit before any output is written
+    out = tmp_path / "out"
+    for argv in (
+        ["extract", "--in", str(crawl_file), "--out", str(out / "p.jsonl"), "--threads", "0"],
+        ["extract", "--in", str(crawl_file), "--out", str(out / "p.jsonl"),
+         "--anomaly-threshold", "0"],
+        ["report", "--in", str(crawl_file), "--out-dir", str(out), "--trials", "0"],
+        ["stats", "popularity", "--profiles", "p.jsonl", "--site-ranks", "r.csv",
+         "--max-size", "2", "--out", str(out / "pop.csv")],
+    ):
+        assert run(argv) == 2
+        assert not out.exists()
     # missing input file -> 1
     assert run(["extract", "--in", str(tmp_path / "missing.jsonl"),
                 "--out", str(tmp_path / "p.jsonl")]) == 1
@@ -231,3 +241,46 @@ def test_env_var_thread_fallback(crawl_file, tmp_path, monkeypatch):
     assert run(["extract", "--in", str(crawl_file), "--out", str(out)]) == 0
     echo = json.loads((tmp_path / "config_extract.json").read_text())
     assert echo["parameters"]["threads"] == 3
+
+
+def test_report_runs_the_stage_commands(crawl_file, tmp_path):
+    """report writes the same bytes as extract -> graph -> communities -> stats."""
+    cats = tmp_path / "cats.csv"
+    cats.write_text("".join(f"site{i:02d}.example,{('News', 'Arts', 'Tech')[i % 3]}\n"
+                            for i in range(50)), encoding="utf-8")
+    ranks = [f"{i + 1},site{i:02d}.example" for i in range(0, 50, 3)]
+    for name, rank_rows in (("valid", ranks), ("rank0", ranks + ["0,site28.example"])):
+        rank_file = tmp_path / f"{name}.csv"
+        rank_file.write_text("\n".join(rank_rows) + "\n", encoding="utf-8")
+        files, bundle = tmp_path / name / "files", tmp_path / name / "report"
+        steps = [
+            ["extract", "--in", str(crawl_file), "--out", str(files / "profiles.jsonl"),
+             "--ranks", str(rank_file)],
+            ["graph", "--profiles", str(files / "profiles.jsonl"), "--out-dir", str(files)],
+            ["communities", "--metagraph", str(files / "metagraph.csv"),
+             "--top-fraction", "1.0", "--out-dir", str(files)],
+            ["stats", "ids", "--profiles", str(files / "profiles.jsonl"),
+             "--out", str(files / "id_counts.csv")],
+            ["stats", "sizes", "--profiles", str(files / "profiles.jsonl"),
+             "--site-ranks", str(files / "site_ranks.csv"),
+             "--out", str(files / "publisher_sizes.csv")],
+            ["stats", "categories", "--profiles", str(files / "profiles.jsonl"),
+             "--categories", str(cats), "--out", str(files / "categories.csv")],
+            ["stats", "diversity", "--communities", str(files / "communities.csv"),
+             "--categories", str(cats), "--out", str(files / "diversity.csv")],
+        ]
+        composed = [run(argv) for argv in steps]
+        bundled = run(["report", "--in", str(crawl_file), "--out-dir", str(bundle),
+                       "--ranks", str(rank_file), "--categories", str(cats),
+                       "--trials", "20", "--top-fraction", "1.0"])
+        # a rank below 1 is an input error on both paths
+        assert (composed[0], bundled) == ((0, 0) if name == "valid" else (1, 1))
+        if bundled:
+            continue
+        assert composed == [0] * len(steps)
+        for artifact in ("profiles.jsonl", "summary.json", "site_ranks.csv",
+                         "bipartite_publisher.csv", "bipartite_analytics.csv",
+                         "bipartite_container.csv", "metagraph.csv", "communities.csv",
+                         "communities_summary.json", "id_counts.csv", "publisher_sizes.csv",
+                         "categories.csv", "diversity.csv"):
+            assert (files / artifact).read_bytes() == (bundle / artifact).read_bytes(), artifact

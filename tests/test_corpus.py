@@ -251,9 +251,10 @@ def test_load_rank_list_duplicate_last_wins(tmp_path, caplog):
 
 def test_load_rank_list_malformed_row(tmp_path):
     path = tmp_path / "ranks.csv"
-    path.write_text("one,a.example\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        load_rank_list(path)
+    for text in ("one,a.example\n", "1,a.example\n0,b.example\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match="row"):
+            load_rank_list(path)
 
 
 def test_load_category_map(tmp_path):
