@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
-from .graphs import Edge, Metagraph, _by_size, _component_of, _components, _edge
+from .graphs import Edge, Metagraph, _by_size, _component_of, _components
 
 Adjacency = dict[str, set[str]]
 
@@ -34,6 +33,12 @@ class Partition:
     @property
     def sizes(self) -> list[int]:
         return [len(c) for c in self.communities]
+
+
+def _community_term(internal: Fraction, degree: Fraction, total: Fraction) -> Fraction:
+    """One community's share of modularity: its internal weight over the
+    total, less the squared share of the edge ends it holds."""
+    return internal / total - (degree / (2 * total)) ** 2
 
 
 def modularity(mg: Metagraph, communities: Iterable[frozenset[str]]) -> Fraction:
@@ -62,10 +67,10 @@ def modularity(mg: Metagraph, communities: Iterable[frozenset[str]]) -> Fraction
             degree_sum[cv] += w
         if cu is not None and cu == cv:
             internal[cu] += w
-    q = Fraction(0)
-    for idx in range(n_communities):
-        q += internal[idx] / total - (degree_sum[idx] / (2 * total)) ** 2
-    return q
+    return sum(
+        (_community_term(internal[idx], degree_sum[idx], total) for idx in range(n_communities)),
+        Fraction(0),
+    )
 
 
 def prune_edges(mg: Metagraph, top_fraction: float = 0.05) -> Metagraph:
@@ -75,7 +80,8 @@ def prune_edges(mg: Metagraph, top_fraction: float = 0.05) -> Metagraph:
         raise ValueError("top_fraction must be in (0, 1]")
     if not mg.weights:
         return Metagraph(normalizers=dict(mg.normalizers))
-    k = math.ceil(top_fraction * len(mg.weights))
+    # From the decimal the caller wrote: in float, 0.07 * 100 rounds up to 8.
+    k = math.ceil(Fraction(str(top_fraction)) * len(mg.weights))
     cutoff = sorted(mg.weights.values(), reverse=True)[k - 1]
     kept = {e: w for e, w in mg.weights.items() if w >= cutoff}
     nodes = {n for e in kept for n in e}
@@ -83,91 +89,94 @@ def prune_edges(mg: Metagraph, top_fraction: float = 0.05) -> Metagraph:
 
 
 # ---------------------------------------------------------------------------
-# Edge betweenness (Brandes accumulation, exact fractions)
+# Edge betweenness (Brandes accumulation in exact integers)
 # ---------------------------------------------------------------------------
 
 def _brandes_component(
     adj: Adjacency,
-    nodes: Iterable[str],
-    distances: Mapping[Edge, Fraction] | None = None,
+    nodes: Collection[str],
+    distances: Mapping[str, Mapping[str, int]] | None = None,
 ) -> dict[Edge, Fraction]:
     """Edge betweenness restricted to one component's node set.
 
     Each unordered node pair contributes, once, the fraction of its
     shortest paths crossing the edge. ``distances`` switches from hop
     counting to weighted (Dijkstra) shortest paths.
+
+    The dependencies are scaled by L, a common multiple of every path
+    count sigma seen so far, which makes every step an integer: D[w] =
+    L/sigma[w] + the sum of D over w's successors, and edge (v, w) gains
+    sigma[v] * D[w], that is sigma[v]/sigma[w] * (1 + delta[w]) times L.
+    When a source brings a sigma that does not divide L, L and the tallies
+    grow by the missing factor. Each edge's tally becomes a Fraction once.
     """
-    nodes = sorted(nodes)
-    scores: dict[Edge, Fraction] = {}
-    for u in nodes:
-        for v in adj[u]:
-            if u < v:
-                scores[(u, v)] = Fraction(0)
+    edges = [(u, v) for u in nodes for v in adj[u] if u < v]
+    tally = dict.fromkeys(edges, 0)
+    scale = 1
     for s in nodes:
         sigma: dict[str, int] = {s: 1}
         preds: dict[str, list[str]] = {s: []}
-        order: list[str] = []
         if distances is None:
-            dist: dict[str, int] = {s: 0}
-            queue: deque[str] = deque([s])
-            while queue:
-                v = queue.popleft()
-                order.append(v)
-                for w in sorted(adj[v]):
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        sigma[w] = 0
-                        preds[w] = []
-                        queue.append(w)
-                    if dist[w] == dist[v] + 1:
-                        sigma[w] += sigma[v]
+            order = [s]
+            dist = {s: 0}
+            for v in order:  # grows while it is walked: breadth-first
+                dw, sv = dist[v] + 1, sigma[v]
+                for w in adj[v]:
+                    seen = dist.get(w)
+                    if seen is None:
+                        dist[w], sigma[w], preds[w] = dw, sv, [v]
+                        order.append(w)
+                    elif seen == dw:
+                        sigma[w] += sv
                         preds[w].append(v)
         else:
-            fdist: dict[str, Fraction] = {}
+            order = []
+            dist = {s: 0}
             done: set[str] = set()
-            heap: list[tuple[Fraction, str]] = [(Fraction(0), s)]
-            fdist[s] = Fraction(0)
+            heap = [(0, s)]
             while heap:
                 d, v = heapq.heappop(heap)
                 if v in done:
                     continue
                 done.add(v)
                 order.append(v)
-                for w in sorted(adj[v]):
-                    nd = d + distances[_edge(v, w)]
-                    if w not in fdist or nd < fdist[w]:
-                        fdist[w] = nd
-                        sigma[w] = sigma[v]
-                        preds[w] = [v]
+                length = distances[v]
+                for w in adj[v]:
+                    nd = d + length[w]
+                    if w not in dist or nd < dist[w]:
+                        dist[w], sigma[w], preds[w] = nd, sigma[v], [v]
                         heapq.heappush(heap, (nd, w))
-                    elif nd == fdist[w] and w not in done:
+                    elif nd == dist[w] and w not in done:
                         sigma[w] += sigma[v]
                         preds[w].append(v)
-        delta: dict[str, Fraction] = {v: Fraction(0) for v in order}
+        grown = math.lcm(scale, *sigma.values())
+        if grown != scale:
+            tally = {e: x * (grown // scale) for e, x in tally.items()}
+            scale = grown
+        below = dict.fromkeys(order, 0)
         for w in reversed(order):
+            dep = scale // sigma[w] + below[w]
             for v in preds[w]:
-                c = Fraction(sigma[v], sigma[w]) * (1 + delta[w])
-                scores[_edge(v, w)] += c
-                delta[v] += c
-    # Each unordered pair was seen from both endpoints.
-    return {e: sc / 2 for e, sc in scores.items()}
+                tally[(v, w) if v < w else (w, v)] += sigma[v] * dep
+                below[v] += dep
+    # Each unordered pair was seen from both endpoints, hence the 2.
+    return {e: Fraction(x, 2 * scale) for e, x in tally.items()}
 
 
-def _betweenness(
-    adj: Adjacency,
-    components: Iterable[frozenset[str]],
-    distances: Mapping[Edge, Fraction] | None,
-) -> dict[Edge, Fraction]:
-    """Brandes scores of every edge inside the given components."""
-    scores: dict[Edge, Fraction] = {}
-    for members in components:
-        scores.update(_brandes_component(adj, members, distances))
-    return scores
+def _distances(mg: Metagraph, weighted: bool) -> dict[str, dict[str, int]] | None:
+    """Inverse edge weights as distances by node and neighbour, or None for
+    the hop metric.
 
-
-def _distances(mg: Metagraph, weighted: bool) -> dict[Edge, Fraction] | None:
-    """Inverse edge weights as distances, or None for the hop metric."""
-    return {e: 1 / w for e, w in mg.weights.items()} if weighted else None
+    Every distance is multiplied by one common factor that makes it an
+    integer, which changes no comparison and no tie between path lengths.
+    """
+    if not weighted:
+        return None
+    scale = math.lcm(*(w.numerator for w in mg.weights.values()))
+    out: dict[str, dict[str, int]] = {n: {} for n in mg.nodes}
+    for (u, v), w in mg.weights.items():
+        out[u][v] = out[v][u] = w.denominator * (scale // w.numerator)
+    return out
 
 
 def edge_betweenness(mg: Metagraph, weighted: bool = False) -> dict[Edge, Fraction]:
@@ -177,7 +186,11 @@ def edge_betweenness(mg: Metagraph, weighted: bool = False) -> dict[Edge, Fracti
     weight as distance so heavier (higher-confidence) edges read as closer.
     """
     adj = mg.adjacency()
-    return _betweenness(adj, _components(adj), _distances(mg, weighted))
+    distances = _distances(mg, weighted)
+    scores: dict[Edge, Fraction] = {}
+    for members in _components(adj):
+        scores.update(_brandes_component(adj, members, distances))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +210,10 @@ def girvan_newman(
     (earliest on ties), scored against the input graph with weights.
     ``max_communities`` instead returns the first partition reaching that
     many communities.
+
+    A round costs as much as the component that lost the edge: only its
+    betweenness is recomputed, and a split changes modularity by the terms
+    of the two new parts less the term of the old one.
     """
     if max_communities is not None and max_communities < 1:
         raise ValueError("max_communities must be >= 1")
@@ -204,41 +221,65 @@ def girvan_newman(
         return Partition(communities=(), modularity=Fraction(0))
     adj = mg.adjacency()
     distances = _distances(mg, weighted_paths)
+    total = mg.total_weight()
+    strength = dict.fromkeys(mg.nodes, Fraction(0))
+    upper: dict[str, list[tuple[str, Fraction]]] = {n: [] for n in mg.nodes}
+    for (u, v), w in mg.weights.items():
+        strength[u] += w
+        strength[v] += w
+        upper[u].append((v, w))
 
-    parts = tuple(_components(adj))
-    # Candidates are scored as they appear so only the best is retained;
-    # strictly-greater comparison keeps the earliest partition on ties.
-    best = Partition(parts, modularity(mg, parts))
-    if max_communities is not None and len(parts) >= max_communities:
-        return best
+    def term(members: frozenset[str]) -> Fraction:
+        if total == 0:
+            return Fraction(0)
+        internal = sum((w for u in members for v, w in upper[u] if v in members), Fraction(0))
+        degree = sum((strength[u] for u in members), Fraction(0))
+        return _community_term(internal, degree, total)
 
-    scores = _betweenness(adj, parts, distances)
+    # The current parts, each with its modularity term.
+    terms = {part: term(part) for part in _components(adj)}
+    q = sum(terms.values(), Fraction(0))
+    # Strictly-greater comparison keeps the earliest partition on ties.
+    best_q, best_parts, best_removals = q, tuple(terms), 0
     removals: list[Edge] = []
-    while scores:
-        u, v = min(scores, key=lambda e: (-scores[e], e))
-        del scores[(u, v)]
-        adj[u].discard(v)
-        adj[v].discard(u)
-        removals.append((u, v))
+    if max_communities is None or len(terms) < max_communities:
+        # One entry per component with edges: its top edge by (-score,
+        # edge), so the heap's first entry is the graph's. Only the popped
+        # component changes in a round, so no entry ever goes stale.
+        heap: list[tuple[Fraction, Edge]] = []
 
-        # Removal only perturbs the component that held the edge.
-        comp_u = _component_of(adj, u)
-        split = v not in comp_u
-        affected = [comp_u, _component_of(adj, v)] if split else [comp_u]
-        held = frozenset().union(*affected)
-        for e in [e for e in scores if e[0] in held]:
-            del scores[e]
-        scores.update(_betweenness(adj, affected, distances))
+        def push_top_edges(components: Iterable[frozenset[str]]) -> None:
+            for members in components:
+                scores = _brandes_component(adj, members, distances)
+                if scores:
+                    top = max(scores.values())
+                    edge = min(e for e, score in scores.items() if score == top)
+                    heapq.heappush(heap, (-top, edge))
 
-        if split:
-            parts = tuple(sorted([p for p in parts if u not in p] + affected, key=_by_size))
-            q = modularity(mg, parts)
-            if max_communities is not None and len(parts) >= max_communities:
-                return Partition(parts, q, tuple(removals))
-            if q > best.modularity:
-                best = Partition(parts, q, tuple(removals))
+        push_top_edges(terms)
+        while heap:
+            _, (u, v) = heapq.heappop(heap)
+            adj[u].discard(v)
+            adj[v].discard(u)
+            removals.append((u, v))
 
-    return best
+            comp_u = _component_of(adj, u)
+            affected = [comp_u] if v in comp_u else [comp_u, _component_of(adj, v)]
+            if len(affected) == 2:  # a split: the old part gives way to the two
+                q -= terms.pop(comp_u | affected[1])
+                for part in affected:
+                    terms[part] = term(part)
+                    q += terms[part]
+                if max_communities is not None and len(terms) >= max_communities:
+                    best_q, best_parts, best_removals = q, tuple(terms), len(removals)
+                    break
+                if q > best_q:
+                    best_q, best_parts, best_removals = q, tuple(terms), len(removals)
+            push_top_edges(affected)
+
+    return Partition(
+        tuple(sorted(best_parts, key=_by_size)), best_q, tuple(removals[:best_removals])
+    )
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,33 @@ def brute_force_metagraph(profiles, normalizers=None):
 def enumerate_edge_betweenness(adj):
     """Score every edge by summing, over unordered node pairs, the exact
     fraction of the pair's shortest paths that cross the edge."""
+    return _path_shares(adj, lambda s, t: _all_shortest_paths(adj, s, t))
+
+
+def enumerate_weighted_edge_betweenness(adj, weights):
+    """As enumerate_edge_betweenness, where a path's length is the sum of
+    1/w over its edges: every simple path of a pair is listed, and those of
+    least length are the pair's shortest paths."""
+
+    def shortest(s, t):
+        found = []
+
+        def walk(node, acc, length):
+            if node == t:
+                found.append((length, acc))
+                return
+            for w in adj[node]:
+                if w not in acc:
+                    walk(w, acc + [w], length + 1 / weights[(min(node, w), max(node, w))])
+
+        walk(s, [s], Fraction(0))
+        least = min((length for length, _ in found), default=None)
+        return [path for length, path in found if length == least]
+
+    return _path_shares(adj, shortest)
+
+
+def _path_shares(adj, shortest_paths):
     nodes = sorted(adj)
     scores = {}
     for u in nodes:
@@ -84,7 +111,7 @@ def enumerate_edge_betweenness(adj):
             if u < v:
                 scores[(u, v)] = Fraction(0)
     for s, t in itertools.combinations(nodes, 2):
-        paths = _all_shortest_paths(adj, s, t)
+        paths = shortest_paths(s, t)
         if not paths:
             continue
         per_edge = {}
@@ -159,28 +186,44 @@ def modularity_oracle(mg: Metagraph, communities):
     return q / (2 * m)
 
 
-def girvan_newman_oracle(mg: Metagraph):
-    """Replay edge removal with enumerated betweenness and full recompute,
-    then pick the modularity-maximal recorded partition (earliest tie)."""
+def girvan_newman_replay(mg: Metagraph, betweenness=enumerate_edge_betweenness):
+    """Replay edge removal with an enumerated betweenness and full
+    recompute. Returns every recorded partition, in order, each with the
+    removals that produced it."""
     adj = {n: set() for n in mg.nodes}
     for u, v in mg.weights:
         adj[u].add(v)
         adj[v].add(u)
-    candidates = [components_of(adj)]
+    removals = []
+    candidates = [(components_of(adj), ())]
     while any(adj[n] for n in adj):
-        scores = enumerate_edge_betweenness(adj)
+        scores = betweenness(adj)
         u, v = min(scores, key=lambda e: (-scores[e], e))
         adj[u].discard(v)
         adj[v].discard(u)
+        removals.append((u, v))
         parts = components_of(adj)
-        if len(parts) > len(candidates[-1]):
-            candidates.append(parts)
-    best = candidates[0]
+        if len(parts) > len(candidates[-1][0]):
+            candidates.append((parts, tuple(removals)))
+    return candidates
+
+
+def best_of_replay(mg: Metagraph, candidates):
+    """The modularity-maximal recorded partition (earliest tie), as
+    (communities, modularity, removals)."""
+    best, best_removals = candidates[0]
     best_q = modularity_oracle(mg, best)
-    for parts in candidates[1:]:
+    for parts, removals in candidates[1:]:
         q = modularity_oracle(mg, parts)
         if q > best_q:
-            best, best_q = parts, q
+            best, best_q, best_removals = parts, q, removals
+    return best, best_q, best_removals
+
+
+def girvan_newman_oracle(mg: Metagraph):
+    """Replay edge removal with enumerated betweenness and full recompute,
+    then pick the modularity-maximal recorded partition (earliest tie)."""
+    best, best_q, _ = best_of_replay(mg, girvan_newman_replay(mg))
     return best, best_q
 
 

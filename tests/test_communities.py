@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from adgraph.communities import (
+    Partition,
     community_size_distribution,
     edge_betweenness,
     girvan_newman,
@@ -15,8 +16,11 @@ from adgraph.communities import (
 )
 from adgraph.graphs import Metagraph
 from helpers import (
+    best_of_replay,
     enumerate_edge_betweenness,
+    enumerate_weighted_edge_betweenness,
     girvan_newman_oracle,
+    girvan_newman_replay,
     metagraph_from_edges,
     modularity_oracle,
 )
@@ -32,16 +36,34 @@ def _adj(mg):
     return mg.adjacency()
 
 
+def _random_weighted_graph(rng, n, p, weights, prefix="n", connected=False):
+    """Edges of a random graph on n nodes with weights drawn from a list;
+    ``connected`` adds a random spanning path."""
+    nodes = [f"{prefix}{i}" for i in range(n)]
+    pairs = {(u, v) for u, v in itertools.combinations(nodes, 2) if rng.random() < p}
+    if connected:
+        perm = nodes[:]
+        rng.shuffle(perm)
+        pairs |= {(min(a, b), max(a, b)) for a, b in zip(perm, perm[1:])}
+    return [(u, v, rng.choice(weights)) for u, v in sorted(pairs)]
+
+
+# Small rationals whose inverses (the weighted-path lengths) often tie.
+TIE_PRONE_WEIGHTS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]
+
+
 # --- prune_edges ------------------------------------------------------------
 
 def test_prune_distinct_weights_keeps_exact_fraction():
     mg = metagraph_from_edges(
         [(f"a{i:03d}", f"b{i:03d}", Fraction(i + 1)) for i in range(100)]
     )
-    pruned = prune_edges(mg, 0.05)
-    assert pruned.edge_count == 5
-    assert len(pruned.nodes) == 10  # dangling endpoints dropped
-    assert min(pruned.weights.values()) == Fraction(96)
+    # 0.07 * 100 is 7.000000000000001 in float; the exact count is 7.
+    for fraction, kept in ((0.05, 5), (0.07, 7)):
+        pruned = prune_edges(mg, fraction)
+        assert pruned.edge_count == kept
+        assert len(pruned.nodes) == 2 * kept  # dangling endpoints dropped
+        assert min(pruned.weights.values()) == Fraction(101 - kept)
 
 
 def test_prune_boundary_ties_all_survive():
@@ -124,6 +146,18 @@ def test_weighted_paths_mode_prefers_heavy_edges():
     ])
     scores = edge_betweenness(mg, weighted=True)
     assert scores[("A", "C")] > scores[("A", "B")]
+
+
+def test_weighted_betweenness_matches_enumeration_on_random_graphs():
+    rng = random.Random(61)
+    for _ in range(60):
+        edges = _random_weighted_graph(rng, rng.randrange(2, 8), 0.5, TIE_PRONE_WEIGHTS)
+        if not edges:
+            continue
+        mg = metagraph_from_edges(edges)
+        assert edge_betweenness(mg, weighted=True) == enumerate_weighted_edge_betweenness(
+            _adj(mg), mg.weights
+        )
 
 
 # --- modularity -------------------------------------------------------------
@@ -228,6 +262,41 @@ def test_gn_matches_oracle_on_random_connected_graphs():
         assert tuple(sorted(partition.communities, key=lambda c: (-len(c), min(c)))) == oracle_parts
         assert partition.modularity == oracle_q
         done += 1
+
+
+def test_gn_matches_oracle_on_weighted_forests():
+    rng = random.Random(53)
+    for _ in range(25):
+        edges = []
+        for c in range(rng.randint(1, 3)):
+            edges += _random_weighted_graph(
+                rng, rng.randrange(2, 7), 0.4,
+                [Fraction(rng.randrange(1, 6), rng.randrange(1, 4)) for _ in range(4)],
+                prefix=f"c{c}n", connected=True,
+            )
+        mg = metagraph_from_edges(edges)
+        candidates = girvan_newman_replay(mg)
+        partition = girvan_newman(mg)
+        assert partition == Partition(*best_of_replay(mg, candidates))
+        assert partition.modularity == modularity(mg, partition.communities)
+        for k in range(1, len(mg.nodes) + 1):
+            parts, removals = next(c for c in candidates if len(c[0]) >= k)
+            assert girvan_newman(mg, max_communities=k) == Partition(
+                parts, modularity_oracle(mg, parts), removals
+            )
+
+
+def test_gn_weighted_paths_matches_oracle_replay():
+    rng = random.Random(67)
+    for _ in range(30):
+        edges = _random_weighted_graph(rng, rng.randrange(3, 8), 0.5, TIE_PRONE_WEIGHTS)
+        if not edges:
+            continue
+        mg = metagraph_from_edges(edges)
+        candidates = girvan_newman_replay(
+            mg, lambda adj: enumerate_weighted_edge_betweenness(adj, mg.weights)
+        )
+        assert girvan_newman(mg, weighted_paths=True) == Partition(*best_of_replay(mg, candidates))
 
 
 def test_gn_deterministic():
