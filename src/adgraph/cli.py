@@ -176,7 +176,7 @@ def _extract_stage(
     if args.ranks:
         records = assign_ranks(records, load_rank_list(args.ranks))
     records = dedup_by_landing(records)
-    profiles = extract_profiles(records, dictionary, blocklist, threads=args.threads)
+    profiles = extract_profiles(records, dictionary, blocklist)
 
     with _open_out(out_dir / profiles_name) as fh:
         dump_profiles(profiles, fh)
@@ -638,7 +638,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--ranks", default=None, help="rank,domain CSV keyed by requested domain"
     )
     extract_flags.add_argument(
-        "--threads", type=_at_least(1), default=os.environ.get("ADGRAPH_THREADS", "1")
+        "--threads",
+        type=_at_least(1),
+        default=os.environ.get("ADGRAPH_THREADS", "1"),
+        help="accepted and echoed in the config; extraction runs serially",
     )
     graph_flags = argparse.ArgumentParser(add_help=False)
     graph_flags.add_argument("--intermediary-threshold", type=_at_least(2, float), default=100)

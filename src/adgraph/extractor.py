@@ -13,6 +13,11 @@ match must not be alphanumeric, and the character after it must not extend
 the pattern's final character class. Two data-driven filters remove false
 positives (dictionary words and a keyword blocklist) before the surviving
 values are canonicalized and aggregated into per-site profiles.
+
+Each pattern starts with its literal prefix on purpose, with the boundary
+lookbehind placed after it: CPython's ``re`` then jumps from one occurrence
+of the prefix to the next, whereas a leading lookbehind (or one alternation
+of all four patterns) makes it try a match at every character of the text.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ from __future__ import annotations
 import enum
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .corpus import CrawlRecord
 
@@ -50,12 +54,13 @@ KIND_ORDER: tuple[IdKind, ...] = (
     IdKind.CONTAINER,
 )
 
-_NOT_ALNUM_BEFORE = r"(?<![0-9A-Za-z])"
+# The lookbehind follows the prefix and spans it, so it tests the character
+# before the match, exactly as a leading (?<![0-9A-Za-z]) would.
 PATTERNS: dict[IdKind, re.Pattern[str]] = {
-    IdKind.PUBLISHER: re.compile(_NOT_ALNUM_BEFORE + r"pub-[0-9]{9,}(?![0-9])"),
-    IdKind.TRACKING: re.compile(_NOT_ALNUM_BEFORE + r"UA-[0-9]{4,}-[0-9]+(?![0-9])"),
-    IdKind.MEASUREMENT: re.compile(_NOT_ALNUM_BEFORE + r"G-[A-Z0-9]{7,}(?![A-Z0-9])"),
-    IdKind.CONTAINER: re.compile(_NOT_ALNUM_BEFORE + r"GTM-[A-Z0-9]{6,}(?![A-Z0-9])"),
+    IdKind.PUBLISHER: re.compile(r"pub-(?<![0-9A-Za-z]pub-)[0-9]{9,}(?![0-9])"),
+    IdKind.TRACKING: re.compile(r"UA-(?<![0-9A-Za-z]UA-)[0-9]{4,}-[0-9]+(?![0-9])"),
+    IdKind.MEASUREMENT: re.compile(r"G-(?<![0-9A-Za-z]G-)[A-Z0-9]{7,}(?![A-Z0-9])"),
+    IdKind.CONTAINER: re.compile(r"GTM-(?<![0-9A-Za-z]GTM-)[A-Z0-9]{6,}(?![A-Z0-9])"),
 }
 
 # Tracking keys canonicalize to the account prefix: UA-<account>.
@@ -134,21 +139,26 @@ def _read_data_file(path: str | Path | None, default_name: str) -> str:
 @dataclass(frozen=True)
 class IdentifierHit:
     """One validated identifier value on one site: the raw match, its kind,
-    the canonical key it maps to, and every channel it appeared in."""
+    the canonical key it maps to, every channel it appeared in, and how
+    many times it occurred across those channels."""
 
     raw: str
     kind: IdKind
     canonical: str
     sources: frozenset[Source]
+    count: int
 
 
-def _iter_channel_matches(
+def scan_record(
     record: CrawlRecord,
     dictionary: frozenset[str] | set[str],
     blocklist: frozenset[str] | set[str],
-) -> Iterator[tuple[Source, str, IdKind]]:
-    """Every filtered match occurrence across the record's page text,
-    request URLs, and cookie names and values."""
+) -> list[IdentifierHit]:
+    """Filtered identifier hits for one record's page text, request URLs,
+    and cookie names and values: one hit per raw value, ordered by
+    (kind, raw)."""
+    sources: dict[RawMatch, set[Source]] = {}
+    counts: dict[RawMatch, int] = {}
     channels: list[tuple[Source, Iterable[str]]] = [
         (Source.HTML, (record.page_text,)),
         (Source.REQUEST, record.request_urls),
@@ -158,25 +168,13 @@ def _iter_channel_matches(
         for text in texts:
             if not text:
                 continue
-            matches = filter_keywords(filter_dictionary(scan_text(text), dictionary), blocklist)
-            for value, kind in matches:
-                yield source, value, kind
-
-
-def scan_record(
-    record: CrawlRecord,
-    dictionary: frozenset[str] | set[str],
-    blocklist: frozenset[str] | set[str],
-) -> list[IdentifierHit]:
-    """Filtered identifier hits for one record, one per raw value, ordered
-    by (kind, raw)."""
-    seen: dict[tuple[str, IdKind], set[Source]] = {}
-    for source, value, kind in _iter_channel_matches(record, dictionary, blocklist):
-        seen.setdefault((value, kind), set()).add(source)
+            for match in filter_keywords(filter_dictionary(scan_text(text), dictionary), blocklist):
+                sources.setdefault(match, set()).add(source)
+                counts[match] = counts.get(match, 0) + 1
     return [
         IdentifierHit(raw=value, kind=kind, canonical=canonical_key(value, kind),
-                      sources=frozenset(sources))
-        for (value, kind), sources in sorted(seen.items(), key=lambda kv: (kv[0][1].value, kv[0][0]))
+                      sources=frozenset(srcs), count=counts[value, kind])
+        for (value, kind), srcs in sorted(sources.items(), key=lambda kv: (kv[0][1].value, kv[0][0]))
     ]
 
 
@@ -237,8 +235,7 @@ def extract_profile(
     dictionary: frozenset[str] | set[str],
     blocklist: frozenset[str] | set[str],
 ) -> SiteIdProfile:
-    """Scan one record's page text, request URLs and cookies (names and
-    values) and aggregate the filtered, canonicalized keys.
+    """Aggregate one record's ``scan_record`` hits into canonical keys.
 
     raw_counts tally every filtered match occurrence per kind, before
     canonical merging.
@@ -246,11 +243,10 @@ def extract_profile(
     keys: dict[IdKind, set[str]] = {}
     sources: dict[str, set[Source]] = {}
     raw_counts: dict[IdKind, int] = {}
-    for source, value, kind in _iter_channel_matches(record, dictionary, blocklist):
-        key = canonical_key(value, kind)
-        keys.setdefault(kind, set()).add(key)
-        sources.setdefault(key, set()).add(source)
-        raw_counts[kind] = raw_counts.get(kind, 0) + 1
+    for hit in scan_record(record, dictionary, blocklist):
+        keys.setdefault(hit.kind, set()).add(hit.canonical)
+        sources.setdefault(hit.canonical, set()).update(hit.sources)
+        raw_counts[hit.kind] = raw_counts.get(hit.kind, 0) + hit.count
     return SiteIdProfile(
         landing_domain=record.landing_domain,
         keys={k: frozenset(v) for k, v in keys.items()},
@@ -287,27 +283,27 @@ def extract_profiles(
     records: Sequence[CrawlRecord],
     dictionary: frozenset[str] | set[str] | None = None,
     blocklist: frozenset[str] | set[str] | None = None,
-    threads: int = 1,
     keep_empty: bool = False,
 ) -> list[SiteIdProfile]:
     """Extract per-site profiles for a whole corpus, sorted by domain.
 
-    Records sharing a landing domain are merged. Results are identical for
-    any thread count. Empty profiles are dropped unless ``keep_empty``.
+    Records sharing a landing domain are merged. Extraction runs serially:
+    the scan is Python work that holds the interpreter lock. Empty profiles
+    are dropped unless ``keep_empty``.
     """
     if dictionary is None:
         dictionary = load_dictionary()
     if blocklist is None:
         blocklist = load_blocklist()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(lambda r: extract_profile(r, dictionary, blocklist), records))
-    else:
-        raw = [extract_profile(r, dictionary, blocklist) for r in records]
     by_domain: dict[str, list[SiteIdProfile]] = {}
-    for p in raw:
-        by_domain.setdefault(p.landing_domain, []).append(p)
-    merged = [merge_profiles(group) for _, group in sorted(by_domain.items())]
+    for record in records:
+        by_domain.setdefault(record.landing_domain, []).append(
+            extract_profile(record, dictionary, blocklist)
+        )
+    merged = [
+        group[0] if len(group) == 1 else merge_profiles(group)
+        for _, group in sorted(by_domain.items())
+    ]
     if keep_empty:
         return merged
     return [p for p in merged if not p.is_empty()]

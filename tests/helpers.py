@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -20,8 +21,9 @@ import numpy as np
 from scipy.special import zeta
 
 from adgraph.corpus import CrawlRecord
-from adgraph.extractor import IdKind, SiteIdProfile, Source
+from adgraph.extractor import KIND_ORDER, IdKind, SiteIdProfile, Source
 from adgraph.graphs import FAMILY_ORDER, KINDS_OF_FAMILY, Metagraph
+from adgraph.history import Snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +42,50 @@ def make_profile(domain, publisher=(), tracking=(), measurement=(), container=()
             keys[kind] = frozenset(values)
     sources = {k: frozenset({Source.HTML}) for ks in keys.values() for k in ks}
     return SiteIdProfile(landing_domain=domain, keys=keys, sources=sources)
+
+
+def first_pair_only_snapshots():
+    """Three snapshots in which b.example bears a Publisher key in the first
+    pair only: it moves to a smaller publisher, then carries none. a.example
+    and c.example keep their keys throughout."""
+    site_keys = [
+        ("2021-01-01", {"a": "pub-100000001", "b": "pub-200000001", "c": "pub-200000001"}),
+        ("2021-04-01", {"a": "pub-100000001", "b": "pub-300000001", "c": "pub-200000001"}),
+        ("2021-07-01", {"a": "pub-100000001", "b": None, "c": "pub-200000001"}),
+    ]
+    return [
+        Snapshot.build(sid, [
+            make_profile(f"{site}.example", publisher={key} if key else ())
+            for site, key in keys.items()
+        ])
+        for sid, keys in site_keys
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Scanner oracle: each pattern led by its boundary lookbehind
+# ---------------------------------------------------------------------------
+
+# The boundary rule written the plain way. This form has no literal prefix,
+# so CPython's re tries it at every character; the library's patterns put
+# the prefix first for speed and must accept exactly the same matches.
+_ORACLE_BOUNDARY = r"(?<![0-9A-Za-z])"
+ORACLE_PATTERNS = {
+    IdKind.PUBLISHER: re.compile(_ORACLE_BOUNDARY + r"pub-[0-9]{9,}(?![0-9])"),
+    IdKind.TRACKING: re.compile(_ORACLE_BOUNDARY + r"UA-[0-9]{4,}-[0-9]+(?![0-9])"),
+    IdKind.MEASUREMENT: re.compile(_ORACLE_BOUNDARY + r"G-[A-Z0-9]{7,}(?![A-Z0-9])"),
+    IdKind.CONTAINER: re.compile(_ORACLE_BOUNDARY + r"GTM-[A-Z0-9]{6,}(?![A-Z0-9])"),
+}
+
+
+def scan_text_oracle(text):
+    """(value, kind) matches of ORACLE_PATTERNS ordered by (position, kind)."""
+    found = sorted(
+        (m.start(), KIND_ORDER.index(kind), m.group(), kind)
+        for kind, pattern in ORACLE_PATTERNS.items()
+        for m in pattern.finditer(text)
+    )
+    return [(value, kind) for _, _, value, kind in found]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 
 from adgraph.cli import run
 from adgraph.corpus import serialize_crawl_jsonl
-from helpers import fixture_corpus
+from adgraph.history import save_snapshot
+from helpers import first_pair_only_snapshots, fixture_corpus
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,25 @@ def test_history_commands(crawl_file, tmp_path):
     assert coverage[0] == "scope,metric,value"
     transitions = (tmp_path / "transitions.csv").read_text()
     assert "no_change" in transitions
+
+
+def test_history_transitions_per_pair_universe(tmp_path):
+    snap_dirs = []
+    for snap in first_pair_only_snapshots():
+        save_snapshot(snap, tmp_path / snap.snapshot_id)
+        snap_dirs.append(str(tmp_path / snap.snapshot_id))
+    outputs = {}
+    for name, flags in (("all", []), ("pair", ["--per-pair-universe"])):
+        out = tmp_path / name / "transitions.csv"
+        assert run(["history", "transitions", "--snapshots", *snap_dirs,
+                    "--out", str(out), *flags]) == 0
+        outputs[name] = out.read_text().split("\n")
+        echo = json.loads((tmp_path / name / "config_history_transitions.json").read_text())
+        assert echo["parameters"]["per_pair_universe"] is (name == "pair")
+    assert "2021-01-01..2021-04-01,smaller,0" in outputs["all"]
+    assert "2021-01-01..2021-04-01,smaller,1" in outputs["pair"]
+    assert [line for line in outputs["all"] if "2021-04-01..2021-07-01" in line] == \
+        [line for line in outputs["pair"] if "2021-04-01..2021-07-01" in line]
 
 
 def test_report_bundle(crawl_file, tmp_path):

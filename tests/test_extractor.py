@@ -19,10 +19,11 @@ from adgraph.extractor import (
     filter_keywords,
     flag_anomalies,
     load_profiles,
+    merge_profiles,
     scan_text,
     summarize_extraction,
 )
-from helpers import make_profile
+from helpers import make_profile, scan_text_oracle
 
 
 def _record(domain="a.example", html="", requests=(), cookies=()):
@@ -75,6 +76,51 @@ def test_scan_empty_text():
 
 def test_scan_separators_allow_adjacent_ids():
     assert len(scan_text("UA-1111-1,UA-2222-2;UA-3333-3")) == 3
+
+
+@pytest.mark.parametrize("text,expected", [
+    # a match at offset 0, for every kind
+    ("pub-123456789 x", [("pub-123456789", IdKind.PUBLISHER)]),
+    ("UA-1234-5 x", [("UA-1234-5", IdKind.TRACKING)]),
+    ("G-ABCDEFG x", [("G-ABCDEFG", IdKind.MEASUREMENT)]),
+    ("GTM-ABC123 x", [("GTM-ABC123", IdKind.CONTAINER)]),
+    # a non-ASCII letter is not in the boundary class
+    ("épub-123456789", [("pub-123456789", IdKind.PUBLISHER)]),
+    ("éG-ABCDEFG", [("G-ABCDEFG", IdKind.MEASUREMENT)]),
+    # adjacent matches
+    ("UA-1111-1,UA-2222-2", [("UA-1111-1", IdKind.TRACKING), ("UA-2222-2", IdKind.TRACKING)]),
+    # GTM- next to G-
+    ("GTM-G-ABCDEFG", [("G-ABCDEFG", IdKind.MEASUREMENT)]),
+    ("G-GTM-ABC123", [("GTM-ABC123", IdKind.CONTAINER)]),
+    ("GTM-ABC123G-ABCDEFG", [("GTM-ABC123G", IdKind.CONTAINER)]),
+    ("G-ABCDEFG-GTM-ABC123", [("G-ABCDEFG", IdKind.MEASUREMENT), ("GTM-ABC123", IdKind.CONTAINER)]),
+    # an alphanumeric character just before the prefix
+    ("xpub-123456789", []),
+    ("1GTM-ABC123", []),
+])
+def test_scan_edge_cases(text, expected):
+    assert scan_text(text) == expected
+    assert scan_text_oracle(text) == expected
+
+
+def test_scan_matches_lookbehind_first_oracle():
+    groups = [
+        ["pub-", "UA-", "UA-1234-", "G-", "GTM-"],
+        ["123456789", "1234", "ABCDEFG", "-"],
+        ["-", " ", "_", "x", "é"],
+        [*"0123456789", *"ABCDEFGHIJKLMNOPQRSTUVWXYZ"],
+    ]
+    rng = random.Random(20)
+    seen = {kind: 0 for kind in IdKind}
+    for _ in range(5000):
+        text = "".join(rng.choice(rng.choices(groups, weights=(3, 3, 2, 2))[0])
+                       for _ in range(rng.randrange(1, 25)))
+        found = scan_text(text)
+        assert found == scan_text_oracle(text), text
+        for _, kind in found:
+            seen[kind] += 1
+    # the strings reach every kind, so the comparison is not vacuous
+    assert min(seen.values()) >= 50, seen
 
 
 # --- filters ----------------------------------------------------------------
@@ -155,6 +201,18 @@ def test_scan_record_hits(dictionary, blocklist):
     assert all(h.sources for h in hits)
 
 
+def test_scan_record_counts_every_occurrence(dictionary, blocklist):
+    rec = _record(html="UA-1111-1 UA-1111-1 G-BACKPACK",
+                  requests=["https://x.example/?tid=UA-1111-1&id=G-AB12345"],
+                  cookies=[("UA-1111-1", "UA-1111-2")])
+    hits = scan_record(rec, dictionary, blocklist)
+    assert [(h.raw, h.count, h.sources) for h in hits] == [
+        ("G-AB12345", 1, {Source.REQUEST}),
+        ("UA-1111-1", 4, {Source.HTML, Source.REQUEST, Source.COOKIE}),
+        ("UA-1111-2", 1, {Source.COOKIE}),
+    ]
+
+
 def test_scan_record_raw_matches_pattern(dictionary, blocklist):
     from adgraph.extractor import PATTERNS
 
@@ -204,10 +262,45 @@ def test_extraction_deterministic(dictionary, blocklist):
     assert first == second
 
 
-def test_extract_profiles_thread_invariance(corpus50, dictionary, blocklist):
+def test_profile_is_aggregate_of_hits(corpus50, dictionary, blocklist):
     records, _ = corpus50
-    assert extract_profiles(records, dictionary, blocklist, threads=1) == \
-        extract_profiles(records, dictionary, blocklist, threads=8)
+    for rec in records:
+        hits = scan_record(rec, dictionary, blocklist)
+        profile = extract_profile(rec, dictionary, blocklist)
+        keys, sources, raw_counts = {}, {}, {}
+        for h in hits:
+            keys.setdefault(h.kind, set()).add(h.canonical)
+            sources.setdefault(h.canonical, set()).update(h.sources)
+            raw_counts[h.kind] = raw_counts.get(h.kind, 0) + h.count
+        assert profile.keys == keys
+        assert profile.sources == sources
+        assert profile.raw_counts == raw_counts
+        # each hit's count is its occurrences over the record's filtered texts
+        texts = [rec.page_text, *rec.request_urls, *(t for pair in rec.cookies for t in pair)]
+        occurrences = [m for t in texts
+                       for m in filter_keywords(filter_dictionary(scan_text(t), dictionary), blocklist)]
+        assert {(h.raw, h.kind): h.count for h in hits} == \
+            {m: occurrences.count(m) for m in occurrences}
+
+
+def test_extract_profiles_merges_two_records_of_one_domain(dictionary, blocklist):
+    first = _record(html="pub-111111111 UA-1111-1", cookies=[("sid", "UA-1111-2")])
+    second = _record(html="pub-111111111 GTM-XYZ999",
+                     requests=["https://x.example/?client=ca-pub-111111111&tid=UA-1111-3"])
+    other = _record(domain="b.example", html="G-AB12345")
+    profiles = extract_profiles([first, other, second], dictionary, blocklist)
+    assert profiles == [
+        merge_profiles([extract_profile(first, dictionary, blocklist),
+                        extract_profile(second, dictionary, blocklist)]),
+        extract_profile(other, dictionary, blocklist),
+    ]
+    merged = profiles[0]
+    assert merged.keys == {IdKind.PUBLISHER: {"pub-111111111"}, IdKind.TRACKING: {"UA-1111"},
+                           IdKind.CONTAINER: {"GTM-XYZ999"}}
+    assert merged.sources == {"pub-111111111": {Source.HTML, Source.REQUEST},
+                              "UA-1111": {Source.HTML, Source.COOKIE, Source.REQUEST},
+                              "GTM-XYZ999": {Source.HTML}}
+    assert merged.raw_counts == {IdKind.PUBLISHER: 3, IdKind.TRACKING: 3, IdKind.CONTAINER: 1}
 
 
 def test_extract_profiles_merges_same_landing(dictionary, blocklist):

@@ -17,7 +17,7 @@ from adgraph.history import (
     top_publishers_series,
     transition_series,
 )
-from helpers import make_profile
+from helpers import first_pair_only_snapshots, make_profile
 
 
 def _snap(snapshot_id, site_keys, total_sites=None, publisher_sizes=None):
@@ -268,6 +268,19 @@ def test_transition_series_drift_toward_smaller():
     assert smaller_counts == [2, 4, 6, 8]
     assert series.trends[TransitionClass.SMALLER].slope == pytest.approx(2.0)
     assert series.trends[TransitionClass.SMALLER].slope > 0
+
+
+def test_transition_series_per_pair_universe():
+    snaps = first_pair_only_snapshots()
+    counts = {flag: [c for _, _, c in transition_series(snaps, per_pair_universe=flag).intervals]
+              for flag in (False, True)}
+    # b.example bears a Publisher in the first pair only: it counts there with
+    # the flag, and the all-snapshot universe leaves it out of every interval.
+    assert counts[True][0] == {TransitionClass.NO_CHANGE: 2, TransitionClass.BIGGER: 0,
+                               TransitionClass.SMALLER: 1, TransitionClass.INSIGNIFICANT: 0}
+    assert counts[True][1] == counts[False][0] == counts[False][1] == {
+        TransitionClass.NO_CHANGE: 2, TransitionClass.BIGGER: 0,
+        TransitionClass.SMALLER: 0, TransitionClass.INSIGNIFICANT: 0}
 
 
 def test_transition_series_empty_universe_errors():
