@@ -17,13 +17,11 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .corpus import (
-    CanonicalizationError,
     CrawlRecord,
-    FormatError,
     assign_ranks,
     dedup_by_landing,
     load_category_map,
@@ -59,9 +57,11 @@ from .graphs import (
     exclude_intermediaries,
     family_normalizers,
     load_metagraph_csv,
+    _read_table,
 )
 from .history import (
     PublisherClass,
+    Snapshot,
     TRANSITION_ORDER,
     class_population_series,
     coverage_series,
@@ -124,14 +124,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _echo_config(directory: Path, command: str, args: argparse.Namespace) -> None:
+def _echo_config(args: argparse.Namespace) -> None:
+    """Write config_<command>[_<topic>].json into the command's output
+    directory: ``--out-dir``, else the directory of ``--out``."""
+    params = vars(args)
+    directory = Path(args.out_dir) if "out_dir" in params else Path(args.out).parent
+    command = args.command + (f"_{args.topic}" if "topic" in params else "")
     effective = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in sorted(vars(args).items())
-        if k != "func"
+        k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(params.items()) if k != "func"
     }
     payload = {"command": command, "version": __version__, "parameters": effective}
-    _write_json(directory / f"config_{command.replace(' ', '_')}.json", payload)
+    _write_json(directory / f"config_{command}.json", payload)
 
 
 def _fmt(value: float) -> str:
@@ -351,7 +354,7 @@ def _richness_stage(
 # extract / graph / communities
 # ---------------------------------------------------------------------------
 
-def _cmd_extract(args: argparse.Namespace) -> int:
+def _cmd_extract(args: argparse.Namespace) -> None:
     out = Path(args.out)
     records, _, _ = _extract_stage(args, out.parent, out.name, args.anomaly_threshold)
     if args.snapshot_id:
@@ -359,70 +362,50 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             out.parent / "manifest.json",
             {"snapshot_id": args.snapshot_id, "total_sites": len(records)},
         )
-    _echo_config(out.parent, "extract", args)
-    return 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
+def _cmd_graph(args: argparse.Namespace) -> None:
     _graph_stage(
         load_profiles(args.profiles),
         args.intermediary_threshold,
         args.keep_intermediaries,
         args.normalizer_mode,
-        out_dir,
+        Path(args.out_dir),
     )
-    _echo_config(out_dir, "graph", args)
-    return 0
 
 
-def _cmd_communities(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
+def _cmd_communities(args: argparse.Namespace) -> None:
     _communities_stage(
         load_metagraph_csv(args.metagraph),
         args.top_fraction,
-        out_dir,
+        Path(args.out_dir),
         args.max_communities,
         args.weighted_paths,
     )
-    _echo_config(out_dir, "communities", args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # stats subtopics
 # ---------------------------------------------------------------------------
 
-def _cmd_stats_ids(args: argparse.Namespace) -> int:
+def _cmd_stats_ids(args: argparse.Namespace) -> None:
     out = Path(args.out)
     _id_counts_stage(load_profiles(args.profiles), out.parent, out.name)
-    _echo_config(out.parent, "stats_ids", args)
-    return 0
 
 
 def _load_site_ranks(path) -> dict[str, int]:
-    ranks = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["rank", "domain"]:
-            raise FormatError(f"{path}: expected header rank,domain")
-        for rank, domain in reader:
-            ranks[domain] = int(rank)
-    return ranks
+    return {domain: int(rank) for rank, domain in _read_table(path, ["rank", "domain"])}
 
 
-def _cmd_stats_sizes(args: argparse.Namespace) -> int:
+def _cmd_stats_sizes(args: argparse.Namespace) -> None:
     out = Path(args.out)
     profiles = load_profiles(args.profiles)
     ranks = _load_site_ranks(args.site_ranks) if args.site_ranks else None
     bipartite = build_bipartite(profiles, IdFamily(args.family))
     _sizes_stage(bipartite, ranks, out.parent, out.name)
-    _echo_config(out.parent, "stats_sizes", args)
-    return 0
 
 
-def _cmd_stats_powerlaw(args: argparse.Namespace) -> int:
+def _cmd_stats_powerlaw(args: argparse.Namespace) -> None:
     out = Path(args.out)
     bipartite = build_bipartite(load_profiles(args.profiles), IdFamily(args.family))
     if args.population == "publishers":
@@ -430,50 +413,37 @@ def _cmd_stats_powerlaw(args: argparse.Namespace) -> int:
     else:
         sizes = [c.size for c in connected_components(bipartite)]
     _powerlaw_stage(sizes, out.parent, out.name, population=args.population, family=args.family)
-    _echo_config(out.parent, "stats_powerlaw", args)
-    return 0
 
 
-def _cmd_stats_popularity(args: argparse.Namespace) -> int:
+def _cmd_stats_popularity(args: argparse.Namespace) -> None:
     out = Path(args.out)
     profiles = load_profiles(args.profiles)
     ranks = _load_site_ranks(args.site_ranks)
     bipartite = build_bipartite(profiles, IdFamily.PUBLISHER)
     _popularity_stage(publisher_sizes(bipartite, ranks), args.max_size, out.parent, out.name)
-    _echo_config(out.parent, "stats_popularity", args)
-    return 0
 
 
-def _cmd_stats_categories(args: argparse.Namespace) -> int:
+def _cmd_stats_categories(args: argparse.Namespace) -> None:
     out = Path(args.out)
     profiles = load_profiles(args.profiles)
     categories = load_category_map(args.categories)
     _categories_stage(profiles, categories, out.parent, out.name)
-    _echo_config(out.parent, "stats_categories", args)
-    return 0
 
 
 def _read_communities_csv(path) -> list[tuple[int, list[str]]]:
     groups: dict[int, list[str]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["community_id", "site"]:
-            raise FormatError(f"{path}: expected header community_id,site")
-        for community_id, site in reader:
-            groups.setdefault(int(community_id), []).append(site)
+    for community_id, site in _read_table(path, ["community_id", "site"]):
+        groups.setdefault(int(community_id), []).append(site)
     return sorted(groups.items())
 
 
-def _cmd_stats_diversity(args: argparse.Namespace) -> int:
+def _cmd_stats_diversity(args: argparse.Namespace) -> None:
     out = Path(args.out)
     categories = load_category_map(args.categories)
     _diversity_stage(_read_communities_csv(args.communities), categories, out.parent, out.name)
-    _echo_config(out.parent, "stats_diversity", args)
-    return 0
 
 
-def _cmd_stats_poisson(args: argparse.Namespace) -> int:
+def _cmd_stats_poisson(args: argparse.Namespace) -> None:
     categories = load_category_map(args.categories)
     mean_richness = poisson_sampling_baseline(categories, args.size, args.trials, args.seed)
     _write_json(
@@ -486,93 +456,80 @@ def _cmd_stats_poisson(args: argparse.Namespace) -> int:
             "mean_richness": mean_richness,
         },
     )
-    _echo_config(Path(args.out).parent, "stats_poisson", args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# history subtopics (tidy CSV: scope, metric, value)
+# history subtopics: one row builder per topic, one tidy CSV (scope, metric,
+# value) written by _cmd_history
 # ---------------------------------------------------------------------------
 
-def _cmd_history_coverage(args: argparse.Namespace) -> int:
-    snapshots = load_snapshots(args.snapshots)
+def _coverage_rows(snapshots: list[Snapshot], args: argparse.Namespace) -> Iterator[list]:
     series = coverage_series(snapshots)
-    rows = []
     for snapshot_id, pub, track in series.rows:
-        rows.append([snapshot_id, "publisher_fraction", _fmt(pub)])
-        rows.append([snapshot_id, "tracking_fraction", _fmt(track)])
-    rows.append(["all", "publisher_fraction_mean", _fmt(series.publisher_mean)])
-    rows.append(["all", "publisher_fraction_sd", _fmt(series.publisher_sd)])
-    rows.append(["all", "tracking_fraction_mean", _fmt(series.tracking_mean)])
-    rows.append(["all", "tracking_fraction_sd", _fmt(series.tracking_sd)])
-    _write_csv(Path(args.out), ["scope", "metric", "value"], rows)
-    _echo_config(Path(args.out).parent, "history_coverage", args)
-    return 0
+        yield [snapshot_id, "publisher_fraction", _fmt(pub)]
+        yield [snapshot_id, "tracking_fraction", _fmt(track)]
+    yield ["all", "publisher_fraction_mean", _fmt(series.publisher_mean)]
+    yield ["all", "publisher_fraction_sd", _fmt(series.publisher_sd)]
+    yield ["all", "tracking_fraction_mean", _fmt(series.tracking_mean)]
+    yield ["all", "tracking_fraction_sd", _fmt(series.tracking_sd)]
 
 
-def _cmd_history_idcounts(args: argparse.Namespace) -> int:
-    snapshots = load_snapshots(args.snapshots)
-    rows = []
+def _idcounts_rows(snapshots: list[Snapshot], args: argparse.Namespace) -> Iterator[list]:
     for row in publisher_id_count_series(snapshots):
-        rows.append([row.snapshot_id, "frac_one", _fmt(row.frac_one)])
-        rows.append([row.snapshot_id, "frac_two", _fmt(row.frac_two)])
-        rows.append([row.snapshot_id, "frac_three_plus", _fmt(row.frac_three_plus)])
-        rows.append([row.snapshot_id, "mean_keys", _fmt(row.mean_keys)])
-    _write_csv(Path(args.out), ["scope", "metric", "value"], rows)
-    _echo_config(Path(args.out).parent, "history_idcounts", args)
-    return 0
+        yield [row.snapshot_id, "frac_one", _fmt(row.frac_one)]
+        yield [row.snapshot_id, "frac_two", _fmt(row.frac_two)]
+        yield [row.snapshot_id, "frac_three_plus", _fmt(row.frac_three_plus)]
+        yield [row.snapshot_id, "mean_keys", _fmt(row.mean_keys)]
 
 
-def _cmd_history_transitions(args: argparse.Namespace) -> int:
-    snapshots = load_snapshots(args.snapshots)
+def _transitions_rows(snapshots: list[Snapshot], args: argparse.Namespace) -> Iterator[list]:
     series = transition_series(snapshots, per_pair_universe=args.per_pair_universe)
-    rows = []
     for from_id, to_id, counts in series.intervals:
-        scope = f"{from_id}..{to_id}"
         for cls in TRANSITION_ORDER:
-            rows.append([scope, cls.value, counts[cls]])
+            yield [f"{from_id}..{to_id}", cls.value, counts[cls]]
     for cls in TRANSITION_ORDER:
         fit = series.trends[cls]
         if fit is not None:
-            rows.append(["trend", f"{cls.value}_slope", _fmt(fit.slope)])
-    _write_csv(Path(args.out), ["scope", "metric", "value"], rows)
-    _echo_config(Path(args.out).parent, "history_transitions", args)
-    return 0
+            yield ["trend", f"{cls.value}_slope", _fmt(fit.slope)]
 
 
-def _cmd_history_classes(args: argparse.Namespace) -> int:
-    snapshots = load_snapshots(args.snapshots)
+def _classes_rows(snapshots: list[Snapshot], args: argparse.Namespace) -> Iterator[list]:
     series = class_population_series(snapshots)
-    rows = []
     for snapshot_id, counts in series.rows:
         for cls in PublisherClass:
-            rows.append([snapshot_id, cls.name.lower(), counts[cls]])
+            yield [snapshot_id, cls.name.lower(), counts[cls]]
     for cls in PublisherClass:
         slope = series.slopes[cls]
         if slope is not None:
-            rows.append(["trend", f"{cls.name.lower()}_slope", _fmt(slope)])
-    _write_csv(Path(args.out), ["scope", "metric", "value"], rows)
-    _echo_config(Path(args.out).parent, "history_classes", args)
-    return 0
+            yield ["trend", f"{cls.name.lower()}_slope", _fmt(slope)]
 
 
-def _cmd_history_top(args: argparse.Namespace) -> int:
-    snapshots = load_snapshots(args.snapshots)
-    series = top_publishers_series(snapshots, args.k)
-    rows = []
-    for snapshot_id, own, fixed in series.rows:
-        rows.append([snapshot_id, "top_k_sum", own])
-        rows.append([snapshot_id, "fixed_top_k_sum", fixed])
+def _top_rows(snapshots: list[Snapshot], args: argparse.Namespace) -> Iterator[list]:
+    for snapshot_id, own, fixed in top_publishers_series(snapshots, args.k).rows:
+        yield [snapshot_id, "top_k_sum", own]
+        yield [snapshot_id, "fixed_top_k_sum", fixed]
+
+
+_HISTORY_ROWS: dict[str, Callable[[list[Snapshot], argparse.Namespace], Iterator[list]]] = {
+    "coverage": _coverage_rows,
+    "idcounts": _idcounts_rows,
+    "transitions": _transitions_rows,
+    "classes": _classes_rows,
+    "top": _top_rows,
+}
+
+
+def _cmd_history(args: argparse.Namespace) -> None:
+    # A list, so that a series that fails leaves no file behind.
+    rows = list(_HISTORY_ROWS[args.topic](load_snapshots(args.snapshots), args))
     _write_csv(Path(args.out), ["scope", "metric", "value"], rows)
-    _echo_config(Path(args.out).parent, "history_top", args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # report: the full pipeline in one output directory
 # ---------------------------------------------------------------------------
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> None:
     bundle = _Bundle(Path(args.out_dir))
     skipped: list[dict[str, str]] = []
 
@@ -611,8 +568,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     manifest = bundle / "report_manifest.json"
     _write_json(manifest, {"artifacts": sorted(set(bundle.artifacts)), "skipped": skipped})
-    _echo_config(bundle.path, "report", args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -729,21 +684,15 @@ def build_parser() -> argparse.ArgumentParser:
     history = sub.add_parser("history", help="longitudinal snapshot analyses")
     history_sub = history.add_subparsers(dest="topic", required=True)
 
-    for name, func, extra in (
-        ("coverage", _cmd_history_coverage, ()),
-        ("idcounts", _cmd_history_idcounts, ()),
-        ("transitions", _cmd_history_transitions, ("per_pair",)),
-        ("classes", _cmd_history_classes, ()),
-        ("top", _cmd_history_top, ("k",)),
-    ):
+    for name in _HISTORY_ROWS:
         p = history_sub.add_parser(name)
         p.add_argument("--snapshots", nargs="+", required=True, help="snapshot directories")
         p.add_argument("--out", required=True)
-        if "per_pair" in extra:
+        if name == "transitions":
             p.add_argument("--per-pair-universe", action="store_true")
-        if "k" in extra:
+        if name == "top":
             p.add_argument("--k", type=_at_least(1), default=10)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_history)
 
     p = sub.add_parser("report", parents=[extract_flags, graph_flags, communities_flags],
                        help="full pipeline into one directory")
@@ -767,12 +716,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    func: Callable[[argparse.Namespace], int] = args.func
     try:
-        return func(args)
-    except (OSError, FormatError, CanonicalizationError, ValueError, KeyError) as exc:
+        args.func(args)
+        _echo_config(args)  # last, so a failed command leaves no echo
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError, KeyError a bug
         print(f"adgraph: input error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

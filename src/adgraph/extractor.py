@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .corpus import CrawlRecord
+from .corpus import CrawlRecord, FormatError
 
 
 class IdKind(enum.Enum):
@@ -411,8 +411,24 @@ def dump_profiles(profiles: Iterable[SiteIdProfile], stream: IO[str]) -> None:
 
 
 def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
-    if hasattr(source, "read"):
-        lines = source
-        return [SiteIdProfile.from_json_obj(json.loads(l)) for l in lines if l.strip()]
-    with open(source, encoding="utf-8") as fh:
-        return [SiteIdProfile.from_json_obj(json.loads(l)) for l in fh if l.strip()]
+    """Profiles from a JSONL file or stream; blank lines are skipped.
+
+    A line that is not a JSON object with a ``domain`` raises FormatError
+    naming the file and the 1-based line.
+    """
+    if not hasattr(source, "read"):
+        with open(source, encoding="utf-8") as fh:
+            return load_profiles(fh)
+    name = getattr(source, "name", "profiles stream")
+    profiles = []
+    for line_no, line in enumerate(source, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise FormatError(f"{name}: line {line_no} is not JSON ({exc})") from None
+        if not isinstance(obj, dict) or "domain" not in obj:
+            raise FormatError(f"{name}: line {line_no} is not a profile object with a domain")
+        profiles.append(SiteIdProfile.from_json_obj(obj))
+    return profiles

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
+from .corpus import FormatError
 from .extractor import IdKind, SiteIdProfile
 
 
@@ -291,14 +292,10 @@ def dump_bipartite_csv(graph: BipartiteGraph, stream: IO[str]) -> None:
 
 
 def load_bipartite_csv(source: str | Path | IO[str]) -> BipartiteGraph:
-    rows = _read_csv_rows(source)
-    header, rows = rows[0], rows[1:]
-    if header != ["site", "key", "family"]:
-        raise ValueError("bipartite CSV must start with header site,key,family")
     family: IdFamily | None = None
     site_to_keys: dict[str, set[str]] = {}
     key_to_sites: dict[str, set[str]] = {}
-    for site, key, fam in rows:
+    for site, key, fam in _read_table(source, ["site", "key", "family"]):
         f = IdFamily(fam)
         if family is None:
             family = f
@@ -327,12 +324,8 @@ def dump_metagraph_csv(mg: Metagraph, stream: IO[str]) -> None:
 
 
 def load_metagraph_csv(source: str | Path | IO[str]) -> Metagraph:
-    rows = _read_csv_rows(source)
-    header, rows = rows[0], rows[1:]
-    if header != ["site_a", "site_b", "weight"]:
-        raise ValueError("metagraph CSV must start with header site_a,site_b,weight")
     mg = Metagraph()
-    for u, v, w in rows:
+    for u, v, w in _read_table(source, ["site_a", "site_b", "weight"]):
         if u >= v:
             raise ValueError(f"metagraph rows need site_a < site_b, got {u!r},{v!r}")
         mg.nodes.update((u, v))
@@ -340,12 +333,23 @@ def load_metagraph_csv(source: str | Path | IO[str]) -> Metagraph:
     return mg
 
 
-def _read_csv_rows(source: str | Path | IO[str]) -> list[list[str]]:
-    if hasattr(source, "read"):
-        rows = [row for row in csv.reader(source) if row]
-    else:
+def _read_table(source: str | Path | IO[str], header: list[str]) -> list[list[str]]:
+    """The non-blank rows after the header of a CSV file or stream.
+
+    The first row must be ``header`` and every later row must have its
+    width; otherwise FormatError names the file and the 1-based row.
+    """
+    if not hasattr(source, "read"):
         with open(source, encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError("empty CSV")
+            return _read_table(fh, header)
+    name, reader = getattr(source, "name", "CSV stream"), csv.reader(source)
+    if next(reader, None) != header:
+        raise FormatError(f"{name}: expected header {','.join(header)}")
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != len(header):
+            raise FormatError(
+                f"{name}: row {reader.line_num} has {len(row)} fields, expected {len(header)}"
+            )
+        rows.append(row)
     return rows

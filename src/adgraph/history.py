@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import FormatError
 from .extractor import IdKind, SiteIdProfile, dump_profiles, load_profiles
 from .stats import RegressionFit, linear_fit
 
@@ -351,6 +352,8 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     if not manifest_path.exists():
         raise FileNotFoundError(f"{directory} has no manifest.json")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or not {"snapshot_id", "total_sites"} <= manifest.keys():
+        raise FormatError(f"{manifest_path}: expected an object with snapshot_id and total_sites")
     profiles = load_profiles(directory / "profiles.jsonl")
     return Snapshot.build(
         snapshot_id=str(manifest["snapshot_id"]),

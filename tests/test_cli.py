@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import adgraph.cli
 from adgraph.cli import run
 from adgraph.corpus import serialize_crawl_jsonl
+from adgraph.extractor import dump_profiles
 from adgraph.history import save_snapshot
-from helpers import first_pair_only_snapshots, fixture_corpus
+from helpers import first_pair_only_snapshots, fixture_corpus, make_profile
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,17 @@ def _extract(crawl_file, out_dir) -> Path:
     code = run(["extract", "--in", str(crawl_file), "--out", str(out)])
     assert code == 0
     return out
+
+
+def _categories(tmp_path) -> Path:
+    cats = tmp_path / "cats.csv"
+    cats.write_text("".join(f"site{i:02d}.example,{('News', 'Arts', 'Tech')[i % 3]}\n"
+                            for i in range(50)), encoding="utf-8")
+    return cats
+
+
+def _configs(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.glob("config_*.json"))
 
 
 def test_extract_outputs(crawl_file, tmp_path):
@@ -265,9 +278,7 @@ def test_env_var_thread_fallback(crawl_file, tmp_path, monkeypatch):
 
 def test_report_runs_the_stage_commands(crawl_file, tmp_path):
     """report writes the same bytes as extract -> graph -> communities -> stats."""
-    cats = tmp_path / "cats.csv"
-    cats.write_text("".join(f"site{i:02d}.example,{('News', 'Arts', 'Tech')[i % 3]}\n"
-                            for i in range(50)), encoding="utf-8")
+    cats = _categories(tmp_path)
     ranks = [f"{i + 1},site{i:02d}.example" for i in range(0, 50, 3)]
     for name, rank_rows in (("valid", ranks), ("rank0", ranks + ["0,site28.example"])):
         rank_file = tmp_path / f"{name}.csv"
@@ -304,3 +315,130 @@ def test_report_runs_the_stage_commands(crawl_file, tmp_path):
                          "communities_summary.json", "id_counts.csv", "publisher_sizes.csv",
                          "categories.csv", "diversity.csv"):
             assert (files / artifact).read_bytes() == (bundle / artifact).read_bytes(), artifact
+
+
+def test_every_command_echoes_its_config_once(crawl_file, tmp_path):
+    """Each leaf command writes one config_<command>[_<topic>].json into its
+    output directory (--out-dir, else the directory of --out), on success only."""
+    cats = _categories(tmp_path)
+    snap_dirs = []
+    for snap in first_pair_only_snapshots():
+        save_snapshot(snap, tmp_path / "snaps" / snap.snapshot_id)
+        snap_dirs.append(str(tmp_path / "snaps" / snap.snapshot_id))
+    # The fixture has two publisher sizes; the popularity fit needs three.
+    ranked = tmp_path / "ranked"
+    ranked.mkdir()
+    sites = [(f"s{size}{i}.example", f"pub-{size}00000000")
+             for size in (1, 2, 3) for i in range(size)]
+    with open(ranked / "profiles.jsonl", "w", encoding="utf-8") as fh:
+        dump_profiles([make_profile(domain, publisher={key}) for domain, key in sites], fh)
+    (ranked / "site_ranks.csv").write_text(
+        "rank,domain\n" + "".join(f"{i},{domain}\n" for i, (domain, _) in enumerate(sites, 1)),
+        encoding="utf-8",
+    )
+
+    def out(name: str, file: str | None = None) -> str:
+        return str(tmp_path / name / file) if file else str(tmp_path / name)
+
+    profiles = out("extract", "profiles.jsonl")
+    commands = {
+        "extract": ["extract", "--in", str(crawl_file), "--out", profiles],
+        "graph": ["graph", "--profiles", profiles, "--out-dir", out("graph")],
+        "communities": ["communities", "--metagraph", out("graph", "metagraph.csv"),
+                        "--top-fraction", "1.0", "--out-dir", out("communities")],
+        "stats_ids": ["stats", "ids", "--profiles", profiles,
+                      "--out", out("stats_ids", "ids.csv")],
+        "stats_sizes": ["stats", "sizes", "--profiles", profiles, "--site-ranks",
+                        out("extract", "site_ranks.csv"), "--out", out("stats_sizes", "s.csv")],
+        "stats_powerlaw": ["stats", "powerlaw", "--profiles", profiles,
+                           "--out", out("stats_powerlaw", "fit.json")],
+        "stats_popularity": ["stats", "popularity", "--profiles", str(ranked / "profiles.jsonl"),
+                             "--site-ranks", str(ranked / "site_ranks.csv"),
+                             "--out", out("stats_popularity", "pop.csv")],
+        "stats_categories": ["stats", "categories", "--profiles", profiles,
+                             "--categories", str(cats), "--out", out("stats_categories", "c.csv")],
+        "stats_diversity": ["stats", "diversity", "--communities",
+                            out("communities", "communities.csv"), "--categories", str(cats),
+                            "--out", out("stats_diversity", "d.csv")],
+        "stats_poisson": ["stats", "poisson", "--categories", str(cats), "--size", "2",
+                          "--trials", "10", "--out", out("stats_poisson", "b.json")],
+        **{f"history_{topic}": ["history", topic, "--snapshots", *snap_dirs,
+                                "--out", out(f"history_{topic}", f"{topic}.csv")]
+           for topic in ("coverage", "idcounts", "transitions", "classes", "top")},
+        "report": ["report", "--in", str(crawl_file), "--trials", "10",
+                   "--out-dir", out("report")],
+    }
+    assert len(commands) == 16
+    for name, argv in commands.items():
+        assert run(argv) == 0, name
+        assert _configs(tmp_path / name) == [f"config_{name}.json"]
+        echo = json.loads((tmp_path / name / f"config_{name}.json").read_text())
+        assert echo["command"] == name
+
+    # A failed command leaves no echo: the fixture has too few size buckets
+    # for the popularity fit, and transitions need two snapshots.
+    failed = tmp_path / "failed"
+    assert run(["stats", "popularity", "--profiles", profiles,
+                "--site-ranks", out("extract", "site_ranks.csv"),
+                "--out", str(failed / "pop.csv")]) == 1
+    assert run(["history", "transitions", "--snapshots", snap_dirs[0],
+                "--out", str(failed / "t.csv")]) == 1
+    assert not failed.exists()
+    # --k belongs to top only, --per-pair-universe to transitions only.
+    for topic, flag in (("coverage", ["--k", "3"]), ("top", ["--per-pair-universe"])):
+        assert run(["history", topic, "--snapshots", *snap_dirs,
+                    "--out", str(failed / "h.csv"), *flag]) == 2
+    assert not failed.exists()
+
+
+def test_short_csv_row_names_the_row(crawl_file, tmp_path, capsys):
+    profiles = _extract(crawl_file, tmp_path / "x")
+    cats = _categories(tmp_path)
+    inputs = {
+        "metagraph.csv": ("site_a,site_b,weight\na.example,b.example,1\nc.example,0.5\n",
+                          ["communities", "--metagraph", "{csv}", "--out-dir", "{out}"]),
+        "site_ranks.csv": ("rank,domain\n1,site00.example\n2\n",
+                           ["stats", "sizes", "--profiles", str(profiles),
+                            "--site-ranks", "{csv}", "--out", "{out}/sizes.csv"]),
+        "communities.csv": ("community_id,site\n0,site00.example\n0\n",
+                            ["stats", "diversity", "--communities", "{csv}",
+                             "--categories", str(cats), "--out", "{out}/div.csv"]),
+    }
+    for name, (text, argv) in inputs.items():
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out_{name}"
+        capsys.readouterr()
+        assert run([a.format(csv=bad, out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: row 3 has " in err, err
+        assert not out.exists()
+
+
+def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):
+    profiles = tmp_path / "profiles.jsonl"
+    for line in ('["pub-100000001"]', '{"ids": {}}'):
+        profiles.write_text('{"domain": "a.example"}\n' + line + "\n", encoding="utf-8")
+        assert run(["stats", "ids", "--profiles", str(profiles),
+                    "--out", str(tmp_path / "ids" / "ids.csv")]) == 1
+        assert f"{profiles}: line 2 " in capsys.readouterr().err
+    snap = first_pair_only_snapshots()[0]
+    save_snapshot(snap, tmp_path / "snap")
+    manifest = tmp_path / "snap" / "manifest.json"
+    manifest.write_text('{"snapshot_id": "2021-01-01"}\n', encoding="utf-8")
+    assert run(["history", "coverage", "--snapshots", str(tmp_path / "snap"),
+                "--out", str(tmp_path / "h" / "coverage.csv")]) == 1
+    assert str(manifest) in capsys.readouterr().err
+    assert not (tmp_path / "ids").exists() and not (tmp_path / "h").exists()
+
+
+def test_key_error_in_a_command_is_not_an_input_error(tmp_path, monkeypatch):
+    def broken(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(adgraph.cli, "poisson_sampling_baseline", broken)
+    cats = _categories(tmp_path)
+    with pytest.raises(KeyError):
+        run(["stats", "poisson", "--categories", str(cats), "--size", "2",
+             "--out", str(tmp_path / "b.json")])
+    assert _configs(tmp_path) == []

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from adgraph.corpus import FormatError
 from adgraph.extractor import IdKind
 from adgraph.graphs import (
     FAMILY_ORDER,
@@ -285,3 +286,15 @@ def test_metagraph_csv_ordering_and_roundtrip():
     buf.seek(0)
     again = load_metagraph_csv(buf)
     assert set(again.weights) == set(mg.weights)
+
+
+def test_csv_loaders_check_header_and_row_width():
+    for load, text, row in (
+        (load_bipartite_csv, "site,key,family\n\na.example,pub-111111111\n", 3),
+        (load_metagraph_csv, "site_a,site_b,weight\na.example,b.example,1,2\n", 2),
+    ):
+        with pytest.raises(FormatError, match=f"CSV stream: row {row} has [24] fields, expected 3"):
+            load(io.StringIO(text))
+    for text in ("", "site,key\n"):
+        with pytest.raises(FormatError, match="expected header site,key,family"):
+            load_bipartite_csv(io.StringIO(text))
