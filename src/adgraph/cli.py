@@ -394,7 +394,7 @@ def _cmd_stats_ids(args: argparse.Namespace) -> None:
 
 
 def _load_site_ranks(path) -> dict[str, int]:
-    return {domain: int(rank) for rank, domain in _read_table(path, ["rank", "domain"])}
+    return {domain: rank for rank, domain in _read_table(path, {"rank": int, "domain": str})}
 
 
 def _cmd_stats_sizes(args: argparse.Namespace) -> None:
@@ -432,8 +432,8 @@ def _cmd_stats_categories(args: argparse.Namespace) -> None:
 
 def _read_communities_csv(path) -> list[tuple[int, list[str]]]:
     groups: dict[int, list[str]] = {}
-    for community_id, site in _read_table(path, ["community_id", "site"]):
-        groups.setdefault(int(community_id), []).append(site)
+    for community_id, site in _read_table(path, {"community_id": int, "site": str}):
+        groups.setdefault(community_id, []).append(site)
     return sorted(groups.items())
 
 

@@ -81,10 +81,6 @@ class PublicSuffixTable:
                 best = max(best, len(tail))
         return best
 
-    def public_suffix(self, host: str) -> str:
-        labels = tuple(host.lower().split("."))
-        return ".".join(labels[len(labels) - self._suffix_length(labels):])
-
     def registrable_domain(self, host: str) -> str:
         """Public suffix plus one label; the host itself when it already is
         a bare public suffix (no registrable part exists)."""
@@ -106,6 +102,11 @@ def default_suffix_table() -> PublicSuffixTable:
 
 
 def _is_ip_literal(host: str) -> bool:
+    # An IPv6 literal has a colon and an IPv4 literal only ASCII digits and
+    # dots; skipping the parse for every other host avoids a raised
+    # ValueError per domain.
+    if ":" not in host and host.strip("0123456789."):
+        return False
     try:
         ipaddress.ip_address(host)
         return True

@@ -413,8 +413,9 @@ def dump_profiles(profiles: Iterable[SiteIdProfile], stream: IO[str]) -> None:
 def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
     """Profiles from a JSONL file or stream; blank lines are skipped.
 
-    A line that is not a JSON object with a ``domain`` raises FormatError
-    naming the file and the 1-based line.
+    A line that is not a JSON object with a ``domain``, or whose ``ids`` or
+    ``raw_counts`` is not an object, raises FormatError naming the file and
+    the 1-based line.
     """
     if not hasattr(source, "read"):
         with open(source, encoding="utf-8") as fh:
@@ -430,5 +431,8 @@ def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
             raise FormatError(f"{name}: line {line_no} is not JSON ({exc})") from None
         if not isinstance(obj, dict) or "domain" not in obj:
             raise FormatError(f"{name}: line {line_no} is not a profile object with a domain")
+        for member in ("ids", "raw_counts"):
+            if not isinstance(obj.get(member, {}), dict):
+                raise FormatError(f"{name}: line {line_no} has a non-object {member}")
         profiles.append(SiteIdProfile.from_json_obj(obj))
     return profiles

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Mapping, Sequence
 
 from .corpus import FormatError
 from .extractor import IdKind, SiteIdProfile
@@ -295,8 +295,7 @@ def load_bipartite_csv(source: str | Path | IO[str]) -> BipartiteGraph:
     family: IdFamily | None = None
     site_to_keys: dict[str, set[str]] = {}
     key_to_sites: dict[str, set[str]] = {}
-    for site, key, fam in _read_table(source, ["site", "key", "family"]):
-        f = IdFamily(fam)
+    for site, key, f in _read_table(source, {"site": str, "key": str, "family": IdFamily}):
         if family is None:
             family = f
         elif family is not f:
@@ -325,23 +324,29 @@ def dump_metagraph_csv(mg: Metagraph, stream: IO[str]) -> None:
 
 def load_metagraph_csv(source: str | Path | IO[str]) -> Metagraph:
     mg = Metagraph()
-    for u, v, w in _read_table(source, ["site_a", "site_b", "weight"]):
+    for u, v, w in _read_table(source, {"site_a": str, "site_b": str, "weight": Fraction}):
         if u >= v:
             raise ValueError(f"metagraph rows need site_a < site_b, got {u!r},{v!r}")
         mg.nodes.update((u, v))
-        mg.weights[(u, v)] = Fraction(w)
+        mg.weights[(u, v)] = w
     return mg
 
 
-def _read_table(source: str | Path | IO[str], header: list[str]) -> list[list[str]]:
-    """The non-blank rows after the header of a CSV file or stream.
+def _read_table(
+    source: str | Path | IO[str], columns: Mapping[str, Callable[[str], Any]]
+) -> list[list[Any]]:
+    """The non-blank rows after the header of a CSV file or stream, each
+    field passed through its column's converter.
 
-    The first row must be ``header`` and every later row must have its
-    width; otherwise FormatError names the file and the 1-based row.
+    ``columns`` maps each column name, in order, to its converter. The
+    first row must be those names and every later row must have their
+    count. A wrong header or width, or a converter's ValueError or
+    ZeroDivisionError, raises FormatError naming the file and the 1-based row.
     """
     if not hasattr(source, "read"):
         with open(source, encoding="utf-8", newline="") as fh:
-            return _read_table(fh, header)
+            return _read_table(fh, columns)
+    header, converters = list(columns), list(columns.values())
     name, reader = getattr(source, "name", "CSV stream"), csv.reader(source)
     if next(reader, None) != header:
         raise FormatError(f"{name}: expected header {','.join(header)}")
@@ -351,5 +356,8 @@ def _read_table(source: str | Path | IO[str], header: list[str]) -> list[list[st
             raise FormatError(
                 f"{name}: row {reader.line_num} has {len(row)} fields, expected {len(header)}"
             )
-        rows.append(row)
+        try:
+            rows.append([convert(value) for convert, value in zip(converters, row)])
+        except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0")
+            raise FormatError(f"{name}: row {reader.line_num}: {exc}") from None
     return rows

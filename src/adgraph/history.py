@@ -351,7 +351,10 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"{directory} has no manifest.json")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{manifest_path}: not JSON ({exc})") from None
     if not isinstance(manifest, dict) or not {"snapshot_id", "total_sites"} <= manifest.keys():
         raise FormatError(f"{manifest_path}: expected an object with snapshot_id and total_sites")
     profiles = load_profiles(directory / "profiles.jsonl")

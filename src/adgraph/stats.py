@@ -327,20 +327,37 @@ def poisson_sampling_baseline(
     trial derives its own generator from (seed, trial), so the mean is
     independent of execution order.
     """
+    return _sampling_baselines(category_map, [k], trials, seed)[0]
+
+
+def _sampling_baselines(
+    category_map: Mapping[str, str], sizes: Sequence[int], trials: int, seed: int
+) -> list[float]:
+    """``poisson_sampling_baseline`` for each of ``sizes``, in one pass.
+
+    Each trial builds its generator once and rewinds it to the same start
+    state before every size's draw, so size k in trial t gets exactly the
+    draws of a fresh ``default_rng([seed, t])``.
+    """
+    if not sizes:
+        return []
     sites = sorted(category_map)
     n = len(sites)
-    if k < 1 or k > n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    for k in sizes:
+        if k < 1 or k > n:
+            raise ValueError(f"k must be in [1, {n}], got {k}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     labels = np.array([category_map[s] for s in sites])
     codes = np.unique(labels, return_inverse=True)[1]
-    total = 0
+    totals = [0] * len(sizes)
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        picked = rng.choice(n, size=k, replace=False)
-        total += len(np.unique(codes[picked]))
-    return total / trials
+        start = rng.bit_generator.state
+        for i, k in enumerate(sizes):
+            rng.bit_generator.state = start
+            totals[i] += len(set(codes[rng.choice(n, size=k, replace=False)].tolist()))
+    return [total / trials for total in totals]
 
 
 def richness_vs_baseline(
@@ -360,9 +377,9 @@ def richness_vs_baseline(
         if not labels:
             continue
         observed.setdefault(len(labels), []).append(len(set(labels)))
-    series = []
-    for size in sorted(observed):
-        obs_mean = float(np.mean(observed[size]))
-        baseline = poisson_sampling_baseline(category_map, size, trials, seed)
-        series.append((size, obs_mean, baseline))
-    return series
+    sizes = sorted(observed)
+    baselines = _sampling_baselines(category_map, sizes, trials, seed)
+    return [
+        (size, float(np.mean(observed[size])), baseline)
+        for size, baseline in zip(sizes, baselines)
+    ]

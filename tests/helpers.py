@@ -305,6 +305,20 @@ def sample_discrete_exponential(lam, n, seed, xmin=1):
     return xmin - 1 + rng.geometric(p=-math.expm1(-lam), size=n)
 
 
+def poisson_baseline_oracle(category_map, k, trials, seed):
+    """Per-size richness baseline: a fresh ``default_rng([seed, trial])``
+    for every (size, trial), richness counted with ``np.unique``."""
+    sites = sorted(category_map)
+    labels = np.array([category_map[s] for s in sites])
+    codes = np.unique(labels, return_inverse=True)[1]
+    total = 0
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        picked = rng.choice(len(sites), size=k, replace=False)
+        total += len(np.unique(codes[picked]))
+    return total / trials
+
+
 def hypergeometric_expected_richness(category_counts, k):
     """Closed-form E[distinct categories] for k draws without replacement."""
     n_total = sum(category_counts)

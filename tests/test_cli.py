@@ -415,9 +415,37 @@ def test_short_csv_row_names_the_row(crawl_file, tmp_path, capsys):
         assert not out.exists()
 
 
+def test_unparseable_csv_value_names_the_row(crawl_file, tmp_path, capsys):
+    profiles = _extract(crawl_file, tmp_path / "x")
+    cats = _categories(tmp_path)
+    communities = ["communities", "--metagraph", "{csv}", "--out-dir", "{out}"]
+    inputs = [
+        ("metagraph.csv", "site_a,site_b,weight\na.example,b.example,1\nc.example,d.example,abc\n",
+         communities, "Invalid literal for Fraction: 'abc'"),
+        ("metagraph.csv", "site_a,site_b,weight\na.example,b.example,1\nc.example,d.example,1/0\n",
+         communities, "Fraction(1, 0)"),
+        ("site_ranks.csv", "rank,domain\n1,site00.example\nx,site01.example\n",
+         ["stats", "sizes", "--profiles", str(profiles), "--site-ranks", "{csv}",
+          "--out", "{out}/sizes.csv"], "invalid literal for int() with base 10: 'x'"),
+        ("communities.csv", "community_id,site\n0,site00.example\none,site01.example\n",
+         ["stats", "diversity", "--communities", "{csv}", "--categories", str(cats),
+          "--out", "{out}/div.csv"], "invalid literal for int() with base 10: 'one'"),
+    ]
+    for i, (name, text, argv, reason) in enumerate(inputs):
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out_{i}"
+        capsys.readouterr()
+        assert run([a.format(csv=bad, out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: row 3: {reason}" in err, err
+        assert not out.exists()
+
+
 def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):
     profiles = tmp_path / "profiles.jsonl"
-    for line in ('["pub-100000001"]', '{"ids": {}}'):
+    for line in ('["pub-100000001"]', '{"ids": {}}', '{"domain": "b.example", "ids": []}',
+                 '{"domain": "b.example", "raw_counts": [1]}'):
         profiles.write_text('{"domain": "a.example"}\n' + line + "\n", encoding="utf-8")
         assert run(["stats", "ids", "--profiles", str(profiles),
                     "--out", str(tmp_path / "ids" / "ids.csv")]) == 1
@@ -425,10 +453,11 @@ def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):
     snap = first_pair_only_snapshots()[0]
     save_snapshot(snap, tmp_path / "snap")
     manifest = tmp_path / "snap" / "manifest.json"
-    manifest.write_text('{"snapshot_id": "2021-01-01"}\n', encoding="utf-8")
-    assert run(["history", "coverage", "--snapshots", str(tmp_path / "snap"),
-                "--out", str(tmp_path / "h" / "coverage.csv")]) == 1
-    assert str(manifest) in capsys.readouterr().err
+    for text in ('{"snapshot_id": "2021-01-01"}\n', '{"snapshot_id": "2021-01-01",\n'):
+        manifest.write_text(text, encoding="utf-8")
+        assert run(["history", "coverage", "--snapshots", str(tmp_path / "snap"),
+                    "--out", str(tmp_path / "h" / "coverage.csv")]) == 1
+        assert f"{manifest}: " in capsys.readouterr().err
     assert not (tmp_path / "ids").exists() and not (tmp_path / "h").exists()
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import io
+import ipaddress
 import json
+import random
 
 import pytest
 
@@ -10,6 +12,7 @@ from adgraph.corpus import (
     CrawlRecord,
     FormatError,
     PublicSuffixTable,
+    _is_ip_literal,
     assign_ranks,
     canonicalize,
     dedup_by_landing,
@@ -34,6 +37,52 @@ def test_bare_hostname_is_lowercased():
 def test_ip_literal_passes_through():
     assert canonicalize("203.0.113.7") == "203.0.113.7"
     assert canonicalize("http://203.0.113.7:8080/x") == "203.0.113.7"
+
+
+def _parses_as_ip(host):
+    try:
+        ipaddress.ip_address(host)
+        return True
+    except ValueError:
+        return False
+
+
+def _fuzz_hosts(rng):
+    def octet():
+        return str(rng.choice([rng.randrange(256), rng.randrange(256, 1000), 0]))
+
+    def ipv6():
+        groups = [f"{rng.randrange(1 << 16):x}" for _ in range(8)]
+        if rng.random() < 0.5:
+            i, j = sorted(rng.sample(range(9), 2))
+            return ":".join(groups[:i]) + "::" + ":".join(groups[j:])
+        if rng.random() < 0.3:
+            return ":".join(groups[:6]) + ":" + ".".join(octet() for _ in range(4))
+        return ":".join(groups)
+
+    makers = [
+        lambda: ".".join(octet() for _ in range(rng.choice([3, 4, 4, 4, 5]))),
+        lambda: ".".join(octet() for _ in range(4)) + "%eth0",
+        ipv6,
+        lambda: ipv6() + "%" + rng.choice(["eth0", "1", "", "é"]),
+        lambda: "[" + ipv6() + "]",
+        lambda: "".join(rng.choice("0123456789.") for _ in range(rng.randrange(1, 16))),
+        lambda: str(rng.randrange(1 << 32)),
+        lambda: ".".join(rng.choice(["١٢٣", "１", "²", "7", "٠"]) for _ in range(4)),
+        lambda: rng.choice(["bücher", "xn--bcher-kva", "例え", "news"]) + "."
+        + rng.choice(["example", "co.uk", "中国", "1", "123"]) + rng.choice(["", ".", ".."]),
+        lambda: ".".join(octet() for _ in range(4)) + rng.choice([".", ".."]),
+        lambda: rng.choice(["a:b", "::", ":", "1:2", "host:80", "1.2.3.4:80"]),
+    ]
+    return [rng.choice(makers)() for _ in range(3000)]
+
+
+def test_ip_gate_agrees_with_a_plain_parse():
+    rng = random.Random(41)
+    hosts = _fuzz_hosts(rng)
+    assert 300 < sum(map(_parses_as_ip, hosts)) < len(hosts) - 300  # both answers occur
+    for host in hosts:
+        assert _is_ip_literal(host) == _parses_as_ip(host), host
 
 
 def test_url_host_reduction():

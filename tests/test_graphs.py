@@ -298,3 +298,6 @@ def test_csv_loaders_check_header_and_row_width():
     for text in ("", "site,key\n"):
         with pytest.raises(FormatError, match="expected header site,key,family"):
             load_bipartite_csv(io.StringIO(text))
+    with pytest.raises(FormatError, match="CSV stream: row 3: 'bogus' is not a valid IdFamily"):
+        load_bipartite_csv(io.StringIO("site,key,family\na.example,pub-1,publisher\n"
+                                       "b.example,pub-1,bogus\n"))

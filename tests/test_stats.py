@@ -8,6 +8,7 @@ import pytest
 
 from adgraph.graphs import IdFamily, build_bipartite
 from adgraph.stats import (
+    _sampling_baselines,
     category_distribution,
     fit_power_law,
     linear_fit,
@@ -23,6 +24,7 @@ from adgraph.extractor import IdKind
 from helpers import (
     hypergeometric_expected_richness,
     make_profile,
+    poisson_baseline_oracle,
     sample_discrete_exponential,
     sample_discrete_power_law,
 )
@@ -372,6 +374,35 @@ def test_poisson_monotone_in_k():
 
 
 # --- richness_vs_baseline ---------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_baselines_equal_the_per_size_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(2, 60)
+    names = rng.sample(range(1000), n)
+    cats = {f"s{i}.example": f"c{rng.randrange(1, 8)}" for i in names}
+    sites = list(cats)
+    sizes = sorted({1, n, *(rng.randrange(1, n + 1) for _ in range(6))})
+    rng.shuffle(sizes)
+    groups = [rng.sample(sites, k) + ["unlabeled.example"] for k in sizes]
+    for trials in (1, rng.randrange(2, 40)):
+        oracle = {k: poisson_baseline_oracle(cats, k, trials, seed) for k in sizes}
+        series = richness_vs_baseline(groups, cats, trials, seed)
+        assert [(size, baseline) for size, _, baseline in series] == sorted(oracle.items())
+        assert _sampling_baselines(cats, sizes, trials, seed) == [oracle[k] for k in sizes]
+        for k in sizes:
+            assert poisson_sampling_baseline(cats, k, trials, seed) == oracle[k]
+
+
+def test_baselines_equal_the_oracle_on_the_tail_shuffle_path():
+    # Generator.choice draws with a tail shuffle instead of Floyd's
+    # algorithm once there are over 10,000 sites and k exceeds n/50.
+    rng = random.Random(5)
+    cats = {f"s{i:05d}.example": f"c{rng.randrange(5_000)}" for i in range(10_050)}
+    sizes = [300, 2, 5_000]
+    expected = [poisson_baseline_oracle(cats, k, 3, 11) for k in sizes]
+    assert _sampling_baselines(cats, sizes, 3, 11) == expected
+
 
 def test_richness_single_category_groups():
     cats = {f"s{i}.example": "News" for i in range(10)}
