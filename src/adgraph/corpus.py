@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 logger = logging.getLogger(__name__)
@@ -171,12 +171,6 @@ class ParseResult:
 
     records: list[CrawlRecord] = field(default_factory=list)
     skips: list[tuple[int, str]] = field(default_factory=list)  # (line_no, reason)
-
-    def __iter__(self) -> Iterator[CrawlRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _record_from_obj(obj: dict, table: PublicSuffixTable | None) -> CrawlRecord:

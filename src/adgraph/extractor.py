@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 from .corpus import CrawlRecord, FormatError
 
@@ -62,9 +62,6 @@ PATTERNS: dict[IdKind, re.Pattern[str]] = {
     IdKind.MEASUREMENT: re.compile(r"G-(?<![0-9A-Za-z]G-)[A-Z0-9]{7,}(?![A-Z0-9])"),
     IdKind.CONTAINER: re.compile(r"GTM-(?<![0-9A-Za-z]GTM-)[A-Z0-9]{6,}(?![A-Z0-9])"),
 }
-
-# Tracking keys canonicalize to the account prefix: UA-<account>.
-_TRACKING_CANONICAL = re.compile(r"UA-[0-9]{4,}\Z")
 
 RawMatch = tuple[str, IdKind]
 
@@ -210,24 +207,36 @@ class SiteIdProfile:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "SiteIdProfile":
+    def from_json_obj(cls, obj: object) -> "SiteIdProfile":
+        """The inverse of ``to_json_obj``. Raises ValueError unless ``obj`` is
+        an object with a string ``domain``, ``ids`` maps each kind to an
+        object of key -> list of source names, and every ``raw_counts`` value
+        is something ``int()`` accepts."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("domain"), str):
+            raise ValueError("not a profile object with a string domain")
+        ids, counts = obj.get("ids", {}), obj.get("raw_counts", {})
+        if not isinstance(ids, dict) or not isinstance(counts, dict):
+            raise ValueError("ids and raw_counts must be objects")
         keys: dict[IdKind, frozenset[str]] = {}
         sources: dict[str, frozenset[Source]] = {}
+        raw_counts: dict[IdKind, int] = {}
         for kind in KIND_ORDER:
-            entry = obj.get("ids", {}).get(kind.value, {})
+            entry = ids.get(kind.value, {})
+            if not isinstance(entry, dict):
+                raise ValueError(f"ids.{kind.value} is not an object")
             if entry:
                 keys[kind] = frozenset(entry)
-                for key, srcs in entry.items():
-                    sources[key] = frozenset(Source(s) for s in srcs)
-        raw_counts = {
-            kind: int(obj.get("raw_counts", {}).get(kind.value, 0)) for kind in KIND_ORDER
-        }
-        return cls(
-            landing_domain=obj["domain"],
-            keys=keys,
-            sources=sources,
-            raw_counts={k: v for k, v in raw_counts.items() if v},
-        )
+            for key, srcs in entry.items():
+                if not isinstance(srcs, list):
+                    raise ValueError(f"the sources of {key} are not a list")
+                sources[key] = frozenset(Source(s) for s in srcs)
+            try:
+                count = int(counts.get(kind.value, 0))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"raw_counts.{kind.value} is not an integer") from None
+            if count:
+                raw_counts[kind] = count
+        return cls(landing_domain=obj["domain"], keys=keys, sources=sources, raw_counts=raw_counts)
 
 
 def extract_profile(
@@ -413,9 +422,8 @@ def dump_profiles(profiles: Iterable[SiteIdProfile], stream: IO[str]) -> None:
 def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
     """Profiles from a JSONL file or stream; blank lines are skipped.
 
-    A line that is not a JSON object with a ``domain``, or whose ``ids`` or
-    ``raw_counts`` is not an object, raises FormatError naming the file and
-    the 1-based line.
+    A line that is not JSON, or that ``SiteIdProfile.from_json_obj``
+    rejects, raises FormatError naming the file and the 1-based line.
     """
     if not hasattr(source, "read"):
         with open(source, encoding="utf-8") as fh:
@@ -426,13 +434,7 @@ def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            raise FormatError(f"{name}: line {line_no} is not JSON ({exc})") from None
-        if not isinstance(obj, dict) or "domain" not in obj:
-            raise FormatError(f"{name}: line {line_no} is not a profile object with a domain")
-        for member in ("ids", "raw_counts"):
-            if not isinstance(obj.get(member, {}), dict):
-                raise FormatError(f"{name}: line {line_no} has a non-object {member}")
-        profiles.append(SiteIdProfile.from_json_obj(obj))
+            profiles.append(SiteIdProfile.from_json_obj(json.loads(line)))
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise FormatError(f"{name}: line {line_no}: {exc}") from None
     return profiles

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Mapping, Sequence
+from typing import IO, Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from .corpus import FormatError
-from .extractor import IdKind, SiteIdProfile
+from .extractor import KIND_ORDER, IdKind, SiteIdProfile
 
 
 class IdFamily(enum.Enum):
@@ -32,13 +31,6 @@ FAMILY_ORDER: tuple[IdFamily, ...] = (
     IdFamily.ANALYTICS,
     IdFamily.CONTAINER,
 )
-
-FAMILY_OF_KIND: dict[IdKind, IdFamily] = {
-    IdKind.PUBLISHER: IdFamily.PUBLISHER,
-    IdKind.TRACKING: IdFamily.ANALYTICS,
-    IdKind.MEASUREMENT: IdFamily.ANALYTICS,
-    IdKind.CONTAINER: IdFamily.CONTAINER,
-}
 
 KINDS_OF_FAMILY: dict[IdFamily, tuple[IdKind, ...]] = {
     IdFamily.PUBLISHER: (IdKind.PUBLISHER,),
@@ -114,20 +106,33 @@ class Component:
         return len(self.members)
 
 
+def _sites_by_key(
+    profiles: Iterable[SiteIdProfile], kinds: Collection[IdKind]
+) -> dict[str, set[str]]:
+    """Every key of the given kinds, mapped to the landing domains of the
+    profiles that carry it. A key found under two kinds counts once."""
+    key_to_sites: dict[str, set[str]] = {}
+    for p in profiles:
+        for kind, keys in p.keys.items():
+            if kind in kinds:
+                for key in keys:
+                    key_to_sites.setdefault(key, set()).add(p.landing_domain)
+    return key_to_sites
+
+
+def _shared_keys(key_to_sites: Mapping[str, Collection[str]]) -> int:
+    """The number of keys carried by more than one site."""
+    return sum(1 for sites in key_to_sites.values() if len(sites) > 1)
+
+
 def build_bipartite(profiles: Sequence[SiteIdProfile], family: IdFamily) -> BipartiteGraph:
     """One site node per profile with at least one key in the family, one id
     node per distinct canonical key, one edge per (site, key) pair."""
+    key_to_sites = _sites_by_key(profiles, KINDS_OF_FAMILY[family])
     site_to_keys: dict[str, set[str]] = {}
-    key_to_sites: dict[str, set[str]] = {}
-    for p in profiles:
-        keys: set[str] = set()
-        for kind in KINDS_OF_FAMILY[family]:
-            keys.update(p.keys_for(kind))
-        if not keys:
-            continue
-        site_to_keys.setdefault(p.landing_domain, set()).update(keys)
-        for key in keys:
-            key_to_sites.setdefault(key, set()).add(p.landing_domain)
+    for key, sites in key_to_sites.items():
+        for site in sites:
+            site_to_keys.setdefault(site, set()).add(key)
     return BipartiteGraph(
         family=family,
         site_to_keys={s: frozenset(k) for s, k in site_to_keys.items()},
@@ -182,15 +187,7 @@ def connected_components(graph: BipartiteGraph | Metagraph) -> list[Component]:
 def family_normalizers(profiles: Sequence[SiteIdProfile]) -> dict[IdFamily, int]:
     """Per family, the number of distinct canonical keys found on more than
     one site of the given profile set."""
-    out: dict[IdFamily, int] = {}
-    for family in FAMILY_ORDER:
-        sites_per_key: dict[str, set[str]] = {}
-        for p in profiles:
-            for kind in KINDS_OF_FAMILY[family]:
-                for key in p.keys_for(kind):
-                    sites_per_key.setdefault(key, set()).add(p.landing_domain)
-        out[family] = sum(1 for sites in sites_per_key.values() if len(sites) > 1)
-    return out
+    return {f: _shared_keys(_sites_by_key(profiles, KINDS_OF_FAMILY[f])) for f in FAMILY_ORDER}
 
 
 def build_metagraph(
@@ -216,14 +213,11 @@ def build_metagraph(
         if bg.family is not family:
             raise ValueError(f"expected a {family.value} bipartite graph, got {bg.family.value}")
 
-    effective: dict[IdFamily, int] = {}
-    for family, bg in graphs.items():
-        if normalizers is not None:
-            effective[family] = normalizers.get(family, 0)
-        else:
-            effective[family] = sum(1 for sites in bg.key_to_sites.values() if len(sites) > 1)
-
-    mg = Metagraph(normalizers=dict(effective))
+    effective = {
+        family: _shared_keys(bg.key_to_sites) if normalizers is None else normalizers.get(family, 0)
+        for family, bg in graphs.items()
+    }
+    mg = Metagraph(normalizers=effective)
     for bg in graphs.values():
         mg.nodes.update(bg.site_to_keys)
     for family, bg in graphs.items():
@@ -254,14 +248,8 @@ def exclude_intermediaries(
     """
     if threshold < 2:
         raise ValueError("threshold must be >= 2")
-    if math.isinf(threshold):
-        return list(profiles)
-    sites_per_key: dict[str, set[str]] = {}
-    for p in profiles:
-        for keys in p.keys.values():
-            for key in keys:
-                sites_per_key.setdefault(key, set()).add(p.landing_domain)
-    heavy = {k for k, sites in sites_per_key.items() if len(sites) > threshold}
+    by_key = _sites_by_key(profiles, KIND_ORDER)
+    heavy = {key for key, sites in by_key.items() if len(sites) > threshold}
     if not heavy:
         return list(profiles)
     out = []
@@ -322,9 +310,16 @@ def dump_metagraph_csv(mg: Metagraph, stream: IO[str]) -> None:
         writer.writerow([u, v, repr(float(mg.weights[(u, v)]))])
 
 
+def _positive_weight(text: str) -> Fraction:
+    weight = Fraction(text)
+    if weight <= 0:
+        raise ValueError(f"weight {text} is not positive")
+    return weight
+
+
 def load_metagraph_csv(source: str | Path | IO[str]) -> Metagraph:
     mg = Metagraph()
-    for u, v, w in _read_table(source, {"site_a": str, "site_b": str, "weight": Fraction}):
+    for u, v, w in _read_table(source, {"site_a": str, "site_b": str, "weight": _positive_weight}):
         if u >= v:
             raise ValueError(f"metagraph rows need site_a < site_b, got {u!r},{v!r}")
         mg.nodes.update((u, v))

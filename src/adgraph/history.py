@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import FormatError
 from .extractor import IdKind, SiteIdProfile, dump_profiles, load_profiles
+from .graphs import _sites_by_key
 from .stats import RegressionFit, linear_fit
 
 
@@ -82,11 +83,8 @@ class Snapshot:
         else:
             by_domain = {p.landing_domain: p for p in profiles}
         if publisher_sizes is None:
-            sizes: dict[str, int] = {}
-            for p in by_domain.values():
-                for key in p.keys_for(IdKind.PUBLISHER):
-                    sizes[key] = sizes.get(key, 0) + 1
-            publisher_sizes = sizes
+            by_key = _sites_by_key(by_domain.values(), (IdKind.PUBLISHER,))
+            publisher_sizes = {key: len(sites) for key, sites in by_key.items()}
         return cls(
             snapshot_id=snapshot_id,
             profiles=by_domain,
@@ -357,11 +355,13 @@ def load_snapshot(directory: str | Path) -> Snapshot:
         raise FormatError(f"{manifest_path}: not JSON ({exc})") from None
     if not isinstance(manifest, dict) or not {"snapshot_id", "total_sites"} <= manifest.keys():
         raise FormatError(f"{manifest_path}: expected an object with snapshot_id and total_sites")
+    try:
+        total_sites = int(manifest["total_sites"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{manifest_path}: total_sites: {exc}") from None
     profiles = load_profiles(directory / "profiles.jsonl")
     return Snapshot.build(
-        snapshot_id=str(manifest["snapshot_id"]),
-        profiles=profiles,
-        total_sites=int(manifest["total_sites"]),
+        snapshot_id=str(manifest["snapshot_id"]), profiles=profiles, total_sites=total_sites
     )
 
 

@@ -281,14 +281,6 @@ class DiversityReport:
     shannon_h: float
     h_max: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "richness": self.richness,
-            "proportions": self.proportions,
-            "shannon_h": self.shannon_h,
-            "h_max": self.h_max,
-        }
-
 
 def shannon_diversity(categories: Iterable[str]) -> DiversityReport:
     """Shannon index H' = -sum(p_i ln p_i) over category proportions.

@@ -46,7 +46,7 @@ def _configs(directory: Path) -> list[str]:
 def test_extract_outputs(crawl_file, tmp_path):
     out = _extract(crawl_file, tmp_path)
     assert out.exists()
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert summary["corpus_size"] == 50
     assert summary["kinds"]["publisher"]["unique_sites"] > 0
     assert (tmp_path / "site_ranks.csv").exists()
@@ -55,7 +55,7 @@ def test_extract_outputs(crawl_file, tmp_path):
 
 def test_extract_config_echo_has_parameters(crawl_file, tmp_path):
     _extract(crawl_file, tmp_path)
-    echo = json.loads((tmp_path / "config_extract.json").read_text())
+    echo = json.loads((tmp_path / "config_extract.json").read_text(encoding="utf-8"))
     assert echo["command"] == "extract"
     assert echo["parameters"]["threads"] >= 1
     assert "infile" in echo["parameters"]
@@ -66,7 +66,7 @@ def test_extract_snapshot_manifest(crawl_file, tmp_path):
     code = run(["extract", "--in", str(crawl_file), "--out", str(out),
                 "--snapshot-id", "2021-04-01"])
     assert code == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     assert manifest == {"snapshot_id": "2021-04-01", "total_sites": 50}
 
 
@@ -80,10 +80,10 @@ def test_graph_then_communities(crawl_file, tmp_path):
     code = run(["communities", "--metagraph", str(tmp_path / "g" / "metagraph.csv"),
                 "--top-fraction", "1.0", "--out-dir", str(tmp_path / "c")])
     assert code == 0
-    rows = (tmp_path / "c" / "communities.csv").read_text().strip().split("\n")
+    rows = (tmp_path / "c" / "communities.csv").read_text(encoding="utf-8").strip().split("\n")
     assert rows[0] == "community_id,site"
     assert len(rows) > 1
-    summary = json.loads((tmp_path / "c" / "communities_summary.json").read_text())
+    summary = json.loads((tmp_path / "c" / "communities_summary.json").read_text(encoding="utf-8"))
     assert "modularity" in summary and "size_distribution" in summary
 
 
@@ -94,7 +94,7 @@ def test_stats_subcommands(crawl_file, tmp_path):
     assert run(["stats", "sizes", "--profiles", str(profiles),
                 "--site-ranks", str(tmp_path / "site_ranks.csv"),
                 "--out", str(tmp_path / "sizes.csv")]) == 0
-    with open(tmp_path / "sizes.csv", newline="") as fh:
+    with open(tmp_path / "sizes.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["key", "size", "mean_rank", "median_rank"]
     sizes = [int(r[1]) for r in rows[1:]]
@@ -104,7 +104,7 @@ def test_stats_subcommands(crawl_file, tmp_path):
 
 def test_extract_summary_reports_anomalies(crawl_file, tmp_path):
     _extract(crawl_file, tmp_path)
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert {"domain": "site29.example", "distinct_keys": 45} in summary["anomalies"]
 
 
@@ -114,7 +114,7 @@ def test_extract_with_rank_list(crawl_file, tmp_path):
     out = tmp_path / "profiles.jsonl"
     assert run(["extract", "--in", str(crawl_file), "--out", str(out),
                 "--ranks", str(ranks)]) == 0
-    site_ranks = (tmp_path / "site_ranks.csv").read_text()
+    site_ranks = (tmp_path / "site_ranks.csv").read_text(encoding="utf-8")
     assert "5,site27.example" in site_ranks
 
 
@@ -123,7 +123,7 @@ def test_stats_powerlaw_components(crawl_file, tmp_path):
     code = run(["stats", "powerlaw", "--profiles", str(profiles),
                 "--population", "components", "--out", str(tmp_path / "fit.json")])
     assert code == 0
-    fit = json.loads((tmp_path / "fit.json").read_text())
+    fit = json.loads((tmp_path / "fit.json").read_text(encoding="utf-8"))
     assert fit["population"] == "components" and fit["alpha"] > 1
 
 
@@ -137,10 +137,10 @@ def test_graph_normalizer_and_intermediary_flags(crawl_file, tmp_path):
         assert run(["graph", "--profiles", str(profiles),
                     "--out-dir", str(tmp_path / name), *extra]) == 0
     # threshold 2 strips pub-777777777 (3 sites), so its pair edges vanish
-    strict = (tmp_path / "strict" / "metagraph.csv").read_text()
+    strict = (tmp_path / "strict" / "metagraph.csv").read_text(encoding="utf-8")
     default_dir = tmp_path / "dflt"
     assert run(["graph", "--profiles", str(profiles), "--out-dir", str(default_dir)]) == 0
-    default = (default_dir / "metagraph.csv").read_text()
+    default = (default_dir / "metagraph.csv").read_text(encoding="utf-8")
     assert "site12.example" in default and "site12.example" not in strict
 
 
@@ -151,7 +151,7 @@ def test_stats_poisson(tmp_path):
     code = run(["stats", "poisson", "--categories", str(cats), "--size", "2",
                 "--trials", "10000", "--seed", "7", "--out", str(tmp_path / "baseline.json")])
     assert code == 0
-    baseline = json.loads((tmp_path / "baseline.json").read_text())
+    baseline = json.loads((tmp_path / "baseline.json").read_text(encoding="utf-8"))
     assert abs(baseline["mean_richness"] - 5 / 3) <= 0.05
     assert baseline["seed"] == 7
 
@@ -164,7 +164,7 @@ def test_stats_diversity(tmp_path):
                            encoding="utf-8")
     assert run(["stats", "diversity", "--communities", str(communities),
                 "--categories", str(cats), "--out", str(tmp_path / "div.csv")]) == 0
-    with open(tmp_path / "div.csv", newline="") as fh:
+    with open(tmp_path / "div.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][3] == "2"  # richness
 
@@ -185,9 +185,9 @@ def test_history_commands(crawl_file, tmp_path):
                 "--out", str(tmp_path / "classes.csv")]) == 0
     assert run(["history", "top", "--snapshots", *snap_dirs, "--k", "5",
                 "--out", str(tmp_path / "top.csv")]) == 0
-    coverage = (tmp_path / "coverage.csv").read_text().strip().split("\n")
+    coverage = (tmp_path / "coverage.csv").read_text(encoding="utf-8").strip().split("\n")
     assert coverage[0] == "scope,metric,value"
-    transitions = (tmp_path / "transitions.csv").read_text()
+    transitions = (tmp_path / "transitions.csv").read_text(encoding="utf-8")
     assert "no_change" in transitions
 
 
@@ -201,8 +201,9 @@ def test_history_transitions_per_pair_universe(tmp_path):
         out = tmp_path / name / "transitions.csv"
         assert run(["history", "transitions", "--snapshots", *snap_dirs,
                     "--out", str(out), *flags]) == 0
-        outputs[name] = out.read_text().split("\n")
-        echo = json.loads((tmp_path / name / "config_history_transitions.json").read_text())
+        outputs[name] = out.read_text(encoding="utf-8").split("\n")
+        echo_path = tmp_path / name / "config_history_transitions.json"
+        echo = json.loads(echo_path.read_text(encoding="utf-8"))
         assert echo["parameters"]["per_pair_universe"] is (name == "pair")
     assert "2021-01-01..2021-04-01,smaller,0" in outputs["all"]
     assert "2021-01-01..2021-04-01,smaller,1" in outputs["pair"]
@@ -218,7 +219,7 @@ def test_report_bundle(crawl_file, tmp_path):
     code = run(["report", "--in", str(crawl_file), "--out-dir", str(tmp_path / "r"),
                 "--categories", str(cats), "--trials", "200", "--top-fraction", "1.0"])
     assert code == 0
-    manifest = json.loads((tmp_path / "r" / "report_manifest.json").read_text())
+    manifest = json.loads((tmp_path / "r" / "report_manifest.json").read_text(encoding="utf-8"))
     for name in ("profiles.jsonl", "summary.json", "metagraph.csv", "communities.csv",
                  "communities_report.csv", "id_counts.csv", "publisher_sizes.csv",
                  "categories.csv", "diversity.csv"):
@@ -228,7 +229,8 @@ def test_report_bundle(crawl_file, tmp_path):
     assert (tmp_path / "r" / "powerlaw_publisher.json").exists()
     # but only two size buckets exist, so the popularity fit is skipped, not failed
     assert any(s["analysis"] == "popularity" for s in manifest["skipped"])
-    report = (tmp_path / "r" / "communities_report.csv").read_text().strip().split("\n")
+    report_csv = tmp_path / "r" / "communities_report.csv"
+    report = report_csv.read_text(encoding="utf-8").strip().split("\n")
     assert report[0] == "community_id,size,entity,websites"
 
 
@@ -272,7 +274,7 @@ def test_env_var_thread_fallback(crawl_file, tmp_path, monkeypatch):
     monkeypatch.setenv("ADGRAPH_THREADS", "3")
     out = tmp_path / "profiles.jsonl"
     assert run(["extract", "--in", str(crawl_file), "--out", str(out)]) == 0
-    echo = json.loads((tmp_path / "config_extract.json").read_text())
+    echo = json.loads((tmp_path / "config_extract.json").read_text(encoding="utf-8"))
     assert echo["parameters"]["threads"] == 3
 
 
@@ -372,7 +374,7 @@ def test_every_command_echoes_its_config_once(crawl_file, tmp_path):
     for name, argv in commands.items():
         assert run(argv) == 0, name
         assert _configs(tmp_path / name) == [f"config_{name}.json"]
-        echo = json.loads((tmp_path / name / f"config_{name}.json").read_text())
+        echo = json.loads((tmp_path / name / f"config_{name}.json").read_text(encoding="utf-8"))
         assert echo["command"] == name
 
     # A failed command leaves no echo: the fixture has too few size buckets
@@ -424,6 +426,10 @@ def test_unparseable_csv_value_names_the_row(crawl_file, tmp_path, capsys):
          communities, "Invalid literal for Fraction: 'abc'"),
         ("metagraph.csv", "site_a,site_b,weight\na.example,b.example,1\nc.example,d.example,1/0\n",
          communities, "Fraction(1, 0)"),
+        ("metagraph.csv", "site_a,site_b,weight\na.example,b.example,1\nc.example,d.example,-1\n",
+         communities, "weight -1 is not positive"),
+        ("metagraph.csv", "site_a,site_b,weight\na.example,b.example,1\nc.example,d.example,0\n",
+         communities + ["--weighted-paths"], "weight 0 is not positive"),
         ("site_ranks.csv", "rank,domain\n1,site00.example\nx,site01.example\n",
          ["stats", "sizes", "--profiles", str(profiles), "--site-ranks", "{csv}",
           "--out", "{out}/sizes.csv"], "invalid literal for int() with base 10: 'x'"),
@@ -444,16 +450,28 @@ def test_unparseable_csv_value_names_the_row(crawl_file, tmp_path, capsys):
 
 def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):
     profiles = tmp_path / "profiles.jsonl"
-    for line in ('["pub-100000001"]', '{"ids": {}}', '{"domain": "b.example", "ids": []}',
-                 '{"domain": "b.example", "raw_counts": [1]}'):
+    stats_ids = ["stats", "ids", "--profiles", str(profiles),
+                 "--out", str(tmp_path / "ids" / "ids.csv")]
+    for line in ('{not json', '["pub-100000001"]', '{"ids": {}}', '{"domain": 5}',
+                 '{"domain": "b.example", "ids": []}',
+                 '{"domain": "b.example", "raw_counts": [1]}',
+                 '{"domain": "b.example", "ids": {"publisher": ["pub-100000001"]}}',
+                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": 5}}}',
+                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": ["bogus"]}}}',
+                 '{"domain": "b.example", "raw_counts": {"publisher": "x"}}',
+                 '{"domain": "b.example", "raw_counts": {"publisher": null}}'):
         profiles.write_text('{"domain": "a.example"}\n' + line + "\n", encoding="utf-8")
-        assert run(["stats", "ids", "--profiles", str(profiles),
-                    "--out", str(tmp_path / "ids" / "ids.csv")]) == 1
-        assert f"{profiles}: line 2 " in capsys.readouterr().err
+        assert run(stats_ids) == 1
+        assert f"{profiles}: line 2: " in capsys.readouterr().err
+    # Whatever int() accepts is still a count.
+    counts = '{"publisher": "3", "tracking": 2.0, "container": true}'
+    profiles.write_text(f'{{"domain": "b.example", "raw_counts": {counts}}}\n', encoding="utf-8")
+    assert run(stats_ids[:-1] + [str(tmp_path / "ok" / "ids.csv")]) == 0
     snap = first_pair_only_snapshots()[0]
     save_snapshot(snap, tmp_path / "snap")
     manifest = tmp_path / "snap" / "manifest.json"
-    for text in ('{"snapshot_id": "2021-01-01"}\n', '{"snapshot_id": "2021-01-01",\n'):
+    for text in ('{"snapshot_id": "2021-01-01"}\n', '{"snapshot_id": "2021-01-01",\n',
+                 '{"snapshot_id": "2021-01-01", "total_sites": "x"}\n'):
         manifest.write_text(text, encoding="utf-8")
         assert run(["history", "coverage", "--snapshots", str(tmp_path / "snap"),
                     "--out", str(tmp_path / "h" / "coverage.csv")]) == 1

@@ -11,6 +11,7 @@ from adgraph.corpus import FormatError
 from adgraph.extractor import IdKind
 from adgraph.graphs import (
     FAMILY_ORDER,
+    KINDS_OF_FAMILY,
     IdFamily,
     build_bipartite,
     build_metagraph,
@@ -22,6 +23,8 @@ from adgraph.graphs import (
     load_bipartite_csv,
     load_metagraph_csv,
 )
+from adgraph.history import Snapshot
+from adgraph.stats import publisher_sizes
 from helpers import brute_force_metagraph, make_profile
 
 
@@ -192,6 +195,30 @@ def test_metagraph_matches_brute_force_on_random_corpora():
         mg = _graphs(profiles)
         _, expected = brute_force_metagraph(profiles)
         assert mg.weights == expected
+
+
+def test_key_walks_match_brute_counts_on_random_corpora():
+    rng = random.Random(13)
+    for _ in range(100):
+        profiles = _random_profiles(rng)
+        all_keys = {key for p in profiles for keys in p.keys.values() for key in keys}
+
+        def carriers(key, kinds=tuple(IdKind)):
+            return {p.landing_domain for p in profiles if any(key in p.keys_for(k) for k in kinds)}
+
+        assert family_normalizers(profiles) == {
+            f: sum(1 for key in all_keys if len(carriers(key, KINDS_OF_FAMILY[f])) > 1)
+            for f in FAMILY_ORDER
+        }
+        bipartite = build_bipartite(profiles, IdFamily.PUBLISHER)
+        assert Snapshot.build("s", profiles).publisher_sizes == {
+            r.key: r.size for r in publisher_sizes(bipartite)
+        }
+        for threshold in range(2, len(profiles) + 1):
+            reduced = exclude_intermediaries(profiles, threshold)
+            assert [p.landing_domain for p in reduced] == [p.landing_domain for p in profiles]
+            kept = {key for p in reduced for keys in p.keys.values() for key in keys}
+            assert all_keys - kept == {k for k in all_keys if len(carriers(k)) > threshold}
 
 
 def test_metagraph_weight_sum_identity():
