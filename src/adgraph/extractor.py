@@ -23,6 +23,7 @@ of all four patterns) makes it try a match at every character of the text.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -39,11 +40,19 @@ class IdKind(enum.Enum):
     MEASUREMENT = "measurement"
     CONTAINER = "container"
 
+    # Enum's own hash is hash(name), computed in Python on every dict or set
+    # lookup. Members are singletons compared by identity, so the identity
+    # hash fits them as well and runs in C. Neither hash is stable across
+    # processes, so no output may depend on the order of a set of members.
+    __hash__ = object.__hash__
+
 
 class Source(enum.Enum):
     HTML = "html"
     REQUEST = "request"
     COOKIE = "cookie"
+
+    __hash__ = object.__hash__  # see IdKind
 
 
 # Kind order fixes the reporting order everywhere downstream.
@@ -175,6 +184,33 @@ def scan_record(
     ]
 
 
+# The profile JSON codec works from these tables, so it runs no Enum code
+# per profile: each kind with its JSON name, and each of the 8 source
+# combinations as its sorted JSON names, mapped to one shared frozenset and
+# back. Every decoded profile shares those frozensets.
+_KIND_NAMES: tuple[tuple[IdKind, str], ...] = tuple((kind, kind.value) for kind in KIND_ORDER)
+_SOURCE_SETS: dict[tuple[str, ...], frozenset[Source]] = {
+    names: frozenset(map(Source, names))
+    for size in range(len(Source) + 1)
+    for names in itertools.combinations(sorted(s.value for s in Source), size)
+}
+_SOURCE_NAMES: dict[frozenset[Source], tuple[str, ...]] = {v: k for k, v in _SOURCE_SETS.items()}
+_NO_ENTRIES: dict = {}  # the default of a missing JSON object; never written to
+
+
+def _source_set(key: str, names: list) -> frozenset[Source]:
+    """The shared source set of a list that is not sorted JSON names.
+
+    An unknown, non-string or unhashable name raises ``Source()``'s own
+    ValueError; a name given twice raises ValueError too.
+    """
+    members = [Source(name) for name in names]
+    combo = _SOURCE_SETS[tuple(sorted(m.value for m in set(members)))]
+    if len(combo) != len(members):
+        raise ValueError(f"the sources of {key} repeat a name")
+    return combo
+
+
 @dataclass
 class SiteIdProfile:
     """Validated identifier keys found on one site, with provenance."""
@@ -194,46 +230,49 @@ class SiteIdProfile:
         return self.total_keys() == 0
 
     def to_json_obj(self) -> dict:
-        return {
-            "domain": self.landing_domain,
-            "ids": {
-                kind.value: {
-                    key: sorted(s.value for s in self.sources.get(key, frozenset()))
-                    for key in sorted(self.keys_for(kind))
-                }
-                for kind in KIND_ORDER
-            },
-            "raw_counts": {kind.value: self.raw_counts.get(kind, 0) for kind in KIND_ORDER},
-        }
+        keys, sources, counts = self.keys, self.sources, self.raw_counts
+        ids: dict[str, dict[str, list[str]]] = {}
+        raw_counts: dict[str, int] = {}
+        for kind, name in _KIND_NAMES:
+            entry = ids[name] = {}
+            for key in sorted(keys.get(kind, ())):
+                entry[key] = list(_SOURCE_NAMES[sources.get(key, frozenset())])
+            raw_counts[name] = counts.get(kind, 0)
+        return {"domain": self.landing_domain, "ids": ids, "raw_counts": raw_counts}
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "SiteIdProfile":
         """The inverse of ``to_json_obj``. Raises ValueError unless ``obj`` is
         an object with a string ``domain``, ``ids`` maps each kind to an
-        object of key -> list of source names, and every ``raw_counts`` value
-        is something ``int()`` accepts."""
+        object of key -> list of distinct source names, and every
+        ``raw_counts`` value is something ``int()`` accepts."""
         if not isinstance(obj, dict) or not isinstance(obj.get("domain"), str):
             raise ValueError("not a profile object with a string domain")
-        ids, counts = obj.get("ids", {}), obj.get("raw_counts", {})
+        ids, counts = obj.get("ids", _NO_ENTRIES), obj.get("raw_counts", _NO_ENTRIES)
         if not isinstance(ids, dict) or not isinstance(counts, dict):
             raise ValueError("ids and raw_counts must be objects")
         keys: dict[IdKind, frozenset[str]] = {}
         sources: dict[str, frozenset[Source]] = {}
         raw_counts: dict[IdKind, int] = {}
-        for kind in KIND_ORDER:
-            entry = ids.get(kind.value, {})
+        for kind, name in _KIND_NAMES:
+            entry = ids.get(name, _NO_ENTRIES)
             if not isinstance(entry, dict):
-                raise ValueError(f"ids.{kind.value} is not an object")
+                raise ValueError(f"ids.{name} is not an object")
             if entry:
                 keys[kind] = frozenset(entry)
-            for key, srcs in entry.items():
-                if not isinstance(srcs, list):
-                    raise ValueError(f"the sources of {key} are not a list")
-                sources[key] = frozenset(Source(s) for s in srcs)
-            try:
-                count = int(counts.get(kind.value, 0))
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"raw_counts.{kind.value} is not an integer") from None
+                for key, srcs in entry.items():
+                    if not isinstance(srcs, list):
+                        raise ValueError(f"the sources of {key} are not a list")
+                    try:
+                        sources[key] = _SOURCE_SETS[tuple(srcs)]
+                    except (KeyError, TypeError):  # unsorted, repeated or bad names
+                        sources[key] = _source_set(key, srcs)
+            count = counts.get(name, 0)
+            if type(count) is not int:  # "3", 2.0 and true are counts too
+                try:
+                    count = int(count)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"raw_counts.{name} is not an integer") from None
             if count:
                 raw_counts[kind] = count
         return cls(landing_domain=obj["domain"], keys=keys, sources=sources, raw_counts=raw_counts)
@@ -414,27 +453,38 @@ def flag_anomalies(
 # Profile dumps (JSONL, one profile per line)
 # ---------------------------------------------------------------------------
 
+_encode_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True)
+
+
 def dump_profiles(profiles: Iterable[SiteIdProfile], stream: IO[str]) -> None:
     for p in sorted(profiles, key=lambda p: p.landing_domain):
-        stream.write(json.dumps(p.to_json_obj(), sort_keys=True) + "\n")
+        stream.write(_encode_json(p.to_json_obj()) + "\n")
 
 
 def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
     """Profiles from a JSONL file or stream; blank lines are skipped.
 
-    A line that is not JSON, or that ``SiteIdProfile.from_json_obj``
-    rejects, raises FormatError naming the file and the 1-based line.
+    A line that is not JSON, that ``SiteIdProfile.from_json_obj`` rejects,
+    or whose domain an earlier line already holds, raises FormatError
+    naming the file and the 1-based line.
     """
     if not hasattr(source, "read"):
         with open(source, encoding="utf-8") as fh:
             return load_profiles(fh)
     name = getattr(source, "name", "profiles stream")
     profiles = []
+    first_line: dict[str, int] = {}
     for line_no, line in enumerate(source, start=1):
-        if not line.strip():
+        if line.isspace():
             continue
         try:
-            profiles.append(SiteIdProfile.from_json_obj(json.loads(line)))
+            profile = SiteIdProfile.from_json_obj(json.loads(line))
         except ValueError as exc:  # json.JSONDecodeError included
             raise FormatError(f"{name}: line {line_no}: {exc}") from None
+        first = first_line.setdefault(profile.landing_domain, line_no)
+        if first != line_no:
+            raise FormatError(
+                f"{name}: line {line_no}: domain {profile.landing_domain} repeats line {first}"
+            )
+        profiles.append(profile)
     return profiles

@@ -317,30 +317,37 @@ def _positive_weight(text: str) -> Fraction:
     return weight
 
 
+def _ordered_pair(row: list[Any]) -> None:
+    if row[0] >= row[1]:
+        raise ValueError(f"metagraph rows need site_a < site_b, got {row[0]!r},{row[1]!r}")
+
+
 def load_metagraph_csv(source: str | Path | IO[str]) -> Metagraph:
     mg = Metagraph()
-    for u, v, w in _read_table(source, {"site_a": str, "site_b": str, "weight": _positive_weight}):
-        if u >= v:
-            raise ValueError(f"metagraph rows need site_a < site_b, got {u!r},{v!r}")
+    columns = {"site_a": str, "site_b": str, "weight": _positive_weight}
+    for u, v, w in _read_table(source, columns, _ordered_pair):
         mg.nodes.update((u, v))
         mg.weights[(u, v)] = w
     return mg
 
 
 def _read_table(
-    source: str | Path | IO[str], columns: Mapping[str, Callable[[str], Any]]
+    source: str | Path | IO[str],
+    columns: Mapping[str, Callable[[str], Any]],
+    check: Callable[[list[Any]], None] | None = None,
 ) -> list[list[Any]]:
     """The non-blank rows after the header of a CSV file or stream, each
     field passed through its column's converter.
 
     ``columns`` maps each column name, in order, to its converter. The
     first row must be those names and every later row must have their
-    count. A wrong header or width, or a converter's ValueError or
-    ZeroDivisionError, raises FormatError naming the file and the 1-based row.
+    count; ``check``, if given, then sees each converted row. A wrong
+    header or width, or a ValueError or ZeroDivisionError from a converter
+    or the check, raises FormatError naming the file and the 1-based row.
     """
     if not hasattr(source, "read"):
         with open(source, encoding="utf-8", newline="") as fh:
-            return _read_table(fh, columns)
+            return _read_table(fh, columns, check)
     header, converters = list(columns), list(columns.values())
     name, reader = getattr(source, "name", "CSV stream"), csv.reader(source)
     if next(reader, None) != header:
@@ -352,7 +359,10 @@ def _read_table(
                 f"{name}: row {reader.line_num} has {len(row)} fields, expected {len(header)}"
             )
         try:
-            rows.append([convert(value) for convert, value in zip(converters, row)])
+            converted = [convert(value) for convert, value in zip(converters, row)]
+            if check is not None:
+                check(converted)
         except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0")
             raise FormatError(f"{name}: row {reader.line_num}: {exc}") from None
+        rows.append(converted)
     return rows

@@ -63,6 +63,82 @@ def first_pair_only_snapshots():
 
 
 # ---------------------------------------------------------------------------
+# Reference profile codec: SiteIdProfile's JSON form written the plain way,
+# with Enum lookups per value. The library's table-driven codec must write
+# the same objects and read them back to equal profiles.
+# ---------------------------------------------------------------------------
+
+def profile_to_json_obj_reference(p):
+    return {
+        "domain": p.landing_domain,
+        "ids": {
+            kind.value: {
+                key: sorted(s.value for s in p.sources.get(key, frozenset()))
+                for key in sorted(p.keys_for(kind))
+            }
+            for kind in KIND_ORDER
+        },
+        "raw_counts": {kind.value: p.raw_counts.get(kind, 0) for kind in KIND_ORDER},
+    }
+
+
+def profile_from_json_obj_reference(obj):
+    """Accepts a source name given twice; the library rejects it."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("domain"), str):
+        raise ValueError("not a profile object with a string domain")
+    ids, counts = obj.get("ids", {}), obj.get("raw_counts", {})
+    if not isinstance(ids, dict) or not isinstance(counts, dict):
+        raise ValueError("ids and raw_counts must be objects")
+    keys, sources, raw_counts = {}, {}, {}
+    for kind in KIND_ORDER:
+        entry = ids.get(kind.value, {})
+        if not isinstance(entry, dict):
+            raise ValueError(f"ids.{kind.value} is not an object")
+        if entry:
+            keys[kind] = frozenset(entry)
+        for key, srcs in entry.items():
+            if not isinstance(srcs, list):
+                raise ValueError(f"the sources of {key} are not a list")
+            sources[key] = frozenset(Source(s) for s in srcs)
+        try:
+            count = int(counts.get(kind.value, 0))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"raw_counts.{kind.value} is not an integer") from None
+        if count:
+            raw_counts[kind] = count
+    return SiteIdProfile(landing_domain=obj["domain"], keys=keys, sources=sources,
+                         raw_counts=raw_counts)
+
+
+def random_profiles(n, seed):
+    """n seeded profiles with distinct domains. Each kind is absent (no keys,
+    count 0) about a third of the time; keys carry every source
+    combination, the empty one included; counts of present kinds may be 0."""
+    rng = random.Random(seed)
+    shapes = {
+        IdKind.PUBLISHER: "pub-{:09d}",
+        IdKind.TRACKING: "UA-{:06d}",
+        IdKind.MEASUREMENT: "G-{:07d}",
+        IdKind.CONTAINER: "GTM-{:06d}",
+    }
+    combos = [frozenset(c) for r in range(4) for c in itertools.combinations(Source, r)]
+    profiles = []
+    for i in range(n):
+        keys, sources, raw_counts = {}, {}, {}
+        for kind in KIND_ORDER:
+            if rng.random() < 1 / 3:
+                continue
+            ks = frozenset(shapes[kind].format(rng.randrange(50)) for _ in range(rng.randint(1, 4)))
+            keys[kind] = ks
+            sources.update((k, rng.choice(combos)) for k in ks)
+            count = rng.randrange(6)
+            if count:
+                raw_counts[kind] = count
+        profiles.append(SiteIdProfile(f"site{i:04d}.example", keys, sources, raw_counts))
+    return profiles
+
+
+# ---------------------------------------------------------------------------
 # Scanner oracle: each pattern led by its boundary lookbehind
 # ---------------------------------------------------------------------------
 

@@ -3,6 +3,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ from adgraph.cli import run
 from adgraph.corpus import serialize_crawl_jsonl
 from adgraph.extractor import dump_profiles
 from adgraph.history import save_snapshot
-from helpers import first_pair_only_snapshots, fixture_corpus, make_profile
+from helpers import first_pair_only_snapshots, fixture_corpus, make_profile, scale_corpus_lines
 
 
 @pytest.fixture(scope="module")
@@ -430,6 +433,8 @@ def test_unparseable_csv_value_names_the_row(crawl_file, tmp_path, capsys):
          communities, "weight -1 is not positive"),
         ("metagraph.csv", "site_a,site_b,weight\na.example,b.example,1\nc.example,d.example,0\n",
          communities + ["--weighted-paths"], "weight 0 is not positive"),
+        ("metagraph.csv", "site_a,site_b,weight\na.example,b.example,1\nd.example,c.example,1\n",
+         communities, "metagraph rows need site_a < site_b, got 'd.example','c.example'"),
         ("site_ranks.csv", "rank,domain\n1,site00.example\nx,site01.example\n",
          ["stats", "sizes", "--profiles", str(profiles), "--site-ranks", "{csv}",
           "--out", "{out}/sizes.csv"], "invalid literal for int() with base 10: 'x'"),
@@ -458,6 +463,10 @@ def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):
                  '{"domain": "b.example", "ids": {"publisher": ["pub-100000001"]}}',
                  '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": 5}}}',
                  '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": ["bogus"]}}}',
+                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": [["html"]]}}}',
+                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": [5]}}}',
+                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": [null]}}}',
+                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": ["html", "html"]}}}',
                  '{"domain": "b.example", "raw_counts": {"publisher": "x"}}',
                  '{"domain": "b.example", "raw_counts": {"publisher": null}}'):
         profiles.write_text('{"domain": "a.example"}\n' + line + "\n", encoding="utf-8")
@@ -477,6 +486,54 @@ def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):
                     "--out", str(tmp_path / "h" / "coverage.csv")]) == 1
         assert f"{manifest}: " in capsys.readouterr().err
     assert not (tmp_path / "ids").exists() and not (tmp_path / "h").exists()
+
+
+def test_repeated_domain_is_an_input_error_everywhere(tmp_path, capsys):
+    """stats and history read the same profiles file the same way."""
+    snap = tmp_path / "snap"
+    snap.mkdir()
+    profiles = snap / "profiles.jsonl"
+    line = '{"domain": "a.example", "ids": {"publisher": {"pub-100000001": ["html"]}}}\n'
+    profiles.write_text(line + '{"domain": "b.example"}\n\n' + line, encoding="utf-8")
+    (snap / "manifest.json").write_text('{"snapshot_id": "2021-01-01", "total_sites": 3}\n',
+                                        encoding="utf-8")
+    for argv in (["stats", "ids", "--profiles", str(profiles)],
+                 ["history", "coverage", "--snapshots", str(snap)]):
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "out" / "x.csv")]) == 1
+        assert f"{profiles}: line 4: domain a.example repeats line 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(crawl_file, tmp_path):
+    """PYTHONHASHSEED reorders every set of domains and keys; the bytes of
+    every output file must not move with it."""
+    for seed in (1, 2):
+        (tmp_path / f"crawl{seed}.jsonl").write_text(
+            "\n".join(scale_corpus_lines(300, seed=seed)) + "\n", encoding="utf-8")
+    _categories(tmp_path)
+    commands = [
+        ["extract", "--in", "../crawl1.jsonl", "--out", "s1/profiles.jsonl",
+         "--snapshot-id", "2021-01-01"],
+        ["extract", "--in", "../crawl2.jsonl", "--out", "s2/profiles.jsonl",
+         "--snapshot-id", "2021-04-01"],
+        ["history", "transitions", "--snapshots", "s1", "s2", "--out", "h/transitions.csv"],
+        ["report", "--in", str(crawl_file), "--categories", "../cats.csv", "--out-dir", "report"],
+    ]
+    script = ("import json, sys\nfrom adgraph.cli import run\n"
+              "for argv in json.loads(sys.argv[1]):\n    assert run(argv) == 0, argv\n")
+    env = {k: v for k, v in os.environ.items() if k != "ADGRAPH_THREADS"}
+    env["PYTHONPATH"] = str(Path(adgraph.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / f"hashseed{hash_seed}"
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=cwd,
+                       env={**env, "PYTHONHASHSEED": hash_seed}, check=True)
+        outputs.append({p.relative_to(cwd).as_posix(): p.read_bytes()
+                        for p in sorted(cwd.rglob("*")) if p.is_file()})
+    assert len(outputs[0]) > 20 and "h/transitions.csv" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_key_error_in_a_command_is_not_an_input_error(tmp_path, monkeypatch):

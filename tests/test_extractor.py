@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 import re
 
@@ -9,6 +10,7 @@ import pytest
 from adgraph.corpus import CrawlRecord
 from adgraph.extractor import (
     IdKind,
+    SiteIdProfile,
     Source,
     canonical_key,
     scan_record,
@@ -23,7 +25,13 @@ from adgraph.extractor import (
     scan_text,
     summarize_extraction,
 )
-from helpers import make_profile, scan_text_oracle
+from helpers import (
+    make_profile,
+    profile_from_json_obj_reference,
+    profile_to_json_obj_reference,
+    random_profiles,
+    scan_text_oracle,
+)
 
 
 def _record(domain="a.example", html="", requests=(), cookies=()):
@@ -389,3 +397,47 @@ def test_profile_jsonl_roundtrip(corpus50, dictionary, blocklist):
     buf.seek(0)
     again = load_profiles(buf)
     assert again == profiles
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_profile_codec_matches_reference(seed):
+    profiles = random_profiles(60, seed)
+    buf = io.StringIO()
+    dump_profiles(reversed(profiles), buf)
+    text = buf.getvalue()
+    assert text == "".join(
+        json.dumps(profile_to_json_obj_reference(p), sort_keys=True) + "\n" for p in profiles
+    )
+    again = load_profiles(io.StringIO(text))
+    assert again == profiles
+    rng = random.Random(seed)
+    for line in text.splitlines():
+        obj = json.loads(line)
+        for entry in obj["ids"].values():
+            for srcs in entry.values():
+                rng.shuffle(srcs)  # unsorted lists take the slow path
+        again.append(SiteIdProfile.from_json_obj(obj))
+        assert again[-1] == profile_from_json_obj_reference(obj)
+    # Every decoded source set is one of the 8 shared combinations.
+    assert len({id(s) for p in again for s in p.sources.values()}) <= 8
+
+
+@pytest.mark.parametrize("srcs", [[["html"]], [5], [None], ["bogus"], [{"html": 1}],
+                                  ["html", "Cookie"], ["cookie", "html", 2.0]])
+def test_profile_codec_source_errors_match_reference(srcs):
+    obj = {"domain": "a.example", "ids": {"tracking": {"UA-123456": srcs}}}
+    with pytest.raises(ValueError) as expected:
+        profile_from_json_obj_reference(obj)
+    with pytest.raises(ValueError) as got:
+        SiteIdProfile.from_json_obj(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_profile_codec_converts_counts_to_int():
+    obj = {"domain": "a.example", "raw_counts": {"publisher": "3", "tracking": 2.0,
+                                                 "container": True, "measurement": 0}}
+    profile = SiteIdProfile.from_json_obj(obj)
+    assert profile == profile_from_json_obj_reference(obj)
+    assert profile.to_json_obj()["raw_counts"] == {"publisher": 3, "tracking": 2,
+                                                   "measurement": 0, "container": 1}
+    assert all(type(n) is int for n in profile.raw_counts.values())
