@@ -10,7 +10,8 @@ from __future__ import annotations
 import ipaddress
 import json
 import logging
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -114,6 +115,11 @@ def _is_ip_literal(host: str) -> bool:
         return False
 
 
+# A URL whose host is plain ASCII and ends at the first "/", "?" or "#": for
+# it, ``urlsplit(s).hostname`` is the host lowercased, so one match finds it.
+_PLAIN_URL = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://([A-Za-z0-9.-]+)(?:[/?#]|\Z)")
+
+
 def canonicalize(url_or_host: str, table: PublicSuffixTable | None = None) -> str:
     """Reduce a URL or hostname to its lowercase registrable domain.
 
@@ -123,7 +129,10 @@ def canonicalize(url_or_host: str, table: PublicSuffixTable | None = None) -> st
     if not isinstance(url_or_host, str) or not url_or_host.strip():
         raise CanonicalizationError(f"empty or non-string input: {url_or_host!r}")
     s = url_or_host.strip()
-    if "://" in s or s.startswith("//"):
+    plain = _PLAIN_URL.match(s)
+    if plain:
+        host = plain[1]
+    elif "://" in s or s.startswith("//"):
         try:
             host = urlsplit(s).hostname
         except ValueError as exc:
@@ -355,9 +364,14 @@ def dedup_by_landing(records: Sequence[CrawlRecord]) -> list[CrawlRecord]:
 
 def assign_ranks(records: Sequence[CrawlRecord], ranks: Mapping[str, int]) -> list[CrawlRecord]:
     """Fill record ranks from a rank list keyed by requested domain."""
-    return [
-        replace(r, rank=ranks.get(r.requested_domain, r.rank)) for r in records
-    ]
+    filled = []
+    for r in records:
+        rank = ranks.get(r.requested_domain, r.rank)
+        if rank != r.rank:
+            r = CrawlRecord(r.requested_domain, r.landing_url, r.landing_domain, r.page_text,
+                            r.request_urls, r.cookies, rank, r.snapshot_id)
+        filled.append(r)
+    return filled
 
 
 def load_rank_list(path: str | Path) -> dict[str, int]:
@@ -374,7 +388,7 @@ def load_rank_list(path: str | Path) -> dict[str, int]:
             if not line:
                 continue
             parts = line.split(",", 1)
-            if len(parts) != 2 or not parts[0].strip().isdigit():
+            if len(parts) != 2 or not parts[0].strip().isdecimal():  # isdigit() passes "²"
                 raise FormatError(f"{path}: malformed rank row {row_no}: {line!r}")
             rank, domain = int(parts[0]), parts[1].strip().lower()
             if rank < 1:

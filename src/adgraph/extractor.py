@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .corpus import CrawlRecord, FormatError
 
@@ -86,20 +86,22 @@ def scan_text(text: str) -> list[RawMatch]:
     return [(value, kind) for _, _, value, kind in found]
 
 
+# The kinds whose values can be English words after the hyphen.
+_WORD_KINDS = frozenset({IdKind.MEASUREMENT, IdKind.CONTAINER})
+
+
+def _is_word(value: str, dictionary: frozenset[str] | set[str]) -> bool:
+    return value.split("-", 1)[1].lower() in dictionary
+
+
 def filter_dictionary(matches: Iterable[RawMatch], dictionary: frozenset[str] | set[str]) -> list[RawMatch]:
     """Drop G-/GTM- matches whose post-hyphen suffix is an English word.
 
     Publisher and Tracking values have all-numeric suffixes and are never
     dropped here.
     """
-    kept = []
-    for value, kind in matches:
-        if kind in (IdKind.MEASUREMENT, IdKind.CONTAINER):
-            suffix = value.split("-", 1)[1].lower()
-            if suffix in dictionary:
-                continue
-        kept.append((value, kind))
-    return kept
+    return [(value, kind) for value, kind in matches
+            if not (kind in _WORD_KINDS and _is_word(value, dictionary))]
 
 
 def filter_keywords(matches: Iterable[RawMatch], blocklist: frozenset[str] | set[str]) -> list[RawMatch]:
@@ -155,6 +157,36 @@ class IdentifierHit:
     count: int
 
 
+def _matches(
+    record: CrawlRecord,
+    dictionary: frozenset[str] | set[str],
+    blocklist: frozenset[str] | set[str],
+) -> Iterator[tuple[Source, IdKind, list[str]]]:
+    """The filtered matches of one record as (channel, kind, values), one
+    triple per channel and kind that kept any; values repeat as often as
+    they occur.
+
+    Each channel is one findall per kind. Request URLs, and cookie names
+    and values, are scanned joined by newlines: no pattern matches a
+    newline, and every boundary check treats it as the edge of a string,
+    so each text keeps its own matches.
+    """
+    for source, text in (
+        (Source.HTML, record.page_text),
+        (Source.REQUEST, "\n".join(record.request_urls)),
+        (Source.COOKIE, "\n".join(itertools.chain.from_iterable(record.cookies))),
+    ):
+        if not text:
+            continue
+        for kind, pattern in PATTERNS.items():
+            values = pattern.findall(text)
+            if values:
+                values = [v for v in values if v not in blocklist
+                          and not (kind in _WORD_KINDS and _is_word(v, dictionary))]
+                if values:
+                    yield source, kind, values
+
+
 def scan_record(
     record: CrawlRecord,
     dictionary: frozenset[str] | set[str],
@@ -165,18 +197,11 @@ def scan_record(
     (kind, raw)."""
     sources: dict[RawMatch, set[Source]] = {}
     counts: dict[RawMatch, int] = {}
-    channels: list[tuple[Source, Iterable[str]]] = [
-        (Source.HTML, (record.page_text,)),
-        (Source.REQUEST, record.request_urls),
-        (Source.COOKIE, [t for pair in record.cookies for t in pair]),
-    ]
-    for source, texts in channels:
-        for text in texts:
-            if not text:
-                continue
-            for match in filter_keywords(filter_dictionary(scan_text(text), dictionary), blocklist):
-                sources.setdefault(match, set()).add(source)
-                counts[match] = counts.get(match, 0) + 1
+    for source, kind, values in _matches(record, dictionary, blocklist):
+        for value in values:
+            match = (value, kind)
+            sources.setdefault(match, set()).add(source)
+            counts[match] = counts.get(match, 0) + 1
     return [
         IdentifierHit(raw=value, kind=kind, canonical=canonical_key(value, kind),
                       sources=frozenset(srcs), count=counts[value, kind])
@@ -195,6 +220,15 @@ _SOURCE_SETS: dict[tuple[str, ...], frozenset[Source]] = {
     for names in itertools.combinations(sorted(s.value for s in Source), size)
 }
 _SOURCE_NAMES: dict[frozenset[Source], tuple[str, ...]] = {v: k for k, v in _SOURCE_SETS.items()}
+_NO_SOURCES = _SOURCE_SETS[()]
+# Each shared source set joined with one more channel, as a shared set.
+_WITH_SOURCE: dict[tuple[frozenset[Source], Source], frozenset[Source]] = {
+    (combo, source): _SOURCE_SETS[_SOURCE_NAMES[combo | {source}]]
+    for combo in _SOURCE_NAMES
+    for source in Source
+}
+# Kinds enter a profile in name order, the order of scan_record's hits.
+_KINDS_BY_NAME: tuple[IdKind, ...] = tuple(sorted(KIND_ORDER, key=lambda kind: kind.value))
 _NO_ENTRIES: dict = {}  # the default of a missing JSON object; never written to
 
 
@@ -227,7 +261,7 @@ class SiteIdProfile:
         return sum(len(v) for v in self.keys.values())
 
     def is_empty(self) -> bool:
-        return self.total_keys() == 0
+        return not any(self.keys.values())
 
     def to_json_obj(self) -> dict:
         keys, sources, counts = self.keys, self.sources, self.raw_counts
@@ -288,18 +322,21 @@ def extract_profile(
     raw_counts tally every filtered match occurrence per kind, before
     canonical merging.
     """
-    keys: dict[IdKind, set[str]] = {}
-    sources: dict[str, set[Source]] = {}
-    raw_counts: dict[IdKind, int] = {}
-    for hit in scan_record(record, dictionary, blocklist):
-        keys.setdefault(hit.kind, set()).add(hit.canonical)
-        sources.setdefault(hit.canonical, set()).update(hit.sources)
-        raw_counts[hit.kind] = raw_counts.get(hit.kind, 0) + hit.count
+    found: dict[IdKind, set[str]] = {}
+    sources: dict[str, frozenset[Source]] = {}
+    counts: dict[IdKind, int] = {}
+    for source, kind, values in _matches(record, dictionary, blocklist):
+        counts[kind] = counts.get(kind, 0) + len(values)
+        if kind is IdKind.TRACKING:
+            values = [canonical_key(value, kind) for value in values]
+        found.setdefault(kind, set()).update(values)
+        for key in values:
+            sources[key] = _WITH_SOURCE[sources.get(key, _NO_SOURCES), source]
     return SiteIdProfile(
         landing_domain=record.landing_domain,
-        keys={k: frozenset(v) for k, v in keys.items()},
-        sources={k: frozenset(v) for k, v in sources.items()},
-        raw_counts=raw_counts,
+        keys={kind: frozenset(found[kind]) for kind in _KINDS_BY_NAME if kind in found},
+        sources=sources,
+        raw_counts={kind: counts[kind] for kind in _KINDS_BY_NAME if kind in counts},
     )
 
 
@@ -404,16 +441,18 @@ def summarize_extraction(profiles: Sequence[SiteIdProfile], corpus_size: int) ->
     bearing = [p for p in profiles if not p.is_empty()]
     if len({p.landing_domain for p in bearing}) > corpus_size:
         raise ValueError("more profiled sites than corpus_size")
+    key_sources_of: dict[IdKind, dict[str, set[Source]]] = {kind: {} for kind in KIND_ORDER}
+    sites_of = dict.fromkeys(KIND_ORDER, 0)
+    for p in bearing:
+        for kind, ks in p.keys.items():
+            if ks:
+                sites_of[kind] += 1
+                key_sources = key_sources_of[kind]
+                for key in ks:
+                    key_sources.setdefault(key, set()).update(p.sources.get(key, _NO_SOURCES))
     kinds: dict[IdKind, KindSummary] = {}
     for kind in KIND_ORDER:
-        key_sources: dict[str, set[Source]] = {}
-        sites = 0
-        for p in bearing:
-            ks = p.keys_for(kind)
-            if ks:
-                sites += 1
-            for key in ks:
-                key_sources.setdefault(key, set()).update(p.sources.get(key, frozenset()))
+        key_sources, sites = key_sources_of[kind], sites_of[kind]
         n_ids = len(key_sources)
 
         def share(source: Source) -> float:

@@ -9,6 +9,7 @@ slow so the production code has something honest to be checked against.
 
 from __future__ import annotations
 
+import ipaddress
 import itertools
 import json
 import math
@@ -16,12 +17,22 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
+from urllib.parse import urlsplit
 
 import numpy as np
 from scipy.special import zeta
 
-from adgraph.corpus import CrawlRecord
-from adgraph.extractor import KIND_ORDER, IdKind, SiteIdProfile, Source
+from adgraph.corpus import CanonicalizationError, CrawlRecord, default_suffix_table
+from adgraph.extractor import (
+    KIND_ORDER,
+    IdentifierHit,
+    IdKind,
+    SiteIdProfile,
+    Source,
+    canonical_key,
+    filter_dictionary,
+    filter_keywords,
+)
 from adgraph.graphs import FAMILY_ORDER, KINDS_OF_FAMILY, Metagraph
 from adgraph.history import Snapshot
 
@@ -162,6 +173,183 @@ def scan_text_oracle(text):
         for m in pattern.finditer(text)
     )
     return [(value, kind) for _, _, value, kind in found]
+
+
+# ---------------------------------------------------------------------------
+# Reference extraction: one scan per text. The library scans each channel's
+# texts joined by a separator; both must give the same hits and profiles.
+# ---------------------------------------------------------------------------
+
+def scan_record_reference(record, dictionary, blocklist):
+    sources, counts = {}, {}
+    channels = [
+        (Source.HTML, (record.page_text,)),
+        (Source.REQUEST, record.request_urls),
+        (Source.COOKIE, [t for pair in record.cookies for t in pair]),
+    ]
+    for source, texts in channels:
+        for text in texts:
+            if not text:
+                continue
+            for match in filter_keywords(filter_dictionary(scan_text_oracle(text), dictionary), blocklist):
+                sources.setdefault(match, set()).add(source)
+                counts[match] = counts.get(match, 0) + 1
+    return [
+        IdentifierHit(raw=value, kind=kind, canonical=canonical_key(value, kind),
+                      sources=frozenset(srcs), count=counts[value, kind])
+        for (value, kind), srcs in sorted(sources.items(), key=lambda kv: (kv[0][1].value, kv[0][0]))
+    ]
+
+
+def extract_profile_reference(record, dictionary, blocklist):
+    keys, sources, raw_counts = {}, {}, {}
+    for hit in scan_record_reference(record, dictionary, blocklist):
+        keys.setdefault(hit.kind, set()).add(hit.canonical)
+        sources.setdefault(hit.canonical, set()).update(hit.sources)
+        raw_counts[hit.kind] = raw_counts.get(hit.kind, 0) + hit.count
+    return SiteIdProfile(
+        landing_domain=record.landing_domain,
+        keys={k: frozenset(v) for k, v in keys.items()},
+        sources={k: frozenset(v) for k, v in sources.items()},
+        raw_counts=raw_counts,
+    )
+
+
+def random_scan_records(n, seed, words, blocked):
+    """n seeded records whose every request URL, cookie name and cookie
+    value may start or end with an identifier, or with a fragment that would
+    extend or complete one in the neighbouring text (``UA-1234`` before
+    ``-5``, ``pub-`` before digits, letters before ``G-``). IDs include
+    dictionary words (``words``), blocklisted values (``blocked``) and
+    Tracking values of a few shared accounts, so collapsed keys span
+    channels; empty texts occur in ``requests`` and ``cookies``."""
+    rng = random.Random(seed)
+    accounts = [rng.randrange(1000, 10**7) for _ in range(4)]
+    upper = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+    long_words = [w.upper() for w in words if len(w) >= 7]
+
+    def digits(k):
+        return "".join(rng.choice("0123456789") for _ in range(k))
+
+    def ident():
+        return rng.choice([
+            lambda: "pub-" + digits(rng.randrange(9, 13)),
+            lambda: f"UA-{rng.choice(accounts)}-{rng.randrange(1, 30)}",
+            lambda: "G-" + "".join(rng.choice(upper) for _ in range(rng.randrange(7, 11))),
+            lambda: "GTM-" + "".join(rng.choice(upper) for _ in range(rng.randrange(6, 9))),
+            lambda: rng.choice(["G-", "GTM-"]) + rng.choice(long_words),
+            lambda: rng.choice(blocked),
+        ])()
+
+    heads = ["", "7", "42", "-3", "A", "ZZ", "x", "-", "&", "/", "\n", ".", "=UA-1234-5"]
+    tails = ["", "UA-12345", "UA-1234-", "pub-", "pub-1234", "ca-", "G-", "GTM-", "x", "9", "Q", "/"]
+
+    def text():
+        parts = [ident() if rng.random() < 0.5 else rng.choice(heads)]
+        for _ in range(rng.randrange(3)):
+            parts.append(rng.choice(["?id=", "&tid=", " ", "/", "-", "x", "\n", "9"]))
+            parts.append(ident() if rng.random() < 0.5 else rng.choice(tails + heads))
+        parts.append(ident() if rng.random() < 0.5 else rng.choice(tails))
+        return "".join(parts)
+
+    records = []
+    for i in range(n):
+        domain = f"r{i}.example"
+        requests = tuple(rng.choice(["", text()]) if rng.random() < 0.2 else text()
+                         for _ in range(rng.randrange(6)))
+        cookies = tuple((rng.choice(["", text()]), rng.choice(["", text()]))
+                        for _ in range(rng.randrange(4)))
+        html = text() if rng.random() < 0.7 else ""
+        records.append(CrawlRecord(domain, f"https://{domain}/", domain, html, requests, cookies))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# Reference canonicalize: every URL's host through urlsplit and every IP
+# probe through ipaddress.
+# ---------------------------------------------------------------------------
+
+def canonicalize_reference(url_or_host, table=None):
+    if not isinstance(url_or_host, str) or not url_or_host.strip():
+        raise CanonicalizationError(f"empty or non-string input: {url_or_host!r}")
+    s = url_or_host.strip()
+    if "://" in s or s.startswith("//"):
+        try:
+            host = urlsplit(s).hostname
+        except ValueError as exc:
+            raise CanonicalizationError(f"unparseable URL: {s!r}") from exc
+        if not host:
+            raise CanonicalizationError(f"URL has no hostname: {s!r}")
+    else:
+        host = s.split("/")[0].rsplit("@", 1)[-1]
+        if host.startswith("[") and host.endswith("]"):
+            host = host[1:-1]
+        elif host.count(":") == 1:
+            host = host.split(":")[0]
+    host = host.lower().rstrip(".")
+    if not host:
+        raise CanonicalizationError(f"empty hostname in: {s!r}")
+    try:
+        ipaddress.ip_address(host)
+        return host
+    except ValueError:
+        pass
+    labels = host.split(".")
+    if any(not lab or " " in lab for lab in labels):
+        raise CanonicalizationError(f"malformed hostname: {host!r}")
+    return (table or default_suffix_table()).registrable_domain(host)
+
+
+def random_url_inputs(n, seed):
+    """n seeded landing URLs and hosts. A third are plain ``scheme://host``
+    URLs; the rest change one to three parts of one: upper-case or invalid
+    schemes, no scheme, userinfo, ports, IPv4 and IPv6 literals, IDN hosts,
+    trailing and doubled dots, and whitespace or control characters around
+    or inside the input. "?" and "#" often follow the host directly."""
+    rng = random.Random(seed)
+
+    def label():
+        return "".join(rng.choice("abcdefghijklmnopqrstuvwxyzABCXYZ0123456789-")
+                       for _ in range(rng.randrange(1, 9)))
+
+    def plain_host():
+        return ".".join(label() for _ in range(rng.randrange(1, 4))) + rng.choice(
+            [".example", ".co.uk", ".com", ".blogspot.com", ".ck", ""])
+
+    def odd_host():
+        return rng.choice([
+            lambda: rng.choice(["bücher.example", "例え.jp", "xn--bcher-kva.example",
+                                "ÄÖ.COM", "straße.de", "a\u3002b.com"]),
+            lambda: ".".join(str(rng.randrange(300)) for _ in range(4)),
+            lambda: rng.choice(["[::1]", "[2001:db8::1]", "::1", "[fe80::1%eth0]", "[::1",
+                                "::1]", "[v1.x]", "[1.2.3.4]"]),
+            lambda: label() + rng.choice(["..", ".", "...", ".. "]) + rng.choice(["com", "", "a.com"]),
+            lambda: rng.choice(["", ".", "..", "-", "_x.com", "a_b.com", "%41.com", "a b.com"]),
+        ])()
+
+    pads = [" ", "\t", "\n", "\r\n", "\x00", "\x1f", "\x0b", "\u3000", "\x7f", "\t\x00 "]
+    changes = {
+        "lead": lambda: rng.choice(pads),
+        "scheme": lambda: rng.choice(["1http", "-x", "", "h\ttp", "ht tp", "é", "+a", "HTTP"]),
+        "sep": lambda: rng.choice([":/", "//", ":///", ":", "", ":\\\\"]),
+        "userinfo": lambda: rng.choice(["user@", "u:p@", "@", "a@b@", "x.com@"]),
+        "host": odd_host,
+        "port": lambda: rng.choice([":80", ":", ":99999", ":abc", ":8080:"]),
+        "rest": lambda: rng.choice(["\\x", " tail", "\t/x", "\n/", ";p", "%2F", "/a b"]),
+        "trail": lambda: rng.choice(pads),
+    }
+
+    def url():
+        parts = dict.fromkeys(changes, "")
+        parts["scheme"] = rng.choice(["http", "https", "HTTP", "HtTpS", "ftp", "a+b-c.d"])
+        parts["sep"] = "://"
+        parts["host"] = plain_host()
+        parts["rest"] = rng.choice(["", "/", "/path/x", "?q=1", "#frag", "?", "#", "/?#"])
+        for part in rng.sample(list(changes), rng.choice([0, 1, 1, 2, 3])):
+            parts[part] = changes[part]()
+        return "".join(parts.values())
+
+    return [url() for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------

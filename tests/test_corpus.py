@@ -22,6 +22,7 @@ from adgraph.corpus import (
     parse_har,
     serialize_crawl_jsonl,
 )
+from helpers import canonicalize_reference, fixture_corpus, random_url_inputs
 
 
 # --- canonicalize -----------------------------------------------------------
@@ -83,6 +84,34 @@ def test_ip_gate_agrees_with_a_plain_parse():
     assert 300 < sum(map(_parses_as_ip, hosts)) < len(hosts) - 300  # both answers occur
     for host in hosts:
         assert _is_ip_literal(host) == _parses_as_ip(host), host
+
+
+def _outcome(canon, s):
+    try:
+        return canon(s)
+    except CanonicalizationError as exc:
+        return ("error", str(exc))
+
+
+def test_canonicalize_matches_urlsplit_reference():
+    named = [
+        "HTTP://A.EXAMPLE/", "HtTpS://News.Example.CO.UK", "1http://a.example/", "-x://a.example/",
+        "//a.example/x", "http://user@a.example/", "http://u:p@a.example:8080/",
+        "http://a.example:8080/", "http://1.2.3.4/", "http://1.2.3.4.", "http://[::1]/",
+        "http://[::1", "http://bücher.example/", "http://xn--bcher-kva.example",
+        "http://a.example./", "http://a..example/", "http://a.example../", "http://...",
+        "http://a.example?x=1", "http://a.example#top", " http://a.example/ ",
+        "\x00http://a.example/", "http://a.example/\x00", "\thttp://a.example\n",
+        "http://a.exa\tmple/", "http://a.example\\x", "http://_a.example/",
+    ]
+    inputs = named + [rec.landing_url for rec in fixture_corpus()[0]] + random_url_inputs(4000, 17)
+    outcomes = []
+    for s in inputs:
+        outcome = _outcome(canonicalize, s)
+        assert outcome == _outcome(canonicalize_reference, s), repr(s)
+        outcomes.append(outcome)
+    errors = sum(isinstance(o, tuple) for o in outcomes)
+    assert 500 < errors < len(inputs) - 500  # both answers occur
 
 
 def test_url_host_reduction():
@@ -300,9 +329,10 @@ def test_load_rank_list_duplicate_last_wins(tmp_path, caplog):
 
 def test_load_rank_list_malformed_row(tmp_path):
     path = tmp_path / "ranks.csv"
-    for text in ("one,a.example\n", "1,a.example\n0,b.example\n"):
+    for text, row in (("one,a.example\n", 1), ("1,a.example\n0,b.example\n", 2),
+                      ("1,a.example\n²,b.example\n", 2)):
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(FormatError, match="row"):
+        with pytest.raises(FormatError, match=rf"ranks\.csv: .*row {row}\b"):
             load_rank_list(path)
 
 

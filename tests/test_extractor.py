@@ -26,10 +26,13 @@ from adgraph.extractor import (
     summarize_extraction,
 )
 from helpers import (
+    extract_profile_reference,
     make_profile,
     profile_from_json_obj_reference,
     profile_to_json_obj_reference,
     random_profiles,
+    random_scan_records,
+    scan_record_reference,
     scan_text_oracle,
 )
 
@@ -227,6 +230,28 @@ def test_scan_record_raw_matches_pattern(dictionary, blocklist):
     rec = _record(html="pub-123456789 UA-1234-5 G-AB12345 GTM-XYZ999")
     for hit in scan_record(rec, dictionary, blocklist):
         assert PATTERNS[hit.kind].fullmatch(hit.raw)
+
+
+def test_channel_scan_matches_per_text_reference(dictionary, blocklist):
+    extra = {"pub-999999999", "UA-55555-5"}  # blocklisted values of the numeric kinds
+    blocklist = blocklist | extra
+    blocked = sorted(extra) + sorted(blocklist)[:30]
+    records = random_scan_records(500, 23, sorted(dictionary), blocked)
+    dropped, tracking_channels = set(), set()
+    for rec in records:
+        hits = scan_record(rec, dictionary, blocklist)
+        assert hits == scan_record_reference(rec, dictionary, blocklist), rec
+        profile = extract_profile(rec, dictionary, blocklist)
+        reference = extract_profile_reference(rec, dictionary, blocklist)
+        assert profile == reference, rec
+        assert list(profile.keys) == list(reference.keys)
+        assert list(profile.raw_counts) == list(reference.raw_counts)
+        unfiltered = scan_record_reference(rec, frozenset(), frozenset())
+        dropped |= {h.raw for h in unfiltered} - {h.raw for h in hits}
+        tracking_channels.update(len(profile.sources[key]) for key in profile.keys_for(IdKind.TRACKING))
+    # the records exercise both filters and a Tracking key seen in every channel
+    assert dropped & set(blocked) and any(v.split("-", 1)[1].lower() in dictionary for v in dropped)
+    assert 3 in tracking_channels
 
 
 # --- extract_profile --------------------------------------------------------
