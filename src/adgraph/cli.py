@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -595,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract_flags.add_argument(
         "--threads",
         type=_at_least(1),
-        default=os.environ.get("ADGRAPH_THREADS", "1"),
+        default=1,
         help="accepted and echoed in the config; extraction runs serially",
     )
     graph_flags = argparse.ArgumentParser(add_help=False)
@@ -709,6 +708,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # history reads a snapshot directory's profiles under this one name.
+        if getattr(args, "snapshot_id", None) and Path(args.out).name != "profiles.jsonl":
+            parser.error("--snapshot-id needs --out to name a profiles.jsonl file")
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     logging.basicConfig(

@@ -14,7 +14,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .graphs import Edge, Metagraph, _by_size, _component_of, _components
 
@@ -30,47 +30,42 @@ class Partition:
     modularity: Fraction
     dendrogram: tuple[Edge, ...] = ()
 
-    @property
-    def sizes(self) -> list[int]:
-        return [len(c) for c in self.communities]
 
+def _modularity_term(mg: Metagraph) -> Callable[[Collection[str]], Fraction]:
+    """The modularity term of one community of ``mg``: its internal weight
+    over the total, less the squared share of the edge ends it holds.
 
-def _community_term(internal: Fraction, degree: Fraction, total: Fraction) -> Fraction:
-    """One community's share of modularity: its internal weight over the
-    total, less the squared share of the edge ends it holds."""
-    return internal / total - (degree / (2 * total)) ** 2
+    Node strengths and each node's edges to larger nodes are built once, so
+    a term costs as much as its community's edges. Members must be nodes of
+    ``mg`` and support ``in``.
+    """
+    total = mg.total_weight()
+    strength = dict.fromkeys(mg.nodes, Fraction(0))
+    upper: dict[str, list[tuple[str, Fraction]]] = {n: [] for n in mg.nodes}
+    for (u, v), w in mg.weights.items():
+        strength[u] += w
+        strength[v] += w
+        upper[u].append((v, w))
+
+    def term(members: Collection[str]) -> Fraction:
+        if total == 0:
+            return Fraction(0)
+        internal = sum((w for u in members for v, w in upper[u] if v in members), Fraction(0))
+        degree = sum((strength[u] for u in members), Fraction(0))
+        return internal / total - (degree / (2 * total)) ** 2
+
+    return term
 
 
 def modularity(mg: Metagraph, communities: Iterable[frozenset[str]]) -> Fraction:
     """Weighted Newman modularity of a node partition, as an exact rational.
 
     Zero for the trivial one-community partition and for edgeless graphs.
-    Nodes outside every community contribute nothing.
+    Nodes outside every community, and community members that are not
+    nodes of ``mg``, contribute nothing.
     """
-    total = mg.total_weight()
-    if total == 0:
-        return Fraction(0)
-    community_of: dict[str, int] = {}
-    n_communities = 0
-    for idx, community in enumerate(communities):
-        for node in community:
-            community_of[node] = idx
-        n_communities = idx + 1
-    internal = [Fraction(0)] * n_communities
-    degree_sum = [Fraction(0)] * n_communities
-    for (u, v), w in mg.weights.items():
-        cu = community_of.get(u)
-        cv = community_of.get(v)
-        if cu is not None:
-            degree_sum[cu] += w
-        if cv is not None:
-            degree_sum[cv] += w
-        if cu is not None and cu == cv:
-            internal[cu] += w
-    return sum(
-        (_community_term(internal[idx], degree_sum[idx], total) for idx in range(n_communities)),
-        Fraction(0),
-    )
+    term = _modularity_term(mg)
+    return sum((term(mg.nodes.intersection(c)) for c in communities), Fraction(0))
 
 
 def prune_edges(mg: Metagraph, top_fraction: float = 0.05) -> Metagraph:
@@ -221,21 +216,7 @@ def girvan_newman(
         return Partition(communities=(), modularity=Fraction(0))
     adj = mg.adjacency()
     distances = _distances(mg, weighted_paths)
-    total = mg.total_weight()
-    strength = dict.fromkeys(mg.nodes, Fraction(0))
-    upper: dict[str, list[tuple[str, Fraction]]] = {n: [] for n in mg.nodes}
-    for (u, v), w in mg.weights.items():
-        strength[u] += w
-        strength[v] += w
-        upper[u].append((v, w))
-
-    def term(members: frozenset[str]) -> Fraction:
-        if total == 0:
-            return Fraction(0)
-        internal = sum((w for u in members for v, w in upper[u] if v in members), Fraction(0))
-        degree = sum((strength[u] for u in members), Fraction(0))
-        return _community_term(internal, degree, total)
-
+    term = _modularity_term(mg)
     # The current parts, each with its modularity term.
     terms = {part: term(part) for part in _components(adj)}
     q = sum(terms.values(), Fraction(0))

@@ -28,6 +28,14 @@ class FormatError(ValueError):
     """Structurally invalid input file (e.g. a HAR without log.entries)."""
 
 
+def _read_data_file(path: str | Path | None, default_name: str) -> str:
+    """The text of ``path``, or of the packaged data file ``default_name``
+    when ``path`` is None."""
+    if path is None:
+        return resources.files("adgraph.data").joinpath(default_name).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # Public suffix handling
 # ---------------------------------------------------------------------------
@@ -58,15 +66,7 @@ class PublicSuffixTable:
     @classmethod
     def load(cls, path: str | Path | None = None) -> "PublicSuffixTable":
         """Load from ``path``, or from the packaged snapshot when omitted."""
-        if path is None:
-            text = (
-                resources.files("adgraph.data")
-                .joinpath("public_suffix_list.dat")
-                .read_text(encoding="utf-8")
-            )
-        else:
-            text = Path(path).read_text(encoding="utf-8")
-        return cls(text.splitlines())
+        return cls(_read_data_file(path, "public_suffix_list.dat").splitlines())
 
     def _suffix_length(self, labels: tuple[str, ...]) -> int:
         """Number of trailing labels forming the public suffix."""
@@ -196,13 +196,16 @@ def _record_from_obj(obj: dict, table: PublicSuffixTable | None) -> CrawlRecord:
     if not isinstance(requests, list) or any(not isinstance(u, str) for u in requests):
         raise ValueError("'requests' is not an array of strings")
     raw_cookies = obj.get("cookies", [])
-    cookies = []
-    for c in raw_cookies if isinstance(raw_cookies, list) else ():
-        if not isinstance(c, dict) or "name" not in c or "value" not in c:
-            raise ValueError("cookie entries need 'name' and 'value'")
-        cookies.append((str(c["name"]), str(c["value"])))
     if not isinstance(raw_cookies, list):
         raise ValueError("'cookies' is not an array")
+    cookies = []
+    for c in raw_cookies:
+        if not isinstance(c, dict) or "name" not in c or "value" not in c:
+            raise ValueError("cookie entries need 'name' and 'value'")
+        name, value = c["name"], c["value"]
+        if not isinstance(name, str) or not isinstance(value, str):
+            raise ValueError("cookie 'name' and 'value' must be strings")
+        cookies.append((name, value))
     rank = obj.get("rank")
     if rank is not None and (not isinstance(rank, int) or isinstance(rank, bool) or rank < 1):
         raise ValueError("'rank' must be a positive integer")

@@ -26,12 +26,11 @@ import enum
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .corpus import CrawlRecord, FormatError
+from .corpus import CrawlRecord, FormatError, _read_data_file
 
 
 class IdKind(enum.Enum):
@@ -132,12 +131,6 @@ def load_blocklist(path: str | Path | None = None) -> frozenset[str]:
         if line and not line.startswith("#"):
             values.add(line)
     return frozenset(values)
-
-
-def _read_data_file(path: str | Path | None, default_name: str) -> str:
-    if path is None:
-        return resources.files("adgraph.data").joinpath(default_name).read_text(encoding="utf-8")
-    return Path(path).read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +305,13 @@ class SiteIdProfile:
         return cls(landing_domain=obj["domain"], keys=keys, sources=sources, raw_counts=raw_counts)
 
 
-def extract_profile(
-    record: CrawlRecord,
+def _fold_profile(
+    records: Sequence[CrawlRecord],
     dictionary: frozenset[str] | set[str],
     blocklist: frozenset[str] | set[str],
 ) -> SiteIdProfile:
-    """Aggregate one record's ``scan_record`` hits into canonical keys.
+    """Aggregate the filtered matches of records that share a landing
+    domain into one profile of canonical keys.
 
     raw_counts tally every filtered match occurrence per kind, before
     canonical merging.
@@ -325,43 +319,29 @@ def extract_profile(
     found: dict[IdKind, set[str]] = {}
     sources: dict[str, frozenset[Source]] = {}
     counts: dict[IdKind, int] = {}
-    for source, kind, values in _matches(record, dictionary, blocklist):
-        counts[kind] = counts.get(kind, 0) + len(values)
-        if kind is IdKind.TRACKING:
-            values = [canonical_key(value, kind) for value in values]
-        found.setdefault(kind, set()).update(values)
-        for key in values:
-            sources[key] = _WITH_SOURCE[sources.get(key, _NO_SOURCES), source]
+    for record in records:
+        for source, kind, values in _matches(record, dictionary, blocklist):
+            counts[kind] = counts.get(kind, 0) + len(values)
+            if kind is IdKind.TRACKING:
+                values = [canonical_key(value, kind) for value in values]
+            found.setdefault(kind, set()).update(values)
+            for key in values:
+                sources[key] = _WITH_SOURCE[sources.get(key, _NO_SOURCES), source]
     return SiteIdProfile(
-        landing_domain=record.landing_domain,
+        landing_domain=records[0].landing_domain,
         keys={kind: frozenset(found[kind]) for kind in _KINDS_BY_NAME if kind in found},
         sources=sources,
         raw_counts={kind: counts[kind] for kind in _KINDS_BY_NAME if kind in counts},
     )
 
 
-def merge_profiles(profiles: Iterable[SiteIdProfile]) -> SiteIdProfile:
-    """Union profiles that share a landing domain (deterministic merge)."""
-    profiles = list(profiles)
-    domain = profiles[0].landing_domain
-    keys: dict[IdKind, set[str]] = {}
-    sources: dict[str, set[Source]] = {}
-    raw_counts: dict[IdKind, int] = {}
-    for p in profiles:
-        if p.landing_domain != domain:
-            raise ValueError("cannot merge profiles of different domains")
-        for kind, ks in p.keys.items():
-            keys.setdefault(kind, set()).update(ks)
-        for key, srcs in p.sources.items():
-            sources.setdefault(key, set()).update(srcs)
-        for kind, n in p.raw_counts.items():
-            raw_counts[kind] = raw_counts.get(kind, 0) + n
-    return SiteIdProfile(
-        landing_domain=domain,
-        keys={k: frozenset(v) for k, v in keys.items()},
-        sources={k: frozenset(v) for k, v in sources.items()},
-        raw_counts=raw_counts,
-    )
+def extract_profile(
+    record: CrawlRecord,
+    dictionary: frozenset[str] | set[str],
+    blocklist: frozenset[str] | set[str],
+) -> SiteIdProfile:
+    """Aggregate one record's ``scan_record`` hits into canonical keys."""
+    return _fold_profile((record,), dictionary, blocklist)
 
 
 def extract_profiles(
@@ -372,26 +352,23 @@ def extract_profiles(
 ) -> list[SiteIdProfile]:
     """Extract per-site profiles for a whole corpus, sorted by domain.
 
-    Records sharing a landing domain are merged. Extraction runs serially:
-    the scan is Python work that holds the interpreter lock. Empty profiles
-    are dropped unless ``keep_empty``.
+    Records sharing a landing domain fold into one profile. Extraction runs
+    serially: the scan is Python work that holds the interpreter lock.
+    Empty profiles are dropped unless ``keep_empty``.
     """
     if dictionary is None:
         dictionary = load_dictionary()
     if blocklist is None:
         blocklist = load_blocklist()
-    by_domain: dict[str, list[SiteIdProfile]] = {}
+    by_domain: dict[str, list[CrawlRecord]] = {}
     for record in records:
-        by_domain.setdefault(record.landing_domain, []).append(
-            extract_profile(record, dictionary, blocklist)
-        )
-    merged = [
-        group[0] if len(group) == 1 else merge_profiles(group)
-        for _, group in sorted(by_domain.items())
+        by_domain.setdefault(record.landing_domain, []).append(record)
+    profiles = [
+        _fold_profile(group, dictionary, blocklist) for _, group in sorted(by_domain.items())
     ]
     if keep_empty:
-        return merged
-    return [p for p in merged if not p.is_empty()]
+        return profiles
+    return [p for p in profiles if not p.is_empty()]
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +393,7 @@ class ExtractionSummary:
     def to_json_obj(self) -> dict:
         return {
             "corpus_size": self.corpus_size,
-            "kinds": {
-                kind.value: {
-                    "unique_ids": ks.unique_ids,
-                    "unique_sites": ks.unique_sites,
-                    "pct_of_sites": ks.pct_of_sites,
-                    "pct_in_html": ks.pct_in_html,
-                    "pct_in_requests": ks.pct_in_requests,
-                    "pct_in_cookies": ks.pct_in_cookies,
-                }
-                for kind, ks in self.kinds.items()
-            },
+            "kinds": {kind.value: asdict(ks) for kind, ks in self.kinds.items()},
         }
 
 

@@ -9,7 +9,7 @@ and the category-sampling richness baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -104,14 +104,7 @@ class PowerLawFit:
     lr_p_value: float | None = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "xmin": self.xmin,
-            "ks_stat": self.ks_stat,
-            "n_tail": self.n_tail,
-            "lr_statistic": self.lr_statistic,
-            "lr_p_value": self.lr_p_value,
-        }
+        return asdict(self)
 
 
 def _fit_alpha(tail_log_sum: float, n: int, xmin: int) -> float:
@@ -217,7 +210,7 @@ class RegressionFit:
     r_squared: float
 
     def to_json_obj(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept, "r_squared": self.r_squared}
+        return asdict(self)
 
 
 def linear_fit(points: Sequence[tuple[float, float]]) -> RegressionFit:

@@ -252,6 +252,9 @@ def test_exit_codes(tmp_path, crawl_file):
         ["report", "--in", str(crawl_file), "--out-dir", str(out), "--trials", "0"],
         ["stats", "popularity", "--profiles", "p.jsonl", "--site-ranks", "r.csv",
          "--max-size", "2", "--out", str(out / "pop.csv")],
+        # history could not load a snapshot whose profiles have another name
+        ["extract", "--in", str(crawl_file), "--out", str(out / "p.jsonl"),
+         "--snapshot-id", "2020-01"],
     ):
         assert run(argv) == 2
         assert not out.exists()
@@ -273,12 +276,12 @@ def test_rerun_is_byte_identical(crawl_file, tmp_path):
     assert a == b
 
 
-def test_env_var_thread_fallback(crawl_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("ADGRAPH_THREADS", "3")
+def test_threads_default_ignores_the_environment(crawl_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("ADGRAPH_THREADS", "0")
     out = tmp_path / "profiles.jsonl"
     assert run(["extract", "--in", str(crawl_file), "--out", str(out)]) == 0
     echo = json.loads((tmp_path / "config_extract.json").read_text(encoding="utf-8"))
-    assert echo["parameters"]["threads"] == 3
+    assert echo["parameters"]["threads"] == 1
 
 
 def test_report_runs_the_stage_commands(crawl_file, tmp_path):

@@ -183,10 +183,16 @@ def test_parse_empty_line_is_one_skip():
 
 
 def test_parse_malformed_lines_do_not_abort():
-    stream = io.StringIO("\n".join([_line(), "{not json", _line(domain=5), _line(rank=-1)]))
+    stream = io.StringIO("\n".join([
+        _line(), "{not json", _line(domain=5), _line(rank=-1),
+        # no cookie name or value is read from a repr: {'x': 'UA-1234-5'} holds no ID
+        _line(cookies=[{"name": None, "value": {"x": "UA-1234-5"}}]),
+        _line(cookies=[{"name": "sid", "value": 5}]),
+    ]))
     result = parse_crawl_jsonl(stream)
     assert len(result.records) == 1
-    assert [line_no for line_no, _ in result.skips] == [2, 3, 4]
+    assert [line_no for line_no, _ in result.skips] == [2, 3, 4, 5, 6]
+    assert result.skips[-1][1] == "cookie 'name' and 'value' must be strings"
 
 
 def test_parse_unparseable_landing_falls_back_to_domain():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import random
@@ -21,7 +22,6 @@ from adgraph.extractor import (
     filter_keywords,
     flag_anomalies,
     load_profiles,
-    merge_profiles,
     scan_text,
     summarize_extraction,
 )
@@ -322,9 +322,11 @@ def test_extract_profiles_merges_two_records_of_one_domain(dictionary, blocklist
                      requests=["https://x.example/?client=ca-pub-111111111&tid=UA-1111-3"])
     other = _record(domain="b.example", html="G-AB12345")
     profiles = extract_profiles([first, other, second], dictionary, blocklist)
+    joined = _record(html=first.page_text + "\n" + second.page_text,
+                     requests=first.request_urls + second.request_urls,
+                     cookies=first.cookies + second.cookies)
     assert profiles == [
-        merge_profiles([extract_profile(first, dictionary, blocklist),
-                        extract_profile(second, dictionary, blocklist)]),
+        extract_profile(joined, dictionary, blocklist),
         extract_profile(other, dictionary, blocklist),
     ]
     merged = profiles[0]
@@ -334,6 +336,29 @@ def test_extract_profiles_merges_two_records_of_one_domain(dictionary, blocklist
                               "UA-1111": {Source.HTML, Source.COOKIE, Source.REQUEST},
                               "GTM-XYZ999": {Source.HTML}}
     assert merged.raw_counts == {IdKind.PUBLISHER: 3, IdKind.TRACKING: 3, IdKind.CONTAINER: 1}
+
+
+def test_extract_profiles_folds_random_groups_like_one_joined_record(dictionary, blocklist):
+    """Records of one landing domain give the profile of a single record
+    holding all their channels: newline-joined HTML, every request URL and
+    every cookie."""
+    blocked = sorted(blocklist)[:20]
+    records = [dataclasses.replace(rec, landing_domain=f"d{i % 9}.example")
+               for i, rec in enumerate(random_scan_records(120, 41, sorted(dictionary), blocked))]
+    groups = {}
+    for rec in records:
+        groups.setdefault(rec.landing_domain, []).append(rec)
+    expected = [
+        extract_profile(
+            CrawlRecord(group[0].requested_domain, group[0].landing_url, domain,
+                        "\n".join(r.page_text for r in group),
+                        tuple(u for r in group for u in r.request_urls),
+                        tuple(c for r in group for c in r.cookies)),
+            dictionary, blocklist)
+        for domain, group in sorted(groups.items())
+    ]
+    assert extract_profiles(records, dictionary, blocklist, keep_empty=True) == expected
+    assert all(len(group) > 1 for group in groups.values())
 
 
 def test_extract_profiles_merges_same_landing(dictionary, blocklist):
