@@ -15,8 +15,8 @@ from adgraph import (
     build_metagraph,
     community_size_distribution,
     connected_components,
-    exclude_intermediaries,
     girvan_newman,
+    intermediary_keys,
     prune_edges,
 )
 from adgraph.extractor import IdKind, SiteIdProfile, Source
@@ -49,12 +49,13 @@ for component in connected_components(graphs[IdFamily.ANALYTICS]):
     print("  analytics component:", sorted(component.members))
 
 # Intermediary platforms (one ID across hundreds of client sites) drown
-# the ownership signal; exclude_intermediaries strips keys that exceed a
-# site-count threshold before projection.
+# the ownership signal; intermediary_keys finds the keys that exceed a
+# site-count threshold, and build_bipartite leaves them out.
 blog_platform = [profile(f"blog{i:03d}.example", tracking={"UA-5555"}) for i in range(300)]
-kept = exclude_intermediaries(profiles + blog_platform, threshold=100)
-print("\nintermediary key removed:",
-      all("UA-5555" not in p.keys_for(IdKind.TRACKING) for p in kept))
+excluded = intermediary_keys(profiles + blog_platform, threshold=100)
+print("\nintermediary keys excluded:", sorted(excluded))
+analytics = build_bipartite(profiles + blog_platform, IdFamily.ANALYTICS, excluded)
+print("analytics sites left:", sorted(analytics.site_to_keys))
 
 # Community detection on a graph with two obvious clusters joined by a
 # weak bridge. Pruning keeps the heaviest edges (ties at the boundary all

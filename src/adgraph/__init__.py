@@ -23,7 +23,6 @@ from .corpus import (
 from .extractor import (
     ExtractionSummary,
     IdKind,
-    IdentifierHit,
     SiteIdProfile,
     Source,
     canonical_key,
@@ -36,7 +35,6 @@ from .extractor import (
     load_blocklist,
     load_dictionary,
     load_profiles,
-    scan_record,
     scan_text,
     summarize_extraction,
 )
@@ -48,8 +46,8 @@ from .graphs import (
     build_bipartite,
     build_metagraph,
     connected_components,
-    exclude_intermediaries,
     family_normalizers,
+    intermediary_keys,
 )
 from .communities import (
     Partition,

@@ -53,8 +53,8 @@ from .graphs import (
     connected_components,
     dump_bipartite_csv,
     dump_metagraph_csv,
-    exclude_intermediaries,
     family_normalizers,
+    intermediary_keys,
     load_metagraph_csv,
     _read_table,
 )
@@ -208,9 +208,8 @@ def _graph_stage(
     normalizers = None
     if normalizer_mode == "pre-exclusion":
         normalizers = family_normalizers(profiles)
-    if not keep_intermediaries:
-        profiles = exclude_intermediaries(profiles, threshold)
-    graphs = {family: build_bipartite(profiles, family) for family in FAMILY_ORDER}
+    excluded = frozenset() if keep_intermediaries else intermediary_keys(profiles, threshold)
+    graphs = {family: build_bipartite(profiles, family, excluded) for family in FAMILY_ORDER}
     metagraph = build_metagraph(
         graphs[IdFamily.PUBLISHER],
         graphs[IdFamily.ANALYTICS],

@@ -288,8 +288,9 @@ def parse_har(source: str | Path | IO[str], table: PublicSuffixTable | None = No
 
     page_text is the body of the first successful (2xx) text/html response;
     request_urls lists every entry's request URL; cookies are the union of
-    response cookie pairs. A HAR without entries is a FormatError; a HAR
-    without a document response yields an empty page_text.
+    response cookie pairs, skipping any cookie that is not an object with a
+    string name and a string value. A HAR without entries is a FormatError;
+    a HAR without a document response yields an empty page_text.
     """
     if hasattr(source, "read"):
         data = json.load(source)
@@ -320,7 +321,10 @@ def parse_har(source: str | Path | IO[str], table: PublicSuffixTable | None = No
             landing_url = url
             page_text = content.get("text", "") or ""
         for c in response.get("cookies", []):
-            pair = (str(c.get("name", "")), str(c.get("value", "")))
+            if not (isinstance(c, dict) and isinstance(c.get("name"), str)
+                    and isinstance(c.get("value"), str)):
+                continue  # as in crawl JSONL, a cookie needs a string name and value
+            pair = (c["name"], c["value"])
             if pair not in seen_cookies:
                 seen_cookies.add(pair)
                 cookies.append(pair)

@@ -134,21 +134,8 @@ def load_blocklist(path: str | Path | None = None) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Validated hits and per-site profiles
+# Per-site profiles
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdentifierHit:
-    """One validated identifier value on one site: the raw match, its kind,
-    the canonical key it maps to, every channel it appeared in, and how
-    many times it occurred across those channels."""
-
-    raw: str
-    kind: IdKind
-    canonical: str
-    sources: frozenset[Source]
-    count: int
-
 
 def _matches(
     record: CrawlRecord,
@@ -180,28 +167,6 @@ def _matches(
                     yield source, kind, values
 
 
-def scan_record(
-    record: CrawlRecord,
-    dictionary: frozenset[str] | set[str],
-    blocklist: frozenset[str] | set[str],
-) -> list[IdentifierHit]:
-    """Filtered identifier hits for one record's page text, request URLs,
-    and cookie names and values: one hit per raw value, ordered by
-    (kind, raw)."""
-    sources: dict[RawMatch, set[Source]] = {}
-    counts: dict[RawMatch, int] = {}
-    for source, kind, values in _matches(record, dictionary, blocklist):
-        for value in values:
-            match = (value, kind)
-            sources.setdefault(match, set()).add(source)
-            counts[match] = counts.get(match, 0) + 1
-    return [
-        IdentifierHit(raw=value, kind=kind, canonical=canonical_key(value, kind),
-                      sources=frozenset(srcs), count=counts[value, kind])
-        for (value, kind), srcs in sorted(sources.items(), key=lambda kv: (kv[0][1].value, kv[0][0]))
-    ]
-
-
 # The profile JSON codec works from these tables, so it runs no Enum code
 # per profile: each kind with its JSON name, and each of the 8 source
 # combinations as its sorted JSON names, mapped to one shared frozenset and
@@ -220,7 +185,7 @@ _WITH_SOURCE: dict[tuple[frozenset[Source], Source], frozenset[Source]] = {
     for combo in _SOURCE_NAMES
     for source in Source
 }
-# Kinds enter a profile in name order, the order of scan_record's hits.
+# Kinds enter a profile in name order, whichever channel finds them first.
 _KINDS_BY_NAME: tuple[IdKind, ...] = tuple(sorted(KIND_ORDER, key=lambda kind: kind.value))
 _NO_ENTRIES: dict = {}  # the default of a missing JSON object; never written to
 
@@ -340,7 +305,7 @@ def extract_profile(
     dictionary: frozenset[str] | set[str],
     blocklist: frozenset[str] | set[str],
 ) -> SiteIdProfile:
-    """Aggregate one record's ``scan_record`` hits into canonical keys."""
+    """Aggregate one record's filtered matches into canonical keys."""
     return _fold_profile((record,), dictionary, blocklist)
 
 

@@ -125,10 +125,16 @@ def _shared_keys(key_to_sites: Mapping[str, Collection[str]]) -> int:
     return sum(1 for sites in key_to_sites.values() if len(sites) > 1)
 
 
-def build_bipartite(profiles: Sequence[SiteIdProfile], family: IdFamily) -> BipartiteGraph:
+def build_bipartite(
+    profiles: Sequence[SiteIdProfile], family: IdFamily, excluded: Collection[str] = ()
+) -> BipartiteGraph:
     """One site node per profile with at least one key in the family, one id
-    node per distinct canonical key, one edge per (site, key) pair."""
+    node per distinct canonical key, one edge per (site, key) pair. Keys in
+    ``excluded`` (see ``intermediary_keys``) are left out, with any site
+    that carries no other key of the family."""
     key_to_sites = _sites_by_key(profiles, KINDS_OF_FAMILY[family])
+    for key in excluded:
+        key_to_sites.pop(key, None)
     site_to_keys: dict[str, set[str]] = {}
     for key, sites in key_to_sites.items():
         for site in sites:
@@ -236,36 +242,17 @@ def build_metagraph(
     return mg
 
 
-def exclude_intermediaries(
-    profiles: Sequence[SiteIdProfile], threshold: float = 100
-) -> list[SiteIdProfile]:
-    """Strip canonical keys present on more than ``threshold`` sites.
+def intermediary_keys(profiles: Sequence[SiteIdProfile], threshold: float = 100) -> frozenset[str]:
+    """The canonical keys present on more than ``threshold`` sites.
 
     Intermediary monetization platforms place one ID across hundreds of
-    client sites; their keys drown the co-ownership signal. Profiles keep
-    their identity (possibly with no keys left); graph construction ignores
-    keyless sites.
+    client sites; their keys drown the co-ownership signal, so the pipeline
+    passes this set to ``build_bipartite`` as ``excluded``.
     """
     if threshold < 2:
         raise ValueError("threshold must be >= 2")
     by_key = _sites_by_key(profiles, KIND_ORDER)
-    heavy = {key for key, sites in by_key.items() if len(sites) > threshold}
-    if not heavy:
-        return list(profiles)
-    out = []
-    for p in profiles:
-        keys = {kind: frozenset(ks - heavy) for kind, ks in p.keys.items()}
-        keys = {kind: ks for kind, ks in keys.items() if ks}
-        kept = {k for ks in keys.values() for k in ks}
-        out.append(
-            SiteIdProfile(
-                landing_domain=p.landing_domain,
-                keys=keys,
-                sources={k: s for k, s in p.sources.items() if k in kept},
-                raw_counts=dict(p.raw_counts),
-            )
-        )
-    return out
+    return frozenset(key for key, sites in by_key.items() if len(sites) > threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -25,7 +26,6 @@ from scipy.special import zeta
 from adgraph.corpus import CanonicalizationError, CrawlRecord, default_suffix_table
 from adgraph.extractor import (
     KIND_ORDER,
-    IdentifierHit,
     IdKind,
     SiteIdProfile,
     Source,
@@ -176,11 +176,25 @@ def scan_text_oracle(text):
 
 
 # ---------------------------------------------------------------------------
-# Reference extraction: one scan per text. The library scans each channel's
-# texts joined by a separator; both must give the same hits and profiles.
+# Reference extraction: one scan per text, one hit per raw value. The
+# library scans each channel's texts joined by a separator and folds the
+# matches straight into a profile; both must give the same profiles.
 # ---------------------------------------------------------------------------
 
+class Hit(NamedTuple):
+    """One filtered identifier value of a record: the raw match, its kind,
+    its canonical key, every channel it appeared in, and its occurrences."""
+
+    raw: str
+    kind: IdKind
+    canonical: str
+    sources: frozenset
+    count: int
+
+
 def scan_record_reference(record, dictionary, blocklist):
+    """One ``Hit`` per filtered raw value of the record, ordered by
+    (kind name, raw)."""
     sources, counts = {}, {}
     channels = [
         (Source.HTML, (record.page_text,)),
@@ -195,8 +209,8 @@ def scan_record_reference(record, dictionary, blocklist):
                 sources.setdefault(match, set()).add(source)
                 counts[match] = counts.get(match, 0) + 1
     return [
-        IdentifierHit(raw=value, kind=kind, canonical=canonical_key(value, kind),
-                      sources=frozenset(srcs), count=counts[value, kind])
+        Hit(raw=value, kind=kind, canonical=canonical_key(value, kind),
+            sources=frozenset(srcs), count=counts[value, kind])
         for (value, kind), srcs in sorted(sources.items(), key=lambda kv: (kv[0][1].value, kv[0][0]))
     ]
 
@@ -353,7 +367,8 @@ def random_url_inputs(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# Metagraph oracle: triple loop over (family, key, site pair)
+# Metagraph oracle: triple loop over (family, key, site pair), and exclusion
+# by rebuilding every profile
 # ---------------------------------------------------------------------------
 
 def brute_force_metagraph(profiles, normalizers=None):
@@ -378,6 +393,26 @@ def brute_force_metagraph(profiles, normalizers=None):
             for u, v in itertools.combinations(sorted(sites), 2):
                 weights[(u, v)] = weights.get((u, v), Fraction(0)) + Fraction(1, n)
     return nodes, weights
+
+
+def exclude_intermediaries_reference(profiles, threshold):
+    """The profiles rebuilt without the keys carried by more than
+    ``threshold`` sites, each key's carriers counted over every profile."""
+    all_keys = {key for p in profiles for keys in p.keys.values() for key in keys}
+    heavy = {
+        key for key in all_keys
+        if len({p.landing_domain for p in profiles
+                if any(key in keys for keys in p.keys.values())}) > threshold
+    }
+    return [
+        SiteIdProfile(
+            landing_domain=p.landing_domain,
+            keys={kind: keys - heavy for kind, keys in p.keys.items() if keys - heavy},
+            sources={key: s for key, s in p.sources.items() if key not in heavy},
+            raw_counts=dict(p.raw_counts),
+        )
+        for p in profiles
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from adgraph.graphs import (
     IdFamily,
     build_bipartite,
     build_metagraph,
-    exclude_intermediaries,
+    intermediary_keys,
 )
 from adgraph.history import (
     PublisherClass,
@@ -309,8 +309,8 @@ def test_criterion_10_scale_smoke():
         assert len(parsed.records) == 100_000
         records = dedup_by_landing(parsed.records)
         profiles = extract_profiles(records, load_dictionary(), load_blocklist())
-        reduced = exclude_intermediaries(profiles, 100)
-        bgs = {f: build_bipartite(reduced, f) for f in FAMILY_ORDER}
+        excluded = intermediary_keys(profiles, 100)
+        bgs = {f: build_bipartite(profiles, f, excluded) for f in FAMILY_ORDER}
         mg = build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS],
                              bgs[IdFamily.CONTAINER])
         pruned = prune_edges(mg, 0.05)

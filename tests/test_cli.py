@@ -13,9 +13,24 @@ import pytest
 import adgraph.cli
 from adgraph.cli import run
 from adgraph.corpus import serialize_crawl_jsonl
-from adgraph.extractor import dump_profiles
+from adgraph.extractor import dump_profiles, load_profiles
+from adgraph.graphs import (
+    FAMILY_ORDER,
+    IdFamily,
+    build_bipartite,
+    build_metagraph,
+    dump_bipartite_csv,
+    dump_metagraph_csv,
+    family_normalizers,
+)
 from adgraph.history import save_snapshot
-from helpers import first_pair_only_snapshots, fixture_corpus, make_profile, scale_corpus_lines
+from helpers import (
+    exclude_intermediaries_reference,
+    first_pair_only_snapshots,
+    fixture_corpus,
+    make_profile,
+    scale_corpus_lines,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,19 +146,37 @@ def test_stats_powerlaw_components(crawl_file, tmp_path):
 
 
 def test_graph_normalizer_and_intermediary_flags(crawl_file, tmp_path):
-    profiles = _extract(crawl_file, tmp_path)
-    for extra, name in (
-        (["--keep-intermediaries"], "keep"),
-        (["--normalizer-mode", "pre-exclusion"], "pre"),
-        (["--intermediary-threshold", "2"], "strict"),
+    """Each flag set writes the graphs of the profiles rebuilt by
+    ``exclude_intermediaries_reference``, projected by the library."""
+    profiles_path = _extract(crawl_file, tmp_path)
+    profiles = load_profiles(profiles_path)
+    for name, extra, threshold in (  # threshold None: keep every key
+        ("dflt", [], 100),
+        ("keep", ["--keep-intermediaries"], None),
+        ("pre", ["--normalizer-mode", "pre-exclusion"], 100),
+        ("strict", ["--intermediary-threshold", "2"], 2),
     ):
-        assert run(["graph", "--profiles", str(profiles),
-                    "--out-dir", str(tmp_path / name), *extra]) == 0
+        out_dir = tmp_path / name
+        assert run(["graph", "--profiles", str(profiles_path), "--out-dir", str(out_dir),
+                    *extra]) == 0
+        kept = (profiles if threshold is None
+                else exclude_intermediaries_reference(profiles, threshold))
+        bgs = {f: build_bipartite(kept, f) for f in FAMILY_ORDER}
+        normalizers = family_normalizers(profiles) if "pre-exclusion" in extra else None
+        mg = build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS],
+                             bgs[IdFamily.CONTAINER], normalizers=normalizers)
+        for family, bg in bgs.items():
+            expected = io.StringIO()
+            dump_bipartite_csv(bg, expected)
+            written = (out_dir / f"bipartite_{family.value}.csv").read_text(encoding="utf-8")
+            assert written == expected.getvalue(), (name, family)
+        expected = io.StringIO()
+        dump_metagraph_csv(mg, expected)
+        written = (out_dir / "metagraph.csv").read_text(encoding="utf-8")
+        assert written == expected.getvalue(), name
     # threshold 2 strips pub-777777777 (3 sites), so its pair edges vanish
     strict = (tmp_path / "strict" / "metagraph.csv").read_text(encoding="utf-8")
-    default_dir = tmp_path / "dflt"
-    assert run(["graph", "--profiles", str(profiles), "--out-dir", str(default_dir)]) == 0
-    default = (default_dir / "metagraph.csv").read_text(encoding="utf-8")
+    default = (tmp_path / "dflt" / "metagraph.csv").read_text(encoding="utf-8")
     assert "site12.example" in default and "site12.example" not in strict
 
 

@@ -22,6 +22,7 @@ from adgraph.corpus import (
     parse_har,
     serialize_crawl_jsonl,
 )
+from adgraph.extractor import IdKind, extract_profile
 from helpers import canonicalize_reference, fixture_corpus, random_url_inputs
 
 
@@ -276,6 +277,21 @@ def test_har_cookie_union():
         _entry("https://a.example/x.js", cookies=[("s", "1"), ("t", "2")]),
     ]))
     assert rec.cookies == (("s", "1"), ("t", "2"))
+
+
+def test_har_skips_cookies_without_string_name_and_value():
+    entry = _entry("https://a.example/", mime="text/html", text="x")
+    entry["response"]["cookies"] = [{"name": None, "value": {"x": "UA-1234-5"}}]
+    rec = parse_har(_har([entry]))
+    assert rec.cookies == ()
+    assert extract_profile(rec, frozenset(), frozenset()).is_empty()
+    entry["response"]["cookies"] += [
+        "UA-1111-1", {"value": "UA-2222-1"}, {"name": "sid", "value": 7},
+        {"name": "ok", "value": "UA-3333-1"},
+    ]
+    rec = parse_har(_har([entry]))
+    assert rec.cookies == (("ok", "UA-3333-1"),)
+    assert extract_profile(rec, frozenset(), frozenset()).keys == {IdKind.TRACKING: {"UA-3333"}}
 
 
 # --- dedup_by_landing -------------------------------------------------------

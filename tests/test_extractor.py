@@ -14,7 +14,6 @@ from adgraph.extractor import (
     SiteIdProfile,
     Source,
     canonical_key,
-    scan_record,
     dump_profiles,
     extract_profile,
     extract_profiles,
@@ -198,38 +197,41 @@ def test_canonical_tracking_shape(dictionary, blocklist):
         assert pattern.match(key)
 
 
-# --- scan_record (hit-level view) -------------------------------------------
+# --- filtered matches -> profile keys, sources and raw_counts ----------------
 
-def test_scan_record_hits(dictionary, blocklist):
+def test_profile_drops_word_and_merges_tracking_values(dictionary, blocklist):
     rec = _record(html="UA-1111-1 G-BACKPACK", cookies=[("sid", "UA-1111-2")])
-    hits = scan_record(rec, dictionary, blocklist)
-    assert [(h.raw, h.canonical) for h in hits] == [
-        ("UA-1111-1", "UA-1111"),
-        ("UA-1111-2", "UA-1111"),
-    ]
-    assert hits[0].sources == {Source.HTML}
-    assert hits[1].sources == {Source.COOKIE}
-    assert all(h.sources for h in hits)
+    profile = extract_profile(rec, dictionary, blocklist)
+    assert profile.keys == {IdKind.TRACKING: {"UA-1111"}}
+    assert profile.sources == {"UA-1111": {Source.HTML, Source.COOKIE}}
+    assert profile.raw_counts == {IdKind.TRACKING: 2}
+    assert profile == extract_profile_reference(rec, dictionary, blocklist)
 
 
-def test_scan_record_counts_every_occurrence(dictionary, blocklist):
+def test_profile_raw_counts_every_occurrence(dictionary, blocklist):
     rec = _record(html="UA-1111-1 UA-1111-1 G-BACKPACK",
                   requests=["https://x.example/?tid=UA-1111-1&id=G-AB12345"],
                   cookies=[("UA-1111-1", "UA-1111-2")])
-    hits = scan_record(rec, dictionary, blocklist)
-    assert [(h.raw, h.count, h.sources) for h in hits] == [
-        ("G-AB12345", 1, {Source.REQUEST}),
-        ("UA-1111-1", 4, {Source.HTML, Source.REQUEST, Source.COOKIE}),
-        ("UA-1111-2", 1, {Source.COOKIE}),
-    ]
+    profile = extract_profile(rec, dictionary, blocklist)
+    assert profile.keys == {IdKind.TRACKING: {"UA-1111"}, IdKind.MEASUREMENT: {"G-AB12345"}}
+    assert profile.sources == {"UA-1111": {Source.HTML, Source.REQUEST, Source.COOKIE},
+                               "G-AB12345": {Source.REQUEST}}
+    assert profile.raw_counts == {IdKind.TRACKING: 5, IdKind.MEASUREMENT: 1}
+    assert profile == extract_profile_reference(rec, dictionary, blocklist)
 
 
-def test_scan_record_raw_matches_pattern(dictionary, blocklist):
+def test_profile_keys_match_patterns(dictionary, blocklist):
     from adgraph.extractor import PATTERNS
 
     rec = _record(html="pub-123456789 UA-1234-5 G-AB12345 GTM-XYZ999")
-    for hit in scan_record(rec, dictionary, blocklist):
-        assert PATTERNS[hit.kind].fullmatch(hit.raw)
+    profile = extract_profile(rec, dictionary, blocklist)
+    assert profile.keys == {IdKind.PUBLISHER: {"pub-123456789"}, IdKind.TRACKING: {"UA-1234"},
+                            IdKind.MEASUREMENT: {"G-AB12345"}, IdKind.CONTAINER: {"GTM-XYZ999"}}
+    for kind, keys in profile.keys.items():
+        if kind is not IdKind.TRACKING:  # Tracking keys are account prefixes
+            assert all(PATTERNS[kind].fullmatch(key) for key in keys)
+    assert profile.raw_counts == dict.fromkeys(profile.keys, 1)
+    assert profile == extract_profile_reference(rec, dictionary, blocklist)
 
 
 def test_channel_scan_matches_per_text_reference(dictionary, blocklist):
@@ -239,13 +241,12 @@ def test_channel_scan_matches_per_text_reference(dictionary, blocklist):
     records = random_scan_records(500, 23, sorted(dictionary), blocked)
     dropped, tracking_channels = set(), set()
     for rec in records:
-        hits = scan_record(rec, dictionary, blocklist)
-        assert hits == scan_record_reference(rec, dictionary, blocklist), rec
         profile = extract_profile(rec, dictionary, blocklist)
         reference = extract_profile_reference(rec, dictionary, blocklist)
         assert profile == reference, rec
         assert list(profile.keys) == list(reference.keys)
         assert list(profile.raw_counts) == list(reference.raw_counts)
+        hits = scan_record_reference(rec, dictionary, blocklist)
         unfiltered = scan_record_reference(rec, frozenset(), frozenset())
         dropped |= {h.raw for h in unfiltered} - {h.raw for h in hits}
         tracking_channels.update(len(profile.sources[key]) for key in profile.keys_for(IdKind.TRACKING))
@@ -298,7 +299,7 @@ def test_extraction_deterministic(dictionary, blocklist):
 def test_profile_is_aggregate_of_hits(corpus50, dictionary, blocklist):
     records, _ = corpus50
     for rec in records:
-        hits = scan_record(rec, dictionary, blocklist)
+        hits = scan_record_reference(rec, dictionary, blocklist)
         profile = extract_profile(rec, dictionary, blocklist)
         keys, sources, raw_counts = {}, {}, {}
         for h in hits:

@@ -18,18 +18,18 @@ from adgraph.graphs import (
     connected_components,
     dump_bipartite_csv,
     dump_metagraph_csv,
-    exclude_intermediaries,
     family_normalizers,
+    intermediary_keys,
     load_bipartite_csv,
     load_metagraph_csv,
 )
 from adgraph.history import Snapshot
 from adgraph.stats import publisher_sizes
-from helpers import brute_force_metagraph, make_profile
+from helpers import brute_force_metagraph, exclude_intermediaries_reference, make_profile
 
 
-def _graphs(profiles, normalizers=None):
-    bgs = {f: build_bipartite(profiles, f) for f in FAMILY_ORDER}
+def _graphs(profiles, normalizers=None, excluded=()):
+    bgs = {f: build_bipartite(profiles, f, excluded) for f in FAMILY_ORDER}
     return build_metagraph(
         bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS], bgs[IdFamily.CONTAINER],
         normalizers=normalizers,
@@ -215,10 +215,11 @@ def test_key_walks_match_brute_counts_on_random_corpora():
             r.key: r.size for r in publisher_sizes(bipartite)
         }
         for threshold in range(2, len(profiles) + 1):
-            reduced = exclude_intermediaries(profiles, threshold)
-            assert [p.landing_domain for p in reduced] == [p.landing_domain for p in profiles]
-            kept = {key for p in reduced for keys in p.keys.values() for key in keys}
-            assert all_keys - kept == {k for k in all_keys if len(carriers(k)) > threshold}
+            heavy = intermediary_keys(profiles, threshold)
+            assert heavy == {k for k in all_keys if len(carriers(k)) > threshold}
+            reduced = exclude_intermediaries_reference(profiles, threshold)
+            for f in FAMILY_ORDER:
+                assert build_bipartite(profiles, f, heavy) == build_bipartite(reduced, f)
 
 
 def test_metagraph_weight_sum_identity():
@@ -247,35 +248,46 @@ def test_metagraph_pre_exclusion_normalizers():
     ]
     pre = family_normalizers(profiles)
     assert pre[IdFamily.ANALYTICS] == 2
-    reduced = exclude_intermediaries(profiles, threshold=3)
+    excluded = intermediary_keys(profiles, threshold=3)
+    assert excluded == {"UA-1000"}
     # projected mode: only UA-2000 is still multi-site -> weight 1
-    assert _graphs(reduced).weight("x.example", "y.example") == Fraction(1)
+    assert _graphs(profiles, excluded=excluded).weight("x.example", "y.example") == Fraction(1)
     # pre-exclusion mode: n stays 2 -> weight 1/2
-    assert _graphs(reduced, normalizers=pre).weight("x.example", "y.example") == Fraction(1, 2)
+    mg = _graphs(profiles, normalizers=pre, excluded=excluded)
+    assert mg.weight("x.example", "y.example") == Fraction(1, 2)
 
 
-# --- exclude_intermediaries -------------------------------------------------
+# --- intermediary_keys and build_bipartite(excluded=...) --------------------
 
 def test_exclude_strips_heavy_key_everywhere():
     profiles = [make_profile(f"s{i:03d}.example", tracking={"UA-1000"}) for i in range(150)]
-    out = exclude_intermediaries(profiles, threshold=100)
-    assert all(not p.keys_for(IdKind.TRACKING) for p in out)
+    profiles.append(make_profile("t.example", tracking={"UA-1000", "UA-2000"}))
+    excluded = intermediary_keys(profiles, threshold=100)
+    assert excluded == {"UA-1000"}
+    bg = build_bipartite(profiles, IdFamily.ANALYTICS, excluded)
+    assert bg.site_to_keys == {"t.example": {"UA-2000"}}
+    assert bg.key_to_sites == {"UA-2000": {"t.example"}}
 
 
 def test_exclude_keeps_key_at_threshold():
     profiles = [make_profile(f"s{i:03d}.example", tracking={"UA-1000"}) for i in range(100)]
-    out = exclude_intermediaries(profiles, threshold=100)
-    assert all(p.keys_for(IdKind.TRACKING) == {"UA-1000"} for p in out)
+    excluded = intermediary_keys(profiles, threshold=100)
+    assert excluded == frozenset()
+    bg = build_bipartite(profiles, IdFamily.ANALYTICS, excluded)
+    assert bg.key_to_sites == {"UA-1000": {p.landing_domain for p in profiles}}
 
 
 def test_exclude_infinite_threshold_is_identity():
     profiles = [make_profile(f"s{i}.example", tracking={"UA-1000"}) for i in range(5)]
-    assert exclude_intermediaries(profiles, threshold=math.inf) == profiles
+    excluded = intermediary_keys(profiles, threshold=math.inf)
+    assert excluded == frozenset()
+    for f in FAMILY_ORDER:
+        assert build_bipartite(profiles, f, excluded) == build_bipartite(profiles, f)
 
 
 def test_exclude_rejects_low_threshold():
     with pytest.raises(ValueError):
-        exclude_intermediaries([], threshold=1)
+        intermediary_keys([], threshold=1)
 
 
 # --- CSV dumps --------------------------------------------------------------
