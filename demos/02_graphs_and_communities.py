@@ -60,18 +60,16 @@ print("analytics sites left:", sorted(analytics.site_to_keys))
 # Community detection on a graph with two obvious clusters joined by a
 # weak bridge. Pruning keeps the heaviest edges (ties at the boundary all
 # survive), then Girvan-Newman cuts the bridge first.
+# Metagraph.from_weights takes exact weights keyed by (u, v) with u < v.
 from adgraph.graphs import Metagraph
 
-mg2 = Metagraph()
 cluster_edges = [
     ("r1.example", "r2.example"), ("r2.example", "r3.example"), ("r1.example", "r3.example"),
     ("s1.example", "s2.example"), ("s2.example", "s3.example"), ("s1.example", "s3.example"),
 ]
-for u, v in cluster_edges:
-    mg2.nodes.update((u, v))
-    mg2.weights[(min(u, v), max(u, v))] = Fraction(1)
-mg2.weights[("r3.example", "s1.example")] = Fraction(1, 10)  # weak bridge
-mg2.nodes.update(("r3.example", "s1.example"))
+weights = {edge: Fraction(1) for edge in cluster_edges}
+weights[("r3.example", "s1.example")] = Fraction(1, 10)  # weak bridge
+mg2 = Metagraph.from_weights(weights)
 
 pruned = prune_edges(mg2, top_fraction=1.0)  # keep everything for the demo
 partition = girvan_newman(pruned)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import sys
@@ -572,133 +573,176 @@ def _cmd_report(args: argparse.Namespace) -> None:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _LazySubcommands(argparse._SubParsersAction):
+    """Subcommands whose arguments are added only once one is chosen, so a
+    run builds the parser of its own subcommand and not the others."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._fill: dict[str, Callable[[], None]] = {}
+
+    def lazy(self, name: str, **kwargs) -> Callable[[Callable], Callable]:
+        """Decorator: add subcommand ``name``; the decorated function adds
+        its arguments to its parser when ``name`` is parsed."""
+
+        def register(fill: Callable[[argparse.ArgumentParser], None]) -> Callable:
+            self._fill[name] = functools.partial(fill, self.add_parser(name, **kwargs))
+            return fill
+
+        return register
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        fill = self._fill.pop(values[0], None)  # argparse checked the name
+        if fill is not None:
+            fill()
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _extract_flags(p: argparse.ArgumentParser) -> None:
+    """Flags that report shares with extract."""
+    p.add_argument("--in", dest="infile", required=True, help="crawl JSONL input")
+    p.add_argument("--dict", default=None, help="dictionary file (default: packaged)")
+    p.add_argument("--blocklist", default=None, help="keyword blocklist file (default: packaged)")
+    p.add_argument("--ranks", default=None, help="rank,domain CSV keyed by requested domain")
+    p.add_argument(
+        "--threads",
+        type=_at_least(1),
+        default=1,
+        help="accepted and echoed in the config; extraction runs serially",
+    )
+
+
+def _graph_flags(p: argparse.ArgumentParser) -> None:
+    """Flags that report shares with graph."""
+    p.add_argument("--intermediary-threshold", type=_at_least(2, float), default=100)
+    p.add_argument(
+        "--normalizer-mode",
+        choices=["projected", "pre-exclusion"],
+        default="projected",
+        help="population over which the 1/n weights are computed",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adgraph",
         description="Detect website administration from publisher-specific IDs.",
     )
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_LazySubcommands)
 
-    # Flags that report shares with extract, graph and communities.
-    extract_flags = argparse.ArgumentParser(add_help=False)
-    extract_flags.add_argument("--in", dest="infile", required=True, help="crawl JSONL input")
-    extract_flags.add_argument("--dict", default=None, help="dictionary file (default: packaged)")
-    extract_flags.add_argument(
-        "--blocklist", default=None, help="keyword blocklist file (default: packaged)"
-    )
-    extract_flags.add_argument(
-        "--ranks", default=None, help="rank,domain CSV keyed by requested domain"
-    )
-    extract_flags.add_argument(
-        "--threads",
-        type=_at_least(1),
-        default=1,
-        help="accepted and echoed in the config; extraction runs serially",
-    )
-    graph_flags = argparse.ArgumentParser(add_help=False)
-    graph_flags.add_argument("--intermediary-threshold", type=_at_least(2, float), default=100)
-    graph_flags.add_argument(
-        "--normalizer-mode",
-        choices=["projected", "pre-exclusion"],
-        default="projected",
-        help="population over which the 1/n weights are computed",
-    )
-    communities_flags = argparse.ArgumentParser(add_help=False)
-    communities_flags.add_argument("--top-fraction", type=_fraction, default=0.05)
+    @sub.lazy("extract", help="crawl JSONL -> profiles JSONL + summary")
+    def extract(p: argparse.ArgumentParser) -> None:
+        _extract_flags(p)
+        p.add_argument("--out", required=True, help="profiles JSONL output path")
+        p.add_argument("--snapshot-id", default=None, help="also write manifest.json with this id")
+        p.add_argument("--anomaly-threshold", type=_at_least(1), default=_ANOMALY_THRESHOLD)
+        p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("extract", parents=[extract_flags],
-                       help="crawl JSONL -> profiles JSONL + summary")
-    p.add_argument("--out", required=True, help="profiles JSONL output path")
-    p.add_argument("--snapshot-id", default=None, help="also write manifest.json with this id")
-    p.add_argument("--anomaly-threshold", type=_at_least(1), default=_ANOMALY_THRESHOLD)
-    p.set_defaults(func=_cmd_extract)
+    @sub.lazy("graph", help="profiles -> bipartite + metagraph CSV dumps")
+    def graph(p: argparse.ArgumentParser) -> None:
+        _graph_flags(p)
+        p.add_argument("--profiles", required=True)
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--keep-intermediaries", action="store_true")
+        p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("graph", parents=[graph_flags],
-                       help="profiles -> bipartite + metagraph CSV dumps")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--keep-intermediaries", action="store_true")
-    p.set_defaults(func=_cmd_graph)
+    @sub.lazy("communities", help="metagraph -> prune -> Girvan-Newman")
+    def communities(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--top-fraction", type=_fraction, default=0.05)
+        p.add_argument("--metagraph", required=True, help="metagraph edge CSV")
+        p.add_argument("--max-communities", type=_at_least(1), default=None)
+        p.add_argument("--weighted-paths", action="store_true")
+        p.add_argument("--out-dir", required=True)
+        p.set_defaults(func=_cmd_communities)
 
-    p = sub.add_parser("communities", parents=[communities_flags],
-                       help="metagraph -> prune -> Girvan-Newman")
-    p.add_argument("--metagraph", required=True, help="metagraph edge CSV")
-    p.add_argument("--max-communities", type=_at_least(1), default=None)
-    p.add_argument("--weighted-paths", action="store_true")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_communities)
+    @sub.lazy("stats", help="distributional analyses")
+    def stats(p: argparse.ArgumentParser) -> None:
+        topics = p.add_subparsers(dest="topic", required=True, action=_LazySubcommands)
 
-    stats = sub.add_parser("stats", help="distributional analyses")
-    stats_sub = stats.add_subparsers(dest="topic", required=True)
+        @topics.lazy("ids", help="per-site identifier count histogram")
+        def ids(p: argparse.ArgumentParser) -> None:
+            p.add_argument("--profiles", required=True)
+            p.add_argument("--out", required=True)
+            p.set_defaults(func=_cmd_stats_ids)
 
-    p = stats_sub.add_parser("ids", help="per-site identifier count histogram")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stats_ids)
+        @topics.lazy("sizes", help="publisher portfolio sizes")
+        def sizes(p: argparse.ArgumentParser) -> None:
+            p.add_argument("--profiles", required=True)
+            p.add_argument(
+                "--site-ranks", default=None, help="rank,domain CSV keyed by landing domain"
+            )
+            p.add_argument("--family", choices=[f.value for f in FAMILY_ORDER], default="publisher")
+            p.add_argument("--out", required=True)
+            p.set_defaults(func=_cmd_stats_sizes)
 
-    p = stats_sub.add_parser("sizes", help="publisher portfolio sizes")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--site-ranks", default=None, help="rank,domain CSV keyed by landing domain")
-    p.add_argument("--family", choices=[f.value for f in FAMILY_ORDER], default="publisher")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stats_sizes)
+        @topics.lazy("powerlaw", help="power-law fit + LR test")
+        def powerlaw(p: argparse.ArgumentParser) -> None:
+            p.add_argument("--profiles", required=True)
+            p.add_argument("--family", choices=[f.value for f in FAMILY_ORDER], default="publisher")
+            p.add_argument(
+                "--population", choices=["publishers", "components"], default="publishers"
+            )
+            p.add_argument("--out", required=True)
+            p.set_defaults(func=_cmd_stats_powerlaw)
 
-    p = stats_sub.add_parser("powerlaw", help="power-law fit + LR test")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--family", choices=[f.value for f in FAMILY_ORDER], default="publisher")
-    p.add_argument("--population", choices=["publishers", "components"], default="publishers")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stats_powerlaw)
+        @topics.lazy("popularity", help="rank vs publisher size")
+        def popularity(p: argparse.ArgumentParser) -> None:
+            p.add_argument("--profiles", required=True)
+            p.add_argument("--site-ranks", required=True)
+            # The fit needs three size buckets, and sizes above --max-size share one.
+            p.add_argument("--max-size", type=_at_least(3), default=None)
+            p.add_argument("--out", required=True)
+            p.set_defaults(func=_cmd_stats_popularity)
 
-    p = stats_sub.add_parser("popularity", help="rank vs publisher size")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--site-ranks", required=True)
-    # The fit needs three size buckets, and sizes above --max-size share one.
-    p.add_argument("--max-size", type=_at_least(3), default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stats_popularity)
+        @topics.lazy("categories", help="category histogram of Publisher-bearing sites")
+        def categories(p: argparse.ArgumentParser) -> None:
+            p.add_argument("--profiles", required=True)
+            p.add_argument("--categories", required=True)
+            p.add_argument("--out", required=True)
+            p.set_defaults(func=_cmd_stats_categories)
 
-    p = stats_sub.add_parser("categories", help="category histogram of Publisher-bearing sites")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--categories", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stats_categories)
+        @topics.lazy("diversity", help="Shannon diversity per community")
+        def diversity(p: argparse.ArgumentParser) -> None:
+            p.add_argument("--communities", required=True, help="community_id,site CSV")
+            p.add_argument("--categories", required=True)
+            p.add_argument("--out", required=True)
+            p.set_defaults(func=_cmd_stats_diversity)
 
-    p = stats_sub.add_parser("diversity", help="Shannon diversity per community")
-    p.add_argument("--communities", required=True, help="community_id,site CSV")
-    p.add_argument("--categories", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stats_diversity)
+        @topics.lazy("poisson", help="random-sampling richness baseline")
+        def poisson(p: argparse.ArgumentParser) -> None:
+            p.add_argument("--categories", required=True)
+            p.add_argument("--size", type=_at_least(1), required=True)
+            p.add_argument("--trials", type=_at_least(1), default=10000)
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--out", required=True)
+            p.set_defaults(func=_cmd_stats_poisson)
 
-    p = stats_sub.add_parser("poisson", help="random-sampling richness baseline")
-    p.add_argument("--categories", required=True)
-    p.add_argument("--size", type=_at_least(1), required=True)
-    p.add_argument("--trials", type=_at_least(1), default=10000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stats_poisson)
+    @sub.lazy("history", help="longitudinal snapshot analyses")
+    def history(p: argparse.ArgumentParser) -> None:
+        topics = p.add_subparsers(dest="topic", required=True, action=_LazySubcommands)
+        for name in _HISTORY_ROWS:
 
-    history = sub.add_parser("history", help="longitudinal snapshot analyses")
-    history_sub = history.add_subparsers(dest="topic", required=True)
+            @topics.lazy(name)
+            def topic(p: argparse.ArgumentParser, name: str = name) -> None:
+                p.add_argument("--snapshots", nargs="+", required=True, help="snapshot directories")
+                p.add_argument("--out", required=True)
+                if name == "transitions":
+                    p.add_argument("--per-pair-universe", action="store_true")
+                if name == "top":
+                    p.add_argument("--k", type=_at_least(1), default=10)
+                p.set_defaults(func=_cmd_history)
 
-    for name in _HISTORY_ROWS:
-        p = history_sub.add_parser(name)
-        p.add_argument("--snapshots", nargs="+", required=True, help="snapshot directories")
-        p.add_argument("--out", required=True)
-        if name == "transitions":
-            p.add_argument("--per-pair-universe", action="store_true")
-        if name == "top":
-            p.add_argument("--k", type=_at_least(1), default=10)
-        p.set_defaults(func=_cmd_history)
-
-    p = sub.add_parser("report", parents=[extract_flags, graph_flags, communities_flags],
-                       help="full pipeline into one directory")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--categories", default=None)
-    p.add_argument("--trials", type=_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_report)
+    @sub.lazy("report", help="full pipeline into one directory")
+    def report(p: argparse.ArgumentParser) -> None:
+        _extract_flags(p)
+        _graph_flags(p)
+        p.add_argument("--top-fraction", type=_fraction, default=0.05)
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--categories", default=None)
+        p.add_argument("--trials", type=_at_least(1), default=1000)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.set_defaults(func=_cmd_report)
 
     return parser
 

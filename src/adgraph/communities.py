@@ -31,30 +31,32 @@ class Partition:
     dendrogram: tuple[Edge, ...] = ()
 
 
-def _modularity_term(mg: Metagraph) -> Callable[[Collection[str]], Fraction]:
-    """The modularity term of one community of ``mg``: its internal weight
-    over the total, less the squared share of the edge ends it holds.
+def _modularity_term(mg: Metagraph) -> tuple[Callable[[Collection[str]], int], int]:
+    """The modularity term of one community of ``mg`` as an integer over a
+    scale that the graph fixes, returned with that scale.
 
-    Node strengths and each node's edges to larger nodes are built once, so
-    a term costs as much as its community's edges. Members must be nodes of
-    ``mg`` and support ``in``.
+    With t the total, i the community's internal and s the summed node
+    strength of its members, each an integer numerator of ``mg``, the term
+    i/t - (s/2t)^2 is (4ti - s^2) / 4t^2, so the terms of one graph add
+    as integers. Node strengths and each node's edges to larger nodes are
+    built once, so a term costs as much as its community's edges. Members
+    must be nodes of ``mg`` and support ``in``.
     """
-    total = mg.total_weight()
-    strength = dict.fromkeys(mg.nodes, Fraction(0))
-    upper: dict[str, list[tuple[str, Fraction]]] = {n: [] for n in mg.nodes}
-    for (u, v), w in mg.weights.items():
-        strength[u] += w
-        strength[v] += w
-        upper[u].append((v, w))
+    total = sum(mg.numerators.values())
+    strength = dict.fromkeys(mg.nodes, 0)
+    upper: dict[str, list[tuple[str, int]]] = {n: [] for n in mg.nodes}
+    for (u, v), a in mg.numerators.items():
+        strength[u] += a
+        strength[v] += a
+        upper[u].append((v, a))
 
-    def term(members: Collection[str]) -> Fraction:
-        if total == 0:
-            return Fraction(0)
-        internal = sum((w for u in members for v, w in upper[u] if v in members), Fraction(0))
-        degree = sum((strength[u] for u in members), Fraction(0))
-        return internal / total - (degree / (2 * total)) ** 2
+    def term(members: Collection[str]) -> int:
+        internal = sum(a for u in members for v, a in upper[u] if v in members)
+        degree = sum(map(strength.__getitem__, members))
+        return 4 * total * internal - degree * degree
 
-    return term
+    # An edgeless graph has only zero terms.
+    return term, 4 * total * total or 1
 
 
 def modularity(mg: Metagraph, communities: Iterable[frozenset[str]]) -> Fraction:
@@ -64,8 +66,8 @@ def modularity(mg: Metagraph, communities: Iterable[frozenset[str]]) -> Fraction
     Nodes outside every community, and community members that are not
     nodes of ``mg``, contribute nothing.
     """
-    term = _modularity_term(mg)
-    return sum((term(mg.nodes.intersection(c)) for c in communities), Fraction(0))
+    term, scale = _modularity_term(mg)
+    return Fraction(sum(term(mg.nodes.intersection(c)) for c in communities), scale)
 
 
 def prune_edges(mg: Metagraph, top_fraction: float = 0.05) -> Metagraph:
@@ -73,14 +75,18 @@ def prune_edges(mg: Metagraph, top_fraction: float = 0.05) -> Metagraph:
     all survive; degree-0 nodes are dropped afterwards."""
     if not 0 < top_fraction <= 1:
         raise ValueError("top_fraction must be in (0, 1]")
-    if not mg.weights:
-        return Metagraph(normalizers=dict(mg.normalizers))
+    if not mg.numerators:
+        return Metagraph(denominator=mg.denominator, normalizers=dict(mg.normalizers))
     # From the decimal the caller wrote: in float, 0.07 * 100 rounds up to 8.
-    k = math.ceil(Fraction(str(top_fraction)) * len(mg.weights))
-    cutoff = sorted(mg.weights.values(), reverse=True)[k - 1]
-    kept = {e: w for e, w in mg.weights.items() if w >= cutoff}
-    nodes = {n for e in kept for n in e}
-    return Metagraph(nodes=nodes, weights=kept, normalizers=dict(mg.normalizers))
+    k = math.ceil(Fraction(str(top_fraction)) * len(mg.numerators))
+    cutoff = sorted(mg.numerators.values(), reverse=True)[k - 1]
+    kept = {e: a for e, a in mg.numerators.items() if a >= cutoff}
+    return Metagraph(
+        nodes={n for e in kept for n in e},
+        numerators=kept,
+        denominator=mg.denominator,
+        normalizers=dict(mg.normalizers),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +97,9 @@ def _brandes_component(
     adj: Adjacency,
     nodes: Collection[str],
     distances: Mapping[str, Mapping[str, int]] | None = None,
-) -> dict[Edge, Fraction]:
-    """Edge betweenness restricted to one component's node set.
+) -> tuple[dict[Edge, int], int]:
+    """Edge betweenness restricted to one component's node set, as integer
+    tallies and the one denominator they share.
 
     Each unordered node pair contributes, once, the fraction of its
     shortest paths crossing the edge. ``distances`` switches from hop
@@ -103,7 +110,7 @@ def _brandes_component(
     L/sigma[w] + the sum of D over w's successors, and edge (v, w) gains
     sigma[v] * D[w], that is sigma[v]/sigma[w] * (1 + delta[w]) times L.
     When a source brings a sigma that does not divide L, L and the tallies
-    grow by the missing factor. Each edge's tally becomes a Fraction once.
+    grow by the missing factor.
     """
     edges = [(u, v) for u in nodes for v in adj[u] if u < v]
     tally = dict.fromkeys(edges, 0)
@@ -155,22 +162,23 @@ def _brandes_component(
                 tally[(v, w) if v < w else (w, v)] += sigma[v] * dep
                 below[v] += dep
     # Each unordered pair was seen from both endpoints, hence the 2.
-    return {e: Fraction(x, 2 * scale) for e, x in tally.items()}
+    return tally, 2 * scale
 
 
 def _distances(mg: Metagraph, weighted: bool) -> dict[str, dict[str, int]] | None:
     """Inverse edge weights as distances by node and neighbour, or None for
     the hop metric.
 
-    Every distance is multiplied by one common factor that makes it an
-    integer, which changes no comparison and no tie between path lengths.
+    Every distance is multiplied by one common factor, lcm(numerators) /
+    denominator, that makes it an integer; that changes no comparison and
+    no tie between path lengths.
     """
     if not weighted:
         return None
-    scale = math.lcm(*(w.numerator for w in mg.weights.values()))
+    scale = math.lcm(*mg.numerators.values())
     out: dict[str, dict[str, int]] = {n: {} for n in mg.nodes}
-    for (u, v), w in mg.weights.items():
-        out[u][v] = out[v][u] = w.denominator * (scale // w.numerator)
+    for (u, v), a in mg.numerators.items():
+        out[u][v] = out[v][u] = scale // a
     return out
 
 
@@ -184,7 +192,8 @@ def edge_betweenness(mg: Metagraph, weighted: bool = False) -> dict[Edge, Fracti
     distances = _distances(mg, weighted)
     scores: dict[Edge, Fraction] = {}
     for members in _components(adj):
-        scores.update(_brandes_component(adj, members, distances))
+        tally, denominator = _brandes_component(adj, members, distances)
+        scores.update((e, Fraction(x, denominator)) for e, x in tally.items())
     return scores
 
 
@@ -216,30 +225,40 @@ def girvan_newman(
         return Partition(communities=(), modularity=Fraction(0))
     adj = mg.adjacency()
     distances = _distances(mg, weighted_paths)
-    term = _modularity_term(mg)
-    # The current parts, each with its modularity term.
+    term, scale = _modularity_term(mg)
+    # The current parts, each with its modularity term (over scale).
     terms = {part: term(part) for part in _components(adj)}
-    q = sum(terms.values(), Fraction(0))
+    q = sum(terms.values())
     # Strictly-greater comparison keeps the earliest partition on ties.
     best_q, best_parts, best_removals = q, tuple(terms), 0
     removals: list[Edge] = []
     if max_communities is None or len(terms) < max_communities:
         # One entry per component with edges: its top edge by (-score,
         # edge), so the heap's first entry is the graph's. Only the popped
-        # component changes in a round, so no entry ever goes stale.
-        heap: list[tuple[Fraction, Edge]] = []
+        # component changes in a round, so no entry ever goes stale. The
+        # score is keyed as (its rounded float, itself): rounding keeps
+        # order, so only equal floats compare the exact Fractions, and
+        # equal scores share one Fraction, which compares by identity.
+        heap: list[tuple[float, Fraction, Edge]] = []
+        exact_of: dict[tuple[int, int], Fraction] = {}  # lowest terms -> -score
 
         def push_top_edges(components: Iterable[frozenset[str]]) -> None:
             for members in components:
-                scores = _brandes_component(adj, members, distances)
-                if scores:
-                    top = max(scores.values())
-                    edge = min(e for e, score in scores.items() if score == top)
-                    heapq.heappush(heap, (-top, edge))
+                if len(members) < 2:  # no edge to score
+                    continue
+                tally, denominator = _brandes_component(adj, members, distances)
+                top = max(tally.values())
+                edge = min(e for e, x in tally.items() if x == top)
+                g = math.gcd(top, denominator)
+                key = (top // g, denominator // g)
+                exact = exact_of.get(key)
+                if exact is None:
+                    exact = exact_of[key] = Fraction(-key[0], key[1])
+                heapq.heappush(heap, (-top / denominator, exact, edge))
 
         push_top_edges(terms)
         while heap:
-            _, (u, v) = heapq.heappop(heap)
+            _, _, (u, v) = heapq.heappop(heap)
             adj[u].discard(v)
             adj[v].discard(u)
             removals.append((u, v))
@@ -259,7 +278,9 @@ def girvan_newman(
             push_top_edges(affected)
 
     return Partition(
-        tuple(sorted(best_parts, key=_by_size)), best_q, tuple(removals[:best_removals])
+        tuple(sorted(best_parts, key=_by_size)),
+        Fraction(best_q, scale),
+        tuple(removals[:best_removals]),
     )
 
 

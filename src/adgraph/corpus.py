@@ -40,6 +40,9 @@ def _read_data_file(path: str | Path | None, default_name: str) -> str:
 # Public suffix handling
 # ---------------------------------------------------------------------------
 
+_EXACT, _WILDCARD, _EXCEPTION = 1, 2, 4  # rule kinds of one suffix, as bits
+
+
 class PublicSuffixTable:
     """Public-suffix rules in the standard list format.
 
@@ -48,48 +51,61 @@ class PublicSuffixTable:
     """
 
     def __init__(self, rules: Iterable[str]):
-        self._exact: set[tuple[str, ...]] = set()
-        self._wildcard: set[tuple[str, ...]] = set()  # labels after the "*."
-        self._exception: set[tuple[str, ...]] = set()
+        # Dotted suffix -> the kinds of rule written for it ("*.foo" is a
+        # wildcard on "foo", "!a.foo" an exception on "a.foo"). Every
+        # shorter suffix of a rule maps too, to 0 when no rule is written
+        # for it, so a walk from the last label can stop at the first miss.
+        self._rules: dict[str, int] = {}
         for raw in rules:
             rule = raw.strip()
             if not rule or rule.startswith("//"):
                 continue
             rule = rule.split()[0].lower()
             if rule.startswith("!"):
-                self._exception.add(tuple(rule[1:].split(".")))
+                kind, rule = _EXCEPTION, rule[1:]
             elif rule.startswith("*."):
-                self._wildcard.add(tuple(rule[2:].split(".")))
+                kind, rule = _WILDCARD, rule[2:]
             else:
-                self._exact.add(tuple(rule.split(".")))
+                kind = _EXACT
+            self._rules[rule] = self._rules.get(rule, 0) | kind
+            labels = rule.split(".")
+            for i in range(1, len(labels)):
+                self._rules.setdefault(".".join(labels[i:]), 0)
 
     @classmethod
     def load(cls, path: str | Path | None = None) -> "PublicSuffixTable":
         """Load from ``path``, or from the packaged snapshot when omitted."""
         return cls(_read_data_file(path, "public_suffix_list.dat").splitlines())
 
-    def _suffix_length(self, labels: tuple[str, ...]) -> int:
-        """Number of trailing labels forming the public suffix."""
-        best = 1  # implicit "*" rule
-        for i in range(len(labels)):
-            tail = labels[i:]
-            if tail in self._exception:
-                return len(tail) - 1
-            if tail in self._exact:
-                best = max(best, len(tail))
-            # "*.foo" matches one extra label in front of foo
-            if len(tail) >= 2 and tail[1:] in self._wildcard:
-                best = max(best, len(tail))
-        return best
-
     def registrable_domain(self, host: str) -> str:
         """Public suffix plus one label; the host itself when it already is
-        a bare public suffix (no registrable part exists)."""
-        labels = tuple(host.lower().split("."))
-        n = self._suffix_length(labels)
-        if len(labels) <= n:
-            return ".".join(labels)
-        return ".".join(labels[len(labels) - n - 1:])
+        a bare public suffix (no registrable part exists).
+
+        The walk takes ever longer suffixes. The longest exception, less
+        its leftmost label, is the public suffix; otherwise the longest
+        exact match, or a wildcard on the suffix one label shorter, is;
+        otherwise the implicit "*" rule gives one label.
+        """
+        labels = host.lower().split(".")
+        rules = self._rules
+        best, exception, wildcard = 1, 0, 0
+        n, tail = 0, None
+        for label in reversed(labels):
+            n += 1
+            tail = label if tail is None else label + "." + tail
+            if wildcard:  # "*.foo" matches one extra label in front of foo
+                best = n
+            kinds = rules.get(tail)
+            if kinds is None:  # no rule ends with this suffix
+                break
+            if kinds & _EXCEPTION:
+                exception = n
+            if kinds & _EXACT:
+                best = n
+            wildcard = kinds & _WILDCARD
+        if exception:
+            best = exception - 1
+        return ".".join(labels[-best - 1:])
 
 
 _default_table: PublicSuffixTable | None = None

@@ -4,17 +4,19 @@ Three bipartite graphs (one per identifier family; Tracking and Measurement
 share the analytics family) project into an undirected metagraph: every
 identifier shared by two sites adds 1/n to their edge weight, where n is
 the number of distinct identifiers of that family found on more than one
-site. Weights are exact rationals so downstream pruning ties are exact.
+site. Weights are exact rationals so downstream pruning ties are exact:
+all weights of a graph are integer numerators over one shared denominator.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Any, Callable, Collection, Iterable, Mapping, Sequence
+from typing import IO, Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import FormatError
 from .extractor import KIND_ORDER, IdKind, SiteIdProfile
@@ -71,30 +73,86 @@ class BipartiteGraph:
                 yield site, key
 
 
-@dataclass
+class _FractionView(Mapping[Edge, Fraction]):
+    """Read-only view of integer numerators over one denominator as Fractions."""
+
+    def __init__(self, numerators: Mapping[Edge, int], denominator: int) -> None:
+        self._numerators = numerators
+        self._denominator = denominator
+
+    def __getitem__(self, edge: Edge) -> Fraction:
+        return Fraction(self._numerators[edge], self._denominator)
+
+    def __iter__(self) -> Iterator[Edge]:
+        return iter(self._numerators)
+
+    def __len__(self) -> int:
+        return len(self._numerators)
+
+
+@dataclass(eq=False)
 class Metagraph:
-    """Undirected, rationally-weighted site-site graph."""
+    """Undirected, rationally-weighted site-site graph.
+
+    Edge (u, v), with u < v, weighs ``numerators[(u, v)] / denominator``:
+    every weight shares the one positive integer denominator, so sums and
+    comparisons of weights stay in integers. ``weights``, ``weight`` and
+    ``total_weight`` read them as Fractions; ``from_weights`` builds a graph
+    from Fractions.
+    """
 
     nodes: set[str] = field(default_factory=set)
-    weights: dict[Edge, Fraction] = field(default_factory=dict)
+    numerators: dict[Edge, int] = field(default_factory=dict)
+    denominator: int = 1
     normalizers: dict[IdFamily, int] = field(default_factory=dict)
+
+    @classmethod
+    def from_weights(
+        cls, weights: Mapping[Edge, Fraction | int], nodes: Iterable[str] = ()
+    ) -> Metagraph:
+        """The graph of the given positive rational edge weights, keyed by
+        (u, v) with u < v, over their endpoints and any extra ``nodes``.
+        Its denominator is the lcm of the weights' denominators."""
+        exact = {e: Fraction(w) for e, w in weights.items()}
+        for (u, v), w in exact.items():
+            if not u < v:
+                raise ValueError(f"metagraph edges need u < v, got {u!r},{v!r}")
+            if w <= 0:
+                raise ValueError(f"edge {u},{v} has weight {w}, which is not positive")
+        denominator = math.lcm(*(w.denominator for w in exact.values()))
+        return cls(
+            nodes={n for e in exact for n in e}.union(nodes),
+            numerators={e: w.numerator * (denominator // w.denominator) for e, w in exact.items()},
+            denominator=denominator,
+        )
+
+    @property
+    def weights(self) -> Mapping[Edge, Fraction]:
+        return _FractionView(self.numerators, self.denominator)
 
     @property
     def edge_count(self) -> int:
-        return len(self.weights)
+        return len(self.numerators)
 
     def weight(self, u: str, v: str) -> Fraction:
-        return self.weights.get(_edge(u, v), Fraction(0))
+        return Fraction(self.numerators.get(_edge(u, v), 0), self.denominator)
 
     def adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for u, v in self.weights:
+        for u, v in self.numerators:
             adj[u].add(v)
             adj[v].add(u)
         return adj
 
     def total_weight(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        return Fraction(sum(self.numerators.values()), self.denominator)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Metagraph):
+            return NotImplemented
+        return (self.nodes, self.weights, self.normalizers) == (
+            other.nodes, other.weights, other.normalizers
+        )
 
 
 @dataclass(frozen=True)
@@ -208,7 +266,8 @@ def build_metagraph(
     sharing it gains 1/n_family weight. By default n_family counts the
     multi-site keys of the graphs being projected; pass ``normalizers``
     (e.g. from family_normalizers over a pre-exclusion profile set) to
-    normalize against a different population.
+    normalize against a different population. The graph's denominator is
+    the lcm of the non-zero n_family, so each key adds an integer.
     """
     graphs = {
         IdFamily.PUBLISHER: publisher_bg,
@@ -223,22 +282,20 @@ def build_metagraph(
         family: _shared_keys(bg.key_to_sites) if normalizers is None else normalizers.get(family, 0)
         for family, bg in graphs.items()
     }
-    mg = Metagraph(normalizers=effective)
+    mg = Metagraph(normalizers=effective, denominator=math.lcm(*filter(None, effective.values())))
+    numerators = mg.numerators
     for bg in graphs.values():
         mg.nodes.update(bg.site_to_keys)
     for family, bg in graphs.items():
         n = effective[family]
         if n == 0:
             continue
-        unit = Fraction(1, n)
+        unit = mg.denominator // n
         for key in sorted(bg.key_to_sites):
             sites = sorted(bg.key_to_sites[key])
-            if len(sites) < 2:
-                continue
             for i, u in enumerate(sites):
-                for v in sites[i + 1:]:
-                    e = _edge(u, v)
-                    mg.weights[e] = mg.weights.get(e, Fraction(0)) + unit
+                for v in sites[i + 1:]:  # u < v: sites are sorted
+                    numerators[(u, v)] = numerators.get((u, v), 0) + unit
     return mg
 
 
@@ -293,8 +350,9 @@ def dump_metagraph_csv(mg: Metagraph, stream: IO[str]) -> None:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["site_a", "site_b", "weight"])
-    for (u, v) in sorted(mg.weights):
-        writer.writerow([u, v, repr(float(mg.weights[(u, v)]))])
+    # int / int is correctly rounded, so this is the float of the Fraction.
+    d = mg.denominator
+    writer.writerows([u, v, repr(a / d)] for (u, v), a in sorted(mg.numerators.items()))
 
 
 def _positive_weight(text: str) -> Fraction:
@@ -304,33 +362,39 @@ def _positive_weight(text: str) -> Fraction:
     return weight
 
 
-def _ordered_pair(row: list[Any]) -> None:
-    if row[0] >= row[1]:
-        raise ValueError(f"metagraph rows need site_a < site_b, got {row[0]!r},{row[1]!r}")
-
-
 def load_metagraph_csv(source: str | Path | IO[str]) -> Metagraph:
-    mg = Metagraph()
+    """The metagraph of a ``site_a,site_b,weight`` edge list. Its
+    denominator is the lcm of the weights' decimal denominators. A row
+    with site_a >= site_b, or that repeats an earlier row's pair, raises
+    FormatError naming the file and the row."""
+    first_row: dict[Edge, int] = {}
+
+    def check(row: list[Any], row_no: int) -> None:
+        u, v = row[0], row[1]
+        if u >= v:
+            raise ValueError(f"metagraph rows need site_a < site_b, got {u!r},{v!r}")
+        first = first_row.setdefault((u, v), row_no)
+        if first != row_no:
+            raise ValueError(f"edge {u},{v} repeats row {first}")
+
     columns = {"site_a": str, "site_b": str, "weight": _positive_weight}
-    for u, v, w in _read_table(source, columns, _ordered_pair):
-        mg.nodes.update((u, v))
-        mg.weights[(u, v)] = w
-    return mg
+    return Metagraph.from_weights({(u, v): w for u, v, w in _read_table(source, columns, check)})
 
 
 def _read_table(
     source: str | Path | IO[str],
     columns: Mapping[str, Callable[[str], Any]],
-    check: Callable[[list[Any]], None] | None = None,
+    check: Callable[[list[Any], int], None] | None = None,
 ) -> list[list[Any]]:
     """The non-blank rows after the header of a CSV file or stream, each
     field passed through its column's converter.
 
     ``columns`` maps each column name, in order, to its converter. The
     first row must be those names and every later row must have their
-    count; ``check``, if given, then sees each converted row. A wrong
-    header or width, or a ValueError or ZeroDivisionError from a converter
-    or the check, raises FormatError naming the file and the 1-based row.
+    count; ``check``, if given, then sees each converted row and its row
+    number. A wrong header or width, or a ValueError or ZeroDivisionError
+    from a converter or the check, raises FormatError naming the file and
+    the 1-based row.
     """
     if not hasattr(source, "read"):
         with open(source, encoding="utf-8", newline="") as fh:
@@ -348,7 +412,7 @@ def _read_table(
         try:
             converted = [convert(value) for convert, value in zip(converters, row)]
             if check is not None:
-                check(converted)
+                check(converted, reader.line_num)
         except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0")
             raise FormatError(f"{name}: row {reader.line_num}: {exc}") from None
         rows.append(converted)

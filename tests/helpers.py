@@ -314,6 +314,34 @@ def canonicalize_reference(url_or_host, table=None):
     return (table or default_suffix_table()).registrable_domain(host)
 
 
+def registrable_domain_reference(rules, host):
+    """Every rule matched against the host's labels on its own: the longest
+    matching exception rule less its leftmost label is the public suffix;
+    otherwise the longest exact or leftmost-wildcard match is, and at
+    least one label is. The registrable domain adds one label to it."""
+    labels = host.lower().split(".")
+    exception, best = 0, 1
+    for raw in rules:
+        rule = raw.strip()
+        if not rule or rule.startswith("//"):
+            continue
+        rule = rule.split()[0].lower()
+        if rule.startswith("!"):
+            r = rule[1:].split(".")
+            if len(r) <= len(labels) and labels[-len(r):] == r:
+                exception = max(exception, len(r))
+        elif rule.startswith("*."):
+            r = rule[2:].split(".")
+            if len(r) < len(labels) and labels[-len(r):] == r:
+                best = max(best, len(r) + 1)
+        else:
+            r = rule.split(".")
+            if len(r) <= len(labels) and labels[-len(r):] == r:
+                best = max(best, len(r))
+    n = exception - 1 if exception else best
+    return ".".join(labels[-(n + 1):]) if len(labels) > n else ".".join(labels)
+
+
 def random_url_inputs(n, seed):
     """n seeded landing URLs and hosts. A third are plain ``scheme://host``
     URLs; the rest change one to three parts of one: upper-case or invalid
@@ -572,16 +600,25 @@ def girvan_newman_oracle(mg: Metagraph):
     return best, best_q
 
 
+def prune_reference(weights, top_fraction):
+    """The Fraction weights of the heaviest ceil(top_fraction * E) edges,
+    every edge tied with the lightest of them kept."""
+    if not weights:
+        return {}
+    k = math.ceil(Fraction(str(top_fraction)) * len(weights))
+    cutoff = sorted(weights.values(), reverse=True)[k - 1]
+    return {e: w for e, w in weights.items() if w >= cutoff}
+
+
 def metagraph_from_edges(edges, weight=Fraction(1)):
-    mg = Metagraph()
+    weights = {}
     for item in edges:
         if len(item) == 3:
             u, v, w = item
         else:
             (u, v), w = item, weight
-        mg.nodes.update((u, v))
-        mg.weights[(min(u, v), max(u, v))] = Fraction(w)
-    return mg
+        weights[(min(u, v), max(u, v))] = w
+    return Metagraph.from_weights(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import adgraph.cli
 from adgraph.cli import run
-from adgraph.corpus import serialize_crawl_jsonl
+from adgraph.corpus import CrawlRecord, serialize_crawl_jsonl
 from adgraph.extractor import dump_profiles, load_profiles
 from adgraph.graphs import (
     FAMILY_ORDER,
@@ -145,16 +145,31 @@ def test_stats_powerlaw_components(crawl_file, tmp_path):
     assert fit["population"] == "components" and fit["alpha"] > 1
 
 
-def test_graph_normalizer_and_intermediary_flags(crawl_file, tmp_path):
+def test_graph_normalizer_and_intermediary_flags(tmp_path):
     """Each flag set writes the graphs of the profiles rebuilt by
-    ``exclude_intermediaries_reference``, projected by the library."""
-    profiles_path = _extract(crawl_file, tmp_path)
+    ``exclude_intermediaries_reference``, projected by the library.
+
+    Two extra sites share a Publisher key, so at threshold 2, which
+    excludes pub-777777777 (3 sites), the Publisher family keeps a shared
+    key, and its normalizer counts pub-777777777 in pre-exclusion mode
+    only."""
+    records, _ = fixture_corpus()
+    records += [
+        CrawlRecord(domain, f"https://{domain}/", domain,
+                    page_text='<script data-ad-client="ca-pub-555555555555"></script>')
+        for domain in ("extra-a.example", "extra-b.example")
+    ]
+    crawl = tmp_path / "crawl.jsonl"
+    with open(crawl, "w", encoding="utf-8") as fh:
+        serialize_crawl_jsonl(records, fh)
+    profiles_path = _extract(crawl, tmp_path)
     profiles = load_profiles(profiles_path)
     for name, extra, threshold in (  # threshold None: keep every key
         ("dflt", [], 100),
         ("keep", ["--keep-intermediaries"], None),
         ("pre", ["--normalizer-mode", "pre-exclusion"], 100),
         ("strict", ["--intermediary-threshold", "2"], 2),
+        ("pre_strict", ["--normalizer-mode", "pre-exclusion", "--intermediary-threshold", "2"], 2),
     ):
         out_dir = tmp_path / name
         assert run(["graph", "--profiles", str(profiles_path), "--out-dir", str(out_dir),
@@ -174,10 +189,14 @@ def test_graph_normalizer_and_intermediary_flags(crawl_file, tmp_path):
         dump_metagraph_csv(mg, expected)
         written = (out_dir / "metagraph.csv").read_text(encoding="utf-8")
         assert written == expected.getvalue(), name
+
+    def metagraph(name: str) -> str:
+        return (tmp_path / name / "metagraph.csv").read_text(encoding="utf-8")
+
     # threshold 2 strips pub-777777777 (3 sites), so its pair edges vanish
-    strict = (tmp_path / "strict" / "metagraph.csv").read_text(encoding="utf-8")
-    default = (tmp_path / "dflt" / "metagraph.csv").read_text(encoding="utf-8")
-    assert "site12.example" in default and "site12.example" not in strict
+    assert "site12.example" in metagraph("dflt") and "site12.example" not in metagraph("strict")
+    assert "extra-a.example,extra-b.example," in metagraph("strict")
+    assert metagraph("pre_strict") != metagraph("strict")
 
 
 def test_stats_poisson(tmp_path):
@@ -487,6 +506,18 @@ def test_unparseable_csv_value_names_the_row(crawl_file, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{bad}: row 3: {reason}" in err, err
         assert not out.exists()
+
+
+def test_repeated_metagraph_row_is_an_input_error(tmp_path, capsys):
+    """A second row for one site pair would silently replace the first
+    weight, so it names the file and both rows instead."""
+    bad = tmp_path / "metagraph.csv"
+    bad.write_text("site_a,site_b,weight\na.example,b.example,1\nb.example,c.example,1\n"
+                   "a.example,b.example,2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["communities", "--metagraph", str(bad), "--out-dir", str(out)]) == 1
+    assert f"{bad}: row 4: edge a.example,b.example repeats row 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import adgraph.communities
+import adgraph.graphs
 from adgraph.communities import (
     Partition,
     community_size_distribution,
@@ -14,15 +17,17 @@ from adgraph.communities import (
     modularity,
     prune_edges,
 )
-from adgraph.graphs import Metagraph
+from adgraph.graphs import FAMILY_ORDER, IdFamily, Metagraph, build_bipartite, build_metagraph
 from helpers import (
     best_of_replay,
     enumerate_edge_betweenness,
     enumerate_weighted_edge_betweenness,
     girvan_newman_oracle,
     girvan_newman_replay,
+    make_profile,
     metagraph_from_edges,
     modularity_oracle,
+    prune_reference,
 )
 
 TWO_TRIANGLES_BRIDGE = [
@@ -309,6 +314,89 @@ def test_gn_modularity_at_least_trivial_when_positive_split_exists():
     mg = metagraph_from_edges(TWO_TRIANGLES_BRIDGE)
     partition = girvan_newman(mg)
     assert partition.modularity >= 0
+
+
+# --- integer weights against the Fraction oracles ----------------------------
+
+def _mixed_weight(rng):
+    """A positive rational whose denominator is a small integer, a power of
+    ten (a decimal read from metagraph.csv) or the lcm of two family
+    normalizers (a built weight c1/n1 + c2/n2)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(rng.randrange(1, 12), rng.choice([1, 2, 3, 5, 7, 12]))
+    if kind == 1:
+        return Fraction(repr(rng.randrange(1, 10**6) / 10 ** rng.randrange(7)))
+    n1, n2 = rng.sample([2, 3, 4, 5, 6, 7, 9, 11], 2)
+    return Fraction(rng.randrange(1, 3), n1) + Fraction(rng.randrange(1, 3), n2)
+
+
+def test_integer_weights_match_fraction_oracles_on_mixed_denominators():
+    """Pruning, modularity, both betweenness metrics and Girvan-Newman on
+    integer numerators over one denominator agree with the oracles, which
+    work on the Fraction weights."""
+    rng = random.Random(71)
+    for _ in range(40):
+        pool = [_mixed_weight(rng) for _ in range(rng.randrange(1, 5))]  # few values: ties
+        edges = _random_weighted_graph(rng, rng.randrange(2, 8), 0.5, pool)
+        if not edges:
+            continue
+        weights = {(u, v): w for u, v, w in edges}
+        mg = metagraph_from_edges(edges)
+        assert mg.denominator == math.lcm(*(w.denominator for w in weights.values()))
+        assert mg.weights == weights
+        for top_fraction in (0.05, 0.3, 0.5, 1.0):
+            pruned = prune_edges(mg, top_fraction)
+            kept = prune_reference(weights, top_fraction)
+            assert pruned.weights == kept
+            assert pruned.nodes == {n for e in kept for n in e}
+        adj = _adj(mg)
+        assert edge_betweenness(mg) == enumerate_edge_betweenness(adj)
+        assert edge_betweenness(mg, weighted=True) == enumerate_weighted_edge_betweenness(
+            adj, weights
+        )
+        nodes = sorted(mg.nodes)
+        labels = [rng.randrange(3) for _ in nodes]
+        communities = [frozenset(n for n, l in zip(nodes, labels) if l == c) for c in range(3)]
+        assert modularity(mg, communities) == modularity_oracle(mg, communities)
+        assert girvan_newman(mg) == Partition(*best_of_replay(mg, girvan_newman_replay(mg)))
+        replay = girvan_newman_replay(
+            mg, lambda adj: enumerate_weighted_edge_betweenness(adj, weights)
+        )
+        assert girvan_newman(mg, weighted_paths=True) == Partition(*best_of_replay(mg, replay))
+
+
+def test_graph_stage_builds_no_fraction_per_edge(monkeypatch):
+    """build_metagraph and prune_edges build no Fraction per edge, and
+    Girvan-Newman at most one per component it scores."""
+    built, scored = [], []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    def counting_brandes(*args):
+        scored.append(args)
+        return brandes(*args)
+
+    brandes = adgraph.communities._brandes_component
+    monkeypatch.setattr(adgraph.graphs, "Fraction", counting_fraction)
+    monkeypatch.setattr(adgraph.communities, "Fraction", counting_fraction)
+    monkeypatch.setattr(adgraph.communities, "_brandes_component", counting_brandes)
+    rng = random.Random(5)
+    profiles = [
+        make_profile(f"g{g}s{i}.example", publisher={f"pub-{g}"},
+                     tracking={f"UA-{g}-{i % 2}", f"UA-{rng.randrange(20)}"})
+        for g in range(12) for i in range(rng.randrange(3, 8))
+    ]
+    bgs = {f: build_bipartite(profiles, f) for f in FAMILY_ORDER}
+    mg = build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS], bgs[IdFamily.CONTAINER])
+    pruned = prune_edges(mg, 0.5)
+    assert mg.edge_count > 100 and pruned.edge_count > 50
+    assert len(built) <= 1  # prune's exact top_fraction
+    built.clear()
+    girvan_newman(pruned)
+    assert len(built) <= len(scored) + 1  # one per scored component, plus the modularity
 
 
 # --- size distribution ------------------------------------------------------

@@ -13,6 +13,7 @@ from adgraph.corpus import (
     FormatError,
     PublicSuffixTable,
     _is_ip_literal,
+    _read_data_file,
     assign_ranks,
     canonicalize,
     dedup_by_landing,
@@ -23,7 +24,12 @@ from adgraph.corpus import (
     serialize_crawl_jsonl,
 )
 from adgraph.extractor import IdKind, extract_profile
-from helpers import canonicalize_reference, fixture_corpus, random_url_inputs
+from helpers import (
+    canonicalize_reference,
+    fixture_corpus,
+    random_url_inputs,
+    registrable_domain_reference,
+)
 
 
 # --- canonicalize -----------------------------------------------------------
@@ -153,6 +159,39 @@ def test_custom_table():
     assert table.registrable_domain("a.b.second.test") == "b.second.test"
     assert table.registrable_domain("a.test") == "a.test"
     assert table.registrable_domain("a.unknowntld") == "a.unknowntld"
+
+
+def test_suffix_walk_matches_rule_by_rule_reference():
+    """Random rule lists over a few labels, so exception, wildcard and exact
+    rules overlap and nest, and random hosts over the same labels."""
+    rng = random.Random(29)
+    alphabet = ["a", "b", "c", "Co", "uk", ""]
+
+    def name(k):
+        return ".".join(rng.choice(alphabet) for _ in range(k))
+
+    for _ in range(60):
+        rules = ["// comment", "  "] + [
+            rng.choice(["", "", "*.", "!"]) + name(rng.randrange(1, 4)) + rng.choice(["", " x"])
+            for _ in range(rng.randrange(1, 12))
+        ]
+        table = PublicSuffixTable(rules)
+        for _ in range(60):
+            host = name(rng.randrange(1, 6))
+            assert table.registrable_domain(host) == registrable_domain_reference(rules, host), (
+                rules, host)
+
+
+def test_packaged_suffix_table_matches_rule_by_rule_reference():
+    rules = _read_data_file(None, "public_suffix_list.dat").splitlines()
+    suffixes = [r.lstrip("!*.") for r in rules if r.strip() and not r.startswith("//")]
+    rng = random.Random(31)
+    table = PublicSuffixTable(rules)
+    for _ in range(600):
+        host = ".".join(rng.choice(["www", "x", "ck", "co", "com", "WWW"])
+                        for _ in range(rng.randrange(3))) + "." + rng.choice(suffixes)
+        host = host.lstrip(".")
+        assert table.registrable_domain(host) == registrable_domain_reference(rules, host), host
 
 
 # --- parse_crawl_jsonl ------------------------------------------------------

@@ -13,6 +13,7 @@ from adgraph.graphs import (
     FAMILY_ORDER,
     KINDS_OF_FAMILY,
     IdFamily,
+    Metagraph,
     build_bipartite,
     build_metagraph,
     connected_components,
@@ -197,6 +198,23 @@ def test_metagraph_matches_brute_force_on_random_corpora():
         assert mg.weights == expected
 
 
+def test_metagraph_numerators_share_the_normalizers_lcm():
+    """Every weight is an integer over the lcm of the non-zero family
+    normalizers, in both normalizer modes."""
+    rng = random.Random(17)
+    for _ in range(50):
+        profiles = _random_profiles(rng)
+        bgs = {f: build_bipartite(profiles, f) for f in FAMILY_ORDER}
+        for normalizers in (None, family_normalizers(profiles + _random_profiles(rng))):
+            mg = build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS],
+                                 bgs[IdFamily.CONTAINER], normalizers=normalizers)
+            assert mg.denominator == math.lcm(*(n for n in mg.normalizers.values() if n))
+            assert all(type(a) is int and a > 0 for a in mg.numerators.values())
+            _, expected = brute_force_metagraph(profiles, normalizers)
+            assert mg.weights == expected
+            assert mg.total_weight() == sum(expected.values(), Fraction(0))
+
+
 def test_key_walks_match_brute_counts_on_random_corpora():
     rng = random.Random(13)
     for _ in range(100):
@@ -325,6 +343,50 @@ def test_metagraph_csv_ordering_and_roundtrip():
     buf.seek(0)
     again = load_metagraph_csv(buf)
     assert set(again.weights) == set(mg.weights)
+
+
+def test_metagraph_csv_reads_decimals_over_one_denominator():
+    """A loaded graph holds the dumped decimals exactly, over the lcm of
+    their denominators, and dumps to the same bytes again."""
+    rng = random.Random(23)
+    for _ in range(30):
+        sites = [f"s{i}.example" for i in range(rng.randrange(2, 9))]
+        weights = {
+            (u, v): Fraction(rng.randrange(1, 20), rng.choice([1, 2, 3, 7, 10, 12, 30]))
+            for i, u in enumerate(sites) for v in sites[i + 1:] if rng.random() < 0.6
+        }
+        first = io.StringIO()
+        dump_metagraph_csv(Metagraph.from_weights(weights), first)
+        first.seek(0)
+        loaded = load_metagraph_csv(first)
+        decimals = {e: Fraction(repr(float(w))) for e, w in weights.items()}
+        assert loaded.weights == decimals
+        assert loaded.denominator == math.lcm(*(w.denominator for w in decimals.values()))
+        again = io.StringIO()
+        dump_metagraph_csv(loaded, again)
+        assert again.getvalue() == first.getvalue()
+
+
+def test_metagraph_csv_rejects_a_repeated_pair():
+    text = ("site_a,site_b,weight\na.example,b.example,1\nb.example,c.example,1\n\n"
+            "a.example,b.example,2\n")
+    reason = "CSV stream: row 5: edge a.example,b.example repeats row 2"
+    with pytest.raises(FormatError, match=reason):
+        load_metagraph_csv(io.StringIO(text))
+
+
+def test_from_weights_checks_edges():
+    mg = Metagraph.from_weights({("a", "b"): Fraction(1, 6), ("b", "c"): Fraction(3, 4)}, {"d"})
+    assert (mg.nodes, mg.numerators, mg.denominator) == ({"a", "b", "c", "d"},
+                                                         {("a", "b"): 2, ("b", "c"): 9}, 12)
+    # Equal weights over different denominators make equal graphs.
+    assert Metagraph.from_weights({("a", "b"): Fraction(1, 2)}) == Metagraph(
+        nodes={"a", "b"}, numerators={("a", "b"): 2}, denominator=4
+    )
+    with pytest.raises(ValueError, match="u < v"):
+        Metagraph.from_weights({("b", "a"): 1})
+    with pytest.raises(ValueError, match="not positive"):
+        Metagraph.from_weights({("a", "b"): 0})
 
 
 def test_csv_loaders_check_header_and_row_width():
