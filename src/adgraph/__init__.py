@@ -21,12 +21,14 @@ from .corpus import (
     serialize_crawl_jsonl,
 )
 from .extractor import (
+    CrawlExtraction,
     ExtractionSummary,
     IdKind,
     SiteIdProfile,
     Source,
     canonical_key,
     dump_profiles,
+    extract_crawl,
     extract_profile,
     extract_profiles,
     filter_dictionary,

@@ -20,14 +20,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .corpus import (
-    CrawlRecord,
-    assign_ranks,
-    dedup_by_landing,
-    load_category_map,
-    load_rank_list,
-    parse_crawl_jsonl,
-)
+from .corpus import load_category_map, load_rank_list
 from .communities import (
     community_size_distribution,
     girvan_newman,
@@ -37,7 +30,7 @@ from .extractor import (
     KIND_ORDER,
     SiteIdProfile,
     dump_profiles,
-    extract_profiles,
+    extract_crawl,
     flag_anomalies,
     load_blocklist,
     load_dictionary,
@@ -164,38 +157,33 @@ def _extract_stage(
     out_dir: Path | _Bundle,
     profiles_name: str,
     anomaly_threshold: int,
-) -> tuple[list[CrawlRecord], list[SiteIdProfile], dict[str, int]]:
+) -> tuple[list[SiteIdProfile], dict[str, int], int]:
     """Crawl JSONL -> profiles, summary.json and site_ranks.csv.
 
     Reads the files named by the shared extraction flags (``--in``,
-    ``--dict``, ``--blocklist``, ``--ranks``) and returns the deduplicated
-    records, their profiles and the landing-domain ranks.
+    ``--dict``, ``--blocklist``, ``--ranks``) and returns the profiles, the
+    landing-domain ranks and the number of landing domains.
     """
     dictionary = load_dictionary(args.dict)
     blocklist = load_blocklist(args.blocklist)
     with open(args.infile, encoding="utf-8") as fh:
-        parsed = parse_crawl_jsonl(fh)
-    records = parsed.records
-    if args.ranks:
-        records = assign_ranks(records, load_rank_list(args.ranks))
-    records = dedup_by_landing(records)
-    profiles = extract_profiles(records, dictionary, blocklist)
+        ranks = load_rank_list(args.ranks) if args.ranks else None
+        profiles, site_ranks, site_count, skips = extract_crawl(fh, ranks, dictionary, blocklist)
 
     with _open_out(out_dir / profiles_name) as fh:
         dump_profiles(profiles, fh)
-    summary = summarize_extraction(profiles, corpus_size=len(records)).to_json_obj()
-    summary["skipped_lines"] = len(parsed.skips)
+    summary = summarize_extraction(profiles, corpus_size=site_count).to_json_obj()
+    summary["skipped_lines"] = len(skips)
     summary["anomalies"] = [
         {"domain": d, "distinct_keys": n} for d, n in flag_anomalies(profiles, anomaly_threshold)
     ]
     _write_json(out_dir / "summary.json", summary)
-    site_ranks = {r.landing_domain: r.rank for r in records if r.rank is not None}
     _write_csv(
         out_dir / "site_ranks.csv",
         ["rank", "domain"],
         [[rank, domain] for domain, rank in sorted(site_ranks.items())],
     )
-    return records, profiles, site_ranks
+    return profiles, site_ranks, site_count
 
 
 def _graph_stage(
@@ -355,11 +343,11 @@ def _richness_stage(
 
 def _cmd_extract(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    records, _, _ = _extract_stage(args, out.parent, out.name, args.anomaly_threshold)
+    _, _, site_count = _extract_stage(args, out.parent, out.name, args.anomaly_threshold)
     if args.snapshot_id:
         _write_json(
             out.parent / "manifest.json",
-            {"snapshot_id": args.snapshot_id, "total_sites": len(records)},
+            {"snapshot_id": args.snapshot_id, "total_sites": site_count},
         )
 
 
@@ -538,7 +526,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
         except ValueError as exc:
             skipped.append({"analysis": analysis, "reason": str(exc)})
 
-    _, profiles, site_ranks = _extract_stage(args, bundle, "profiles.jsonl", _ANOMALY_THRESHOLD)
+    profiles, site_ranks, _ = _extract_stage(args, bundle, "profiles.jsonl", _ANOMALY_THRESHOLD)
     graphs, metagraph = _graph_stage(
         profiles, args.intermediary_threshold, False, args.normalizer_mode, bundle
     )

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 from urllib.parse import urlsplit
 
 logger = logging.getLogger(__name__)
@@ -247,6 +247,36 @@ def _record_from_obj(obj: dict, table: PublicSuffixTable | None) -> CrawlRecord:
     )
 
 
+def _crawl_records(
+    stream: IO[str] | Iterable[str],
+    table: PublicSuffixTable | None,
+    skips: list[tuple[int, str]],
+) -> Iterator[CrawlRecord]:
+    """Crawl JSONL records, one per well-formed line, in input order, each
+    built as its line is read.
+
+    Malformed lines never abort the stream; each is appended to ``skips``
+    as ``(line_number, reason)``, and their count is logged once the
+    stream ends.
+    """
+    for line_no, line in enumerate(stream, start=1):
+        stripped = line.strip()
+        if not stripped:
+            skips.append((line_no, "empty line"))
+            continue
+        try:
+            obj = json.loads(stripped)
+            if not isinstance(obj, dict):
+                raise ValueError("line is not a JSON object")
+            record = _record_from_obj(obj, table)
+        except (ValueError, CanonicalizationError) as exc:
+            skips.append((line_no, str(exc)))
+            continue
+        yield record
+    if skips:
+        logger.warning("skipped %d malformed crawl line(s)", len(skips))
+
+
 def parse_crawl_jsonl(
     stream: IO[str] | Iterable[str],
     table: PublicSuffixTable | None = None,
@@ -257,20 +287,7 @@ def parse_crawl_jsonl(
     ``result.skips`` as ``(line_number, reason)``.
     """
     result = ParseResult()
-    for line_no, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped:
-            result.skips.append((line_no, "empty line"))
-            continue
-        try:
-            obj = json.loads(stripped)
-            if not isinstance(obj, dict):
-                raise ValueError("line is not a JSON object")
-            result.records.append(_record_from_obj(obj, table))
-        except (ValueError, CanonicalizationError) as exc:
-            result.skips.append((line_no, str(exc)))
-    if result.skips:
-        logger.warning("skipped %d malformed crawl line(s)", len(result.skips))
+    result.records.extend(_crawl_records(stream, table, result.skips))
     return result
 
 
@@ -363,6 +380,30 @@ def parse_har(source: str | Path | IO[str], table: PublicSuffixTable | None = No
 # Deduplication and auxiliary loaders
 # ---------------------------------------------------------------------------
 
+_UNRANKED = float("inf")  # the rank key of a rank-less record
+
+
+def _keep_survivor(
+    survivors: dict[str, tuple],
+    domain: str,
+    rank: int | None,
+    pos: int,
+    value: Callable[[], object],
+) -> None:
+    """Offer the record at input position ``pos`` as the survivor of its
+    landing ``domain``.
+
+    ``survivors`` maps each landing domain to ``(rank key, position, rank,
+    value)``, the rank key being the rank, or infinity for a rank-less
+    record. The smaller ``(rank key, position)`` wins; ``value()`` is
+    called only when the offered record does.
+    """
+    key = _UNRANKED if rank is None else rank
+    current = survivors.get(domain)
+    if current is None or (key, pos) < current[:2]:
+        survivors[domain] = (key, pos, rank, value())
+
+
 def dedup_by_landing(records: Sequence[CrawlRecord]) -> list[CrawlRecord]:
     """Keep one record per landing domain.
 
@@ -370,19 +411,12 @@ def dedup_by_landing(records: Sequence[CrawlRecord]) -> list[CrawlRecord]:
     full ties keep the earliest input record. Output follows the first
     occurrence order of each landing domain.
     """
-    best: dict[str, tuple[int, int, CrawlRecord]] = {}  # domain -> (rank key, pos, rec)
-    order: list[str] = []
+    survivors: dict[str, tuple] = {}  # a replaced entry keeps its place
     for pos, rec in enumerate(records):
         if not rec.landing_domain:
             raise ValueError("record without landing_domain cannot be deduplicated")
-        key = rec.rank if rec.rank is not None else float("inf")
-        current = best.get(rec.landing_domain)
-        if current is None:
-            best[rec.landing_domain] = (key, pos, rec)
-            order.append(rec.landing_domain)
-        elif (key, pos) < (current[0], current[1]):
-            best[rec.landing_domain] = (key, pos, rec)
-    return [best[d][2] for d in order]
+        _keep_survivor(survivors, rec.landing_domain, rec.rank, pos, lambda: rec)
+    return [entry[3] for entry in survivors.values()]
 
 
 def assign_ranks(records: Sequence[CrawlRecord], ranks: Mapping[str, int]) -> list[CrawlRecord]:

@@ -28,9 +28,16 @@ import json
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import CrawlRecord, FormatError, _read_data_file
+from .corpus import (
+    CrawlRecord,
+    FormatError,
+    PublicSuffixTable,
+    _crawl_records,
+    _keep_survivor,
+    _read_data_file,
+)
 
 
 class IdKind(enum.Enum):
@@ -203,7 +210,7 @@ def _source_set(key: str, names: list) -> frozenset[Source]:
     return combo
 
 
-@dataclass
+@dataclass(slots=True)
 class SiteIdProfile:
     """Validated identifier keys found on one site, with provenance."""
 
@@ -334,6 +341,52 @@ def extract_profiles(
     if keep_empty:
         return profiles
     return [p for p in profiles if not p.is_empty()]
+
+
+class CrawlExtraction(NamedTuple):
+    """What ``extract_crawl`` keeps of a crawl."""
+
+    profiles: list[SiteIdProfile]  # non-empty profiles, sorted by domain
+    site_ranks: dict[str, int]  # landing domain -> its survivor's rank
+    site_count: int  # distinct landing domains
+    skips: list[tuple[int, str]]  # (line number, reason) of malformed lines
+
+
+def extract_crawl(
+    lines: IO[str] | Iterable[str],
+    ranks: Mapping[str, int] | None = None,
+    dictionary: frozenset[str] | set[str] | None = None,
+    blocklist: frozenset[str] | set[str] | None = None,
+    table: PublicSuffixTable | None = None,
+) -> CrawlExtraction:
+    """Crawl JSONL straight to profiles, in one pass that keeps no record.
+
+    Equal to ``parse_crawl_jsonl``, then ``assign_ranks`` (a record's rank
+    is ``ranks[requested domain]``, else its JSONL ``rank``), then
+    ``dedup_by_landing`` and ``extract_profiles``. Each record is folded
+    into its landing domain's survivor entry as its line is read, and
+    extracted only if it beats the survivor so far, so memory grows with
+    the landing domains kept, not with the page bytes.
+    """
+    if ranks is None:
+        ranks = {}
+    if dictionary is None:
+        dictionary = load_dictionary()
+    if blocklist is None:
+        blocklist = load_blocklist()
+    skips: list[tuple[int, str]] = []
+    survivors: dict[str, tuple] = {}
+    for pos, record in enumerate(_crawl_records(lines, table, skips)):
+        _keep_survivor(
+            survivors, record.landing_domain, ranks.get(record.requested_domain, record.rank),
+            pos, lambda: extract_profile(record, dictionary, blocklist),
+        )
+    profiles = sorted(
+        (entry[3] for entry in survivors.values() if not entry[3].is_empty()),
+        key=lambda p: p.landing_domain,
+    )
+    site_ranks = {domain: entry[2] for domain, entry in survivors.items() if entry[2] is not None}
+    return CrawlExtraction(profiles, site_ranks, len(survivors), skips)
 
 
 # ---------------------------------------------------------------------------

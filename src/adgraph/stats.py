@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from statistics import median
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -67,7 +68,7 @@ def publisher_sizes(
     for key, sites in bipartite.key_to_sites.items():
         member_ranks = sorted(ranks[s] for s in sites if s in ranks) if ranks else []
         mean_rank = sum(member_ranks) / len(member_ranks) if member_ranks else None
-        median_rank = float(np.median(member_ranks)) if member_ranks else None
+        median_rank = float(median(member_ranks)) if member_ranks else None
         records.append(PublisherRecord(key, sites, mean_rank, median_rank))
     records.sort(key=lambda r: (-r.size, r.key))
     return records

@@ -278,6 +278,50 @@ def random_scan_records(n, seed, words, blocked):
     return records
 
 
+def random_crawl_lines(n, seed, words, blocked):
+    """n seeded crawl JSONL lines and a rank list (requested domain ->
+    rank) for them.
+
+    Ten requested domains redirect to six landing domains, so landing
+    domains collide; ranks come from 1..5, so they tie; about 40% of lines
+    carry no JSONL rank and the rank list ranks half the requested
+    domains. Some landing URLs fail to canonicalize (the requested domain
+    is the landing domain then), about one line in ten is malformed, and
+    about one in five has no content, so its profile is empty. Page content
+    comes from ``random_scan_records``."""
+    rng = random.Random(seed)
+    requested = [f"q{k}.example" for k in range(10)]
+    landing = [f"l{k}.example" for k in range(6)]
+    malformed = [
+        "", "   ", "{not json", "[1, 2]",
+        json.dumps({"domain": 5, "landing_url": "https://l0.example/"}),
+        json.dumps({"domain": "q0.example", "landing_url": "https://l0.example/", "rank": 0}),
+        json.dumps({"domain": "q0.example", "landing_url": "https://l0.example/", "rank": True}),
+        json.dumps({"domain": "q0.example", "landing_url": "https://l0.example/",
+                    "cookies": [{"name": "sid"}]}),
+        json.dumps({"domain": "a..b", "landing_url": ""}),
+    ]
+    lines = []
+    for rec in random_scan_records(n, seed, words, blocked):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(malformed))
+            continue
+        domain = rng.choice(requested)
+        obj = {
+            "domain": domain.upper() if rng.random() < 0.1 else domain,
+            "landing_url": rng.choice([f"https://{rng.choice(landing)}/",
+                                       f"https://WWW.{rng.choice(landing)}/path", "", "not a url"]),
+        }
+        if rng.random() >= 0.2:
+            obj.update(html=rec.page_text, requests=list(rec.request_urls),
+                       cookies=[{"name": k, "value": v} for k, v in rec.cookies])
+        if rng.random() >= 0.4:
+            obj["rank"] = rng.randrange(1, 6)
+        lines.append(json.dumps(obj) + "\n")
+    ranks = {domain: rng.randrange(1, 6) for domain in requested if rng.random() < 0.5}
+    return lines, ranks
+
+
 # ---------------------------------------------------------------------------
 # Reference canonicalize: every URL's host through urlsplit and every IP
 # probe through ipaddress.

@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import adgraph.cli
+import adgraph.corpus
 from adgraph.cli import run
 from adgraph.corpus import CrawlRecord, serialize_crawl_jsonl
 from adgraph.extractor import dump_profiles, load_profiles
@@ -134,6 +136,31 @@ def test_extract_with_rank_list(crawl_file, tmp_path):
                 "--ranks", str(ranks)]) == 0
     site_ranks = (tmp_path / "site_ranks.csv").read_text(encoding="utf-8")
     assert "5,site27.example" in site_ranks
+
+
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_no_crawl_record_outlives_its_line(crawl_file, tmp_path, monkeypatch, command):
+    """When the profiles are written, at most the last record parsed is
+    still alive: memory holds profiles, not page text."""
+    refs, alive = [], []
+    record_from_obj, dump = adgraph.corpus._record_from_obj, adgraph.cli.dump_profiles
+
+    def tracked(obj, table):
+        record = record_from_obj(obj, table)
+        refs.append(weakref.ref(record))
+        return record
+
+    def counting_dump(profiles, fh):
+        alive.append(sum(ref() is not None for ref in refs))
+        dump(profiles, fh)
+
+    monkeypatch.setattr(adgraph.corpus, "_record_from_obj", tracked)
+    monkeypatch.setattr(adgraph.cli, "dump_profiles", counting_dump)
+    out = (["--out", str(tmp_path / "profiles.jsonl")] if command == "extract"
+           else ["--out-dir", str(tmp_path)])
+    assert run([command, "--in", str(crawl_file), *out]) == 0
+    assert len(refs) == 50
+    assert len(alive) == 1 and alive[0] <= 1
 
 
 def test_stats_powerlaw_components(crawl_file, tmp_path):

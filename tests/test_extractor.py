@@ -8,13 +8,14 @@ import re
 
 import pytest
 
-from adgraph.corpus import CrawlRecord
+from adgraph.corpus import CrawlRecord, assign_ranks, dedup_by_landing, parse_crawl_jsonl
 from adgraph.extractor import (
     IdKind,
     SiteIdProfile,
     Source,
     canonical_key,
     dump_profiles,
+    extract_crawl,
     extract_profile,
     extract_profiles,
     filter_dictionary,
@@ -29,6 +30,7 @@ from helpers import (
     make_profile,
     profile_from_json_obj_reference,
     profile_to_json_obj_reference,
+    random_crawl_lines,
     random_profiles,
     random_scan_records,
     scan_record_reference,
@@ -370,6 +372,40 @@ def test_extract_profiles_merges_same_landing(dictionary, blocklist):
     profiles = extract_profiles(records, dictionary, blocklist)
     assert len(profiles) == 1
     assert profiles[0].keys_for(IdKind.PUBLISHER) == {"pub-111111111", "pub-222222222"}
+
+
+def test_extract_crawl_matches_parse_rank_dedup_extract(dictionary, blocklist):
+    """One streaming pass equals parse -> assign_ranks -> dedup_by_landing
+    -> extract_profiles, with and without a rank list."""
+    blocked = sorted(blocklist)[:20]
+    seen = dict.fromkeys(["later wins", "later loses", "rank tie", "override", "rankless",
+                          "malformed", "empty profile"], 0)
+    for seed in range(40):
+        lines, rank_list = random_crawl_lines(30, seed, sorted(dictionary), blocked)
+        for ranks in (rank_list, None):
+            parsed = parse_crawl_jsonl(lines)
+            ranked = assign_ranks(parsed.records, ranks) if ranks else parsed.records
+            survivors = dedup_by_landing(ranked)
+            got = extract_crawl(iter(lines), ranks, dictionary, blocklist)
+            assert got.profiles == extract_profiles(survivors, dictionary, blocklist)
+            assert got.site_ranks == {r.landing_domain: r.rank for r in survivors
+                                      if r.rank is not None}
+            assert got.site_count == len(survivors)
+            assert got.skips == parsed.skips
+
+            firsts = {}
+            for rec in ranked:
+                first = firsts.setdefault(rec.landing_domain, rec)
+                if first is not rec:
+                    seen["later wins" if rec in survivors else "later loses"] += 1
+                    seen["rank tie"] += rec.rank is not None and rec.rank == first.rank
+            seen["override"] += sum(r.rank is not None and filled.rank != r.rank
+                                    for r, filled in zip(parsed.records, ranked))
+            seen["rankless"] += sum(r.rank is None for r in ranked)
+            seen["malformed"] += len(parsed.skips)
+            seen["empty profile"] += sum(
+                p.is_empty() for p in extract_profiles(survivors, dictionary, blocklist, True))
+    assert all(seen.values()), seen
 
 
 # --- summaries --------------------------------------------------------------

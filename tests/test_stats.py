@@ -114,6 +114,29 @@ def test_publisher_sizes_ranks():
     assert records[0].median_rank == 15.0
 
 
+def test_publisher_median_rank_matches_numpy():
+    rng = random.Random(31)
+    specs, ranks = [], {}
+    for i in range(300):
+        members = rng.randrange(1, 12)  # odd and even member counts
+        for j in range(members):
+            site = f"p{i}s{j}.example"
+            specs.append((site, {f"pub-1{i:08d}"}))
+            if rng.random() < 0.8:
+                ranks[site] = rng.randrange(1, 10**9 + 1)
+    records = publisher_sizes(_bipartite(specs), ranks)
+    seen = set()
+    for r in records:
+        member_ranks = sorted(ranks[s] for s in r.sites if s in ranks)
+        if not member_ranks:
+            assert r.median_rank is None
+            continue
+        seen.add(len(member_ranks) % 2)
+        assert type(r.median_rank) is float
+        assert r.median_rank == float(np.median(member_ranks))
+    assert seen == {0, 1}
+
+
 # --- fit_power_law / loglikelihood_ratio ------------------------------------
 
 @pytest.mark.parametrize("alpha,seed", [(1.8, 101), (2.5, 102), (3.2, 103)])
