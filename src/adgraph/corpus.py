@@ -86,7 +86,10 @@ class PublicSuffixTable:
         exact match, or a wildcard on the suffix one label shorter, is;
         otherwise the implicit "*" rule gives one label.
         """
-        labels = host.lower().split(".")
+        return self._registrable(host.lower().split("."))
+
+    def _registrable(self, labels: list[str]) -> str:
+        """``registrable_domain`` of the host with these lower-case labels."""
         rules = self._rules
         best, exception, wildcard = 1, 0, 0
         n, tail = 0, None
@@ -169,7 +172,7 @@ def canonicalize(url_or_host: str, table: PublicSuffixTable | None = None) -> st
     labels = host.split(".")
     if any(not lab or " " in lab for lab in labels):
         raise CanonicalizationError(f"malformed hostname: {host!r}")
-    return (table or default_suffix_table()).registrable_domain(host)
+    return (table or default_suffix_table())._registrable(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,10 @@ class CrawlExtraction(NamedTuple):
     skips: list[tuple[int, str]]  # (line number, reason) of malformed lines
 
 
+def _keyed(profile: SiteIdProfile) -> SiteIdProfile | None:
+    return None if profile.is_empty() else profile
+
+
 def extract_crawl(
     lines: IO[str] | Iterable[str],
     ranks: Mapping[str, int] | None = None,
@@ -366,7 +370,8 @@ def extract_crawl(
     ``dedup_by_landing`` and ``extract_profiles``. Each record is folded
     into its landing domain's survivor entry as its line is read, and
     extracted only if it beats the survivor so far, so memory grows with
-    the landing domains kept, not with the page bytes.
+    the landing domains kept, not with the page bytes. A survivor without
+    keys is kept as None, since it only counts towards ``site_count``.
     """
     if ranks is None:
         ranks = {}
@@ -379,10 +384,10 @@ def extract_crawl(
     for pos, record in enumerate(_crawl_records(lines, table, skips)):
         _keep_survivor(
             survivors, record.landing_domain, ranks.get(record.requested_domain, record.rank),
-            pos, lambda: extract_profile(record, dictionary, blocklist),
+            pos, lambda: _keyed(extract_profile(record, dictionary, blocklist)),
         )
     profiles = sorted(
-        (entry[3] for entry in survivors.values() if not entry[3].is_empty()),
+        (entry[3] for entry in survivors.values() if entry[3] is not None),
         key=lambda p: p.landing_domain,
     )
     site_ranks = {domain: entry[2] for domain, entry in survivors.items() if entry[2] is not None}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import json
 import random
@@ -8,6 +9,7 @@ import re
 
 import pytest
 
+import adgraph.extractor
 from adgraph.corpus import CrawlRecord, assign_ranks, dedup_by_landing, parse_crawl_jsonl
 from adgraph.extractor import (
     IdKind,
@@ -406,6 +408,29 @@ def test_extract_crawl_matches_parse_rank_dedup_extract(dictionary, blocklist):
             seen["empty profile"] += sum(
                 p.is_empty() for p in extract_profiles(survivors, dictionary, blocklist, True))
     assert all(seen.values()), seen
+
+
+def test_extract_crawl_keeps_no_keyless_profile(dictionary, blocklist, monkeypatch):
+    """A keyless survivor counts towards site_count but keeps no profile
+    alive while the crawl is read."""
+    empty, alive = [], []
+    extract = adgraph.extractor.extract_profile
+
+    def counting_extract(*args):
+        profile = extract(*args)
+        empty.append(profile.is_empty())
+        return profile
+
+    def lines_then_census(lines):
+        yield from lines
+        gc.collect()
+        alive.append(sum(isinstance(o, SiteIdProfile) and o.is_empty() for o in gc.get_objects()))
+
+    monkeypatch.setattr(adgraph.extractor, "extract_profile", counting_extract)
+    lines, ranks = random_crawl_lines(60, 3, sorted(dictionary), sorted(blocklist)[:20])
+    got = extract_crawl(lines_then_census(lines), ranks, dictionary, blocklist)
+    assert sum(empty) >= 3 and got.site_count > len(got.profiles)
+    assert alive == [0]
 
 
 # --- summaries --------------------------------------------------------------

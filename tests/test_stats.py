@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import adgraph.cli
+import adgraph.stats
 from adgraph.graphs import IdFamily, build_bipartite
 from adgraph.stats import (
     _sampling_baselines,
@@ -22,6 +26,7 @@ from adgraph.stats import (
 )
 from adgraph.extractor import IdKind
 from helpers import (
+    floyd_replay_reference,
     hypergeometric_expected_richness,
     make_profile,
     poisson_baseline_oracle,
@@ -398,14 +403,15 @@ def test_poisson_monotone_in_k():
 
 # --- richness_vs_baseline ---------------------------------------------------
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(9))
 def test_baselines_equal_the_per_size_oracle(seed):
     rng = random.Random(seed)
-    n = rng.randrange(2, 60)
-    names = rng.sample(range(1000), n)
+    n = rng.randrange(2, 60) if seed < 6 else rng.randrange(60, 3000)
+    names = rng.sample(range(10_000), n)
     cats = {f"s{i}.example": f"c{rng.randrange(1, 8)}" for i in names}
     sites = list(cats)
-    sizes = sorted({1, n, *(rng.randrange(1, n + 1) for _ in range(6))})
+    sizes = sorted({1, n, *(rng.randrange(1, n + 1) for _ in range(6)),
+                    *(rng.randrange(1, min(n, 40) + 1) for _ in range(3))})
     rng.shuffle(sizes)
     groups = [rng.sample(sites, k) + ["unlabeled.example"] for k in sizes]
     for trials in (1, rng.randrange(2, 40)):
@@ -425,6 +431,143 @@ def test_baselines_equal_the_oracle_on_the_tail_shuffle_path():
     sizes = [300, 2, 5_000]
     expected = [poisson_baseline_oracle(cats, k, 3, 11) for k in sizes]
     assert _sampling_baselines(cats, sizes, 3, 11) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3, 2**200 + 1])
+def test_pcg64_streams_match_numpy(seed):
+    # Seeds of five or more 32-bit words take SeedSequence's extra mixing.
+    block = range(5, 405)
+    for words in (1, 7, 40):
+        expected = np.stack([np.random.PCG64([seed, t]).random_raw(words) for t in block])
+        assert np.array_equal(adgraph.stats._pcg64_raw(seed, block, words), expected)
+
+
+@pytest.mark.parametrize("sizes", [[1], [4], [1, 4]])
+def test_baselines_reject_a_negative_seed(sizes):
+    cats = {f"s{i}.example": f"c{i % 2}" for i in range(4)}
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.default_rng([-1, 0])
+    with pytest.raises(ValueError, match="non-negative"):
+        _sampling_baselines(cats, sizes, 3, -1)
+
+
+def test_floyd_replay_reference_matches_choice():
+    # Generator.choice(replace=False) is Floyd's algorithm over Lemire draws;
+    # the vectorised baseline and its tests rest on this.
+    replayed = 0
+    for n, k in [(2, 1), (37, 5), (37, 36), (4000, 12), (9999, 300)]:
+        for trial in range(60):
+            drawn = floyd_replay_reference(n, k, 5, trial)
+            if drawn is not None:
+                replayed += 1
+                sample = np.random.default_rng([5, trial]).choice(n, size=k, replace=False)
+                assert sorted(drawn) == sorted(sample.tolist())
+    assert replayed > 150
+
+
+def test_baselines_rerun_only_the_trials_replay_cannot_take(monkeypatch):
+    """On a report-sized baseline, Generator.choice runs once per trial
+    whose draws repeat a value or meet Lemire's rejection branch, not once
+    per trial and size."""
+    rng = random.Random(5)
+    cats = {f"s{i:04d}.example": f"c{rng.randrange(20)}" for i in range(4000)}
+    sizes, trials = [2, 3, 4, 5, 6, 7, 8, 10, 12], 1000
+    expected = [poisson_baseline_oracle(cats, k, trials, 17) for k in sizes]
+    reruns = sum(floyd_replay_reference(4000, k, 17, t) is None
+                 for k in sizes for t in range(trials))
+    calls = []
+    choice = adgraph.stats._choice
+    monkeypatch.setattr(adgraph.stats, "_choice",
+                        lambda *args: calls.append(args) or choice(*args))
+    assert _sampling_baselines(cats, sizes, trials, 17) == expected
+    assert len(calls) == reruns
+    assert 0 < reruns < trials * len(sizes) // 20
+
+
+def test_baselines_rerun_a_lemire_rejection(monkeypatch):
+    # Trial 0 of seed 363967 rejects its second draw for (n, k) = (9763, 2):
+    # replaying the first two outputs would pick sites 5065 and 1819, but
+    # choice picks 5065 and 5590, the only site of category "b".
+    n, seed = 9763, 363967
+    cats = {f"s{i:04d}.example": "b" if i == 5590 else "a" for i in range(n)}
+    assert floyd_replay_reference(n, 2, seed, 0) is None
+    calls = []
+    choice = adgraph.stats._choice
+    monkeypatch.setattr(adgraph.stats, "_choice",
+                        lambda *args: calls.append(args) or choice(*args))
+    assert _sampling_baselines(cats, [2], 1, seed) == [2.0]
+    assert poisson_baseline_oracle(cats, 2, 1, seed) == 2.0
+    assert calls == [(n, 2, seed, 0)]
+
+
+@pytest.mark.parametrize("n", [10_000, 10_001])
+def test_baselines_equal_the_oracle_around_the_tail_shuffle_cutoff(n):
+    # Above 10,000 sites, sizes over n // 50 = 200 take choice's tail shuffle.
+    rng = random.Random(n)
+    cats = {f"s{i:05d}.example": f"c{rng.randrange(300)}" for i in range(n)}
+    sizes = [1, 60, 200, 201, n - 1, n]
+    expected = [poisson_baseline_oracle(cats, k, 4, 17) for k in sizes]
+    assert _sampling_baselines(cats, sizes, 4, 17) == expected
+
+
+def test_replay_takes_the_sizes_most_trials_replay():
+    def replay_share(n, k):  # the chance that k Floyd draws are distinct
+        return math.prod(Fraction(n - k + 1, n - k + s + 1) for s in range(k))
+
+    for n, sizes in [(2, [1]), (37, range(1, 37)), (4000, [*range(1, 120), 2000, 3999])]:
+        replayed = [k for k in sizes if adgraph.stats._replays(n, k)]
+        assert replayed == [k for k in sizes if replay_share(n, k) >= Fraction(1, 2)]
+    assert adgraph.stats._replays(4000, 74) and not adgraph.stats._replays(4000, 75)
+
+
+@pytest.mark.parametrize("elements", [1, 24, 100])
+def test_baselines_equal_the_oracle_across_trial_blocks(monkeypatch, elements):
+    monkeypatch.setattr(adgraph.stats, "_REPLAY_BLOCK_ELEMENTS", elements)
+    shapes = []
+    stream = adgraph.stats._uint32_stream
+
+    def recorded_stream(*args):
+        words = stream(*args)
+        shapes.append(words.shape)
+        return words
+
+    monkeypatch.setattr(adgraph.stats, "_uint32_stream", recorded_stream)
+    rng = random.Random(elements)
+    cats = {f"s{i:03d}.example": f"c{rng.randrange(6)}" for i in range(40)}
+    sizes = [12, 1, 7, 40, 3]
+    expected = [poisson_baseline_oracle(cats, k, 13, 9) for k in sizes]
+    assert _sampling_baselines(cats, sizes, 13, 9) == expected
+    assert sum(rows for rows, _ in shapes) == 13 and len(shapes) > 1
+    assert all(rows == 1 or rows * columns <= elements for rows, columns in shapes)
+
+
+def test_baselines_equal_the_oracle_when_every_trial_reruns(monkeypatch):
+    calls = []
+    choice = adgraph.stats._choice
+    monkeypatch.setattr(adgraph.stats, "_replays", lambda n, k: False)
+    monkeypatch.setattr(adgraph.stats, "_choice",
+                        lambda *args: calls.append(args) or choice(*args))
+    rng = random.Random(3)
+    cats = {f"s{i:03d}.example": f"c{rng.randrange(9)}" for i in range(300)}
+    sizes = [2, 10, 299, 300]
+    expected = [poisson_baseline_oracle(cats, k, 50, 5) for k in sizes]
+    assert _sampling_baselines(cats, sizes, 50, 5) == expected
+    assert len(calls) == 50 * 3  # every trial of every size but k = n
+
+
+@pytest.mark.parametrize("size", [2, 10, 299, 300])
+def test_stats_poisson_writes_the_oracle_mean(tmp_path, size):
+    rng = random.Random(size)
+    cats = {f"s{i:03d}.example": f"c{rng.randrange(9)}" for i in range(300)}
+    path = tmp_path / "cats.csv"
+    path.write_text("".join(f"{site},{label}\n" for site, label in cats.items()),
+                    encoding="utf-8")
+    out = tmp_path / "baseline.json"
+    assert adgraph.cli.run(["stats", "poisson", "--categories", str(path), "--size", str(size),
+                            "--trials", "700", "--seed", "5", "--out", str(out)]) == 0
+    expected = {"size": size, "trials": 700, "seed": 5, "labeled_sites": 300,
+                "mean_richness": poisson_baseline_oracle(cats, size, 700, 5)}
+    assert out.read_text(encoding="utf-8") == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_richness_single_category_groups():
