@@ -60,7 +60,6 @@ from .communities import (
     prune_edges,
 )
 from .stats import (
-    DEFAULT_SEED,
     DiversityReport,
     PowerLawFit,
     PublisherRecord,

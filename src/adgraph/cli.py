@@ -3,7 +3,7 @@
 Subcommands compose through files only (no hidden state): extract ->
 graph -> communities, plus stats/history analyses and a one-shot report
 bundle. Every run drops a config-echo JSON with the effective parameters
-and seed next to its outputs; outputs are UTF-8 with LF endings and
+next to its outputs; outputs are UTF-8 with LF endings and
 deterministically ordered, so identical invocations produce identical
 bytes. Exit codes: 0 success, 1 input error, 2 configuration error.
 """
@@ -64,7 +64,6 @@ from .history import (
     transition_series,
 )
 from .stats import (
-    DEFAULT_SEED,
     PublisherRecord,
     category_distribution,
     fit_power_law,
@@ -326,10 +325,8 @@ def _diversity_stage(
     )
 
 
-def _richness_stage(
-    groups: list[list[str]], categories: dict[str, str], trials: int, seed: int, out_dir: _Bundle
-) -> None:
-    rows = richness_vs_baseline(groups, categories, trials, seed)
+def _richness_stage(groups: list[list[str]], categories: dict[str, str], out_dir: _Bundle) -> None:
+    rows = richness_vs_baseline(groups, categories)
     _write_csv(
         out_dir / "richness_vs_baseline.csv",
         ["size", "observed_mean", "baseline_mean"],
@@ -432,16 +429,10 @@ def _cmd_stats_diversity(args: argparse.Namespace) -> None:
 
 def _cmd_stats_poisson(args: argparse.Namespace) -> None:
     categories = load_category_map(args.categories)
-    mean_richness = poisson_sampling_baseline(categories, args.size, args.trials, args.seed)
+    mean_richness = poisson_sampling_baseline(categories, args.size)
     _write_json(
         Path(args.out),
-        {
-            "size": args.size,
-            "trials": args.trials,
-            "seed": args.seed,
-            "labeled_sites": len(categories),
-            "mean_richness": mean_richness,
-        },
+        {"size": args.size, "labeled_sites": len(categories), "mean_richness": mean_richness},
     )
 
 
@@ -550,8 +541,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
         groups = [sorted(c) for c in communities]
         _categories_stage(profiles, categories, bundle, "categories.csv")
         _diversity_stage(enumerate(groups), categories, bundle, "diversity.csv")
-        attempt("richness_vs_baseline", _richness_stage,
-                groups, categories, args.trials, args.seed, bundle)
+        attempt("richness_vs_baseline", _richness_stage, groups, categories, bundle)
 
     manifest = bundle / "report_manifest.json"
     _write_json(manifest, {"artifacts": sorted(set(bundle.artifacts)), "skipped": skipped})
@@ -697,12 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True)
             p.set_defaults(func=_cmd_stats_diversity)
 
-        @topics.lazy("poisson", help="random-sampling richness baseline")
+        @topics.lazy("poisson", help="expected richness under uniform site sampling")
         def poisson(p: argparse.ArgumentParser) -> None:
             p.add_argument("--categories", required=True)
             p.add_argument("--size", type=_at_least(1), required=True)
-            p.add_argument("--trials", type=_at_least(1), default=10000)
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
             p.add_argument("--out", required=True)
             p.set_defaults(func=_cmd_stats_poisson)
 
@@ -728,8 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--top-fraction", type=_fraction, default=0.05)
         p.add_argument("--out-dir", required=True)
         p.add_argument("--categories", default=None)
-        p.add_argument("--trials", type=_at_least(1), default=1000)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.set_defaults(func=_cmd_report)
 
     return parser

@@ -3,14 +3,15 @@
 Covers per-site identifier counts, publisher portfolio sizes, discrete
 power-law fitting with a power-law-vs-exponential likelihood ratio test,
 the popularity-vs-size regression, category histograms, Shannon diversity
-and the category-sampling richness baseline.
+and the exact richness baseline under uniform site sampling.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from collections import Counter
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from statistics import median
 from typing import Iterable, Mapping, Sequence
 
@@ -20,8 +21,6 @@ from scipy.special import erfc, zeta
 
 from .extractor import KIND_ORDER, IdKind, SiteIdProfile
 from .graphs import BipartiteGraph
-
-DEFAULT_SEED = 17
 
 _MIN_TAIL = 10
 _ALPHA_BOUNDS = (1.000001, 25.0)
@@ -67,7 +66,7 @@ def publisher_sizes(
     """
     records = []
     for key, sites in bipartite.key_to_sites.items():
-        member_ranks = sorted(ranks[s] for s in sites if s in ranks) if ranks else []
+        member_ranks = [ranks[s] for s in sites if s in ranks] if ranks else []
         mean_rank = sum(member_ranks) / len(member_ranks) if member_ranks else None
         median_rank = float(median(member_ranks)) if member_ranks else None
         records.append(PublisherRecord(key, sites, mean_rank, median_rank))
@@ -300,223 +299,43 @@ def shannon_diversity(categories: Iterable[str]) -> DiversityReport:
     )
 
 
-def poisson_sampling_baseline(
-    category_map: Mapping[str, str],
-    k: int,
-    trials: int,
-    seed: int = DEFAULT_SEED,
-) -> float:
+def poisson_sampling_baseline(category_map: Mapping[str, str], k: int) -> float:
     """Expected category richness when a publisher of size k picks its
-    sites uniformly at random from the labeled corpus.
+    sites uniformly at random, without replacement, from the labeled corpus.
 
     Uniform choice over sites biases selection by category prevalence,
-    which is exactly the null model wanted for the preference test. Each
-    trial derives its own generator from (seed, trial), so the mean is
-    independent of execution order.
+    which is exactly the null model wanted for the preference test. The
+    expectation is computed exactly (see ``_expected_richness``).
     """
-    return _sampling_baselines(category_map, [k], trials, seed)[0]
+    return _expected_richness(_sizes_of_categories(category_map), k)
 
 
-# Trial x slot elements in one block of the vectorised baseline replay.
-_REPLAY_BLOCK_ELEMENTS = 1 << 16
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+def _sizes_of_categories(category_map: Mapping[str, str]) -> Counter[int]:
+    """How many categories have each size m (their number of sites)."""
+    return Counter(Counter(category_map.values()).values())
 
 
-def _replays(n: int, k: int) -> bool:
-    """Whether the baseline replays ``Generator.choice(n, k, replace=False)``
-    for a size k < n, instead of calling it for every trial.
+def _expected_richness(sizes: Mapping[int, int], k: int) -> float:
+    """E[richness] = K - sum_c C(n - m_c, k) / C(n, k) for k of the n sites
+    drawn without replacement, where ``sizes`` counts the K categories of
+    each size m; the correctly rounded float of the exact rational.
 
-    ``choice`` runs Floyd's algorithm on 32-bit draws unless n > 10,000 and
-    k > n // 50, where it shuffles a tail instead. A trial replays when its
-    k draws are distinct, which has probability (n-k+1)^k (n-k)! / n!;
-    below one half, most trials would rerun anyway.
+    C(n - m, k) / C(n, k), the chance of missing a category of size m,
+    equals C(n - k, m) / C(n, m); with j = min(m, k) it is
+    C(n - max(m, k), j) / C(n, j), which keeps the binomials small.
     """
-    if n > 10_000 and k > n // 50:
-        return False
-    return k * math.log(n - k + 1) + math.lgamma(n - k + 1) - math.lgamma(n + 1) >= -math.log(2)
-
-
-def _choice(n: int, k: int, seed: int, trial: int) -> np.ndarray:
-    """Trial ``trial``'s sample of size k, from ``Generator.choice`` itself."""
-    return np.random.default_rng([seed, trial]).choice(n, size=k, replace=False)
-
-
-def _richness(codes: np.ndarray) -> int:
-    return len(set(codes.tolist()))
-
-
-def _sampling_baselines(
-    category_map: Mapping[str, str], sizes: Sequence[int], trials: int, seed: int
-) -> list[float]:
-    """``poisson_sampling_baseline`` for each of ``sizes``, in one pass.
-
-    Size k in trial t counts the categories of
-    ``default_rng([seed, t]).choice(n, k, replace=False)``. That is Floyd's
-    algorithm: slot s draws a Lemire bounded integer in [0, j] for
-    j = n - k + s, from one 32-bit output of the trial's PCG64 stream each,
-    and keeps it unless it was drawn before. So the first k outputs of the
-    stream give every trial's sample at once, in numpy. Trials whose draws
-    hit Lemire's rejection branch or repeat a value rerun through
-    ``choice``, and so do all trials of a size that ``_replays`` declines;
-    the means are exactly those of calling ``choice`` every time.
-    """
-    if not sizes:
-        return []
-    sites = sorted(category_map)
-    n = len(sites)
-    for k in sizes:
-        if k < 1 or k > n:
-            raise ValueError(f"k must be in [1, {n}], got {k}")
-    if not 1 <= trials <= 1 << 32:  # a trial number is one 32-bit seed word
-        raise ValueError(f"trials must be in [1, 2**32], got {trials}")
-    if operator.index(seed) < 0:
-        raise ValueError("expected non-negative integer")  # SeedSequence's words
-    labels = np.array([category_map[s] for s in sites])
-    categories, codes = np.unique(labels, return_inverse=True)
-    totals = [0] * len(sizes)
-    replayed = []
-    for i, k in enumerate(sizes):
-        if k == n:  # every site is drawn (slot 0 draws nothing, j = 0)
-            totals[i] = len(categories) * trials
-        elif _replays(n, k):
-            replayed.append(i)
-        else:
-            totals[i] = sum(_richness(codes[_choice(n, k, seed, t)]) for t in range(trials))
-    if replayed:
-        words = (max(sizes[i] for i in replayed) + 1) // 2
-        rows = max(1, _REPLAY_BLOCK_ELEMENTS // (2 * words))
-        for first in range(0, trials, rows):
-            block = range(first, min(first + rows, trials))
-            stream = _uint32_stream(seed, block, words)
-            for i in replayed:
-                totals[i] += _replay_floyd(codes, sizes[i], stream, seed, block)
-    return [total / trials for total in totals]
-
-
-def _uint32_stream(seed: int, block: range, words: int) -> np.ndarray:
-    """The first ``2 * words`` 32-bit outputs of each trial's generator,
-    one row per trial, in ``next_uint32`` order: each 64-bit word gives its
-    low half, then its high half."""
-    return _pcg64_raw(seed, block, words).astype("<u8", copy=False).view("<u4")
-
-
-def _replay_floyd(
-    codes: np.ndarray, k: int, stream: np.ndarray, seed: int, block: range
-) -> int:
-    """Summed richness of size k over ``block``'s trials, replaying
-    ``choice``'s Floyd draws from ``stream`` (requires k < n)."""
-    n = len(codes)
-    bound = np.arange(n - k + 1, n + 1, dtype=np.uint64)  # j + 1 for each slot
-    drawn = stream[:, :k] * bound  # Lemire: the high half is the draw
-    rerun = ((drawn & _MASK32) < (1 << 32) % bound).any(axis=1)  # the low half rejects
-    drawn >>= 32
-    drawn.sort(axis=1)
-    rerun |= (drawn[:, 1:] == drawn[:, :-1]).any(axis=1)
-    picked = codes[drawn]
-    picked.sort(axis=1)
-    richness = 1 + np.count_nonzero(picked[:, 1:] != picked[:, :-1], axis=1)
-    total = int(richness[~rerun].sum())
-    for row in np.flatnonzero(rerun).tolist():
-        total += _richness(codes[_choice(n, k, seed, block[row])])
-    return total
-
-
-# ---------------------------------------------------------------------------
-# numpy's PCG64 streams for many seeds at once
-# ---------------------------------------------------------------------------
-
-# SeedSequence's hash constants, and the multiplier of PCG64's 128-bit LCG.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _pcg64_raw(seed: int, block: range, words: int) -> np.ndarray:
-    """``np.random.PCG64([seed, t]).random_raw(words)`` for each trial t of
-    ``block`` (all below 2**32), one row per trial, computed for all rows
-    and words at once. 128-bit values are (high, low) pairs of uint64
-    arrays."""
-    halves = [half[:, None].astype(np.uint64) for half in _seed_sequence_state(seed, block)]
-    state = [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
-    # pcg64_set_seed: the first 128 bits seed the state, the next the stream.
-    # Seeding steps once from inc + seed, and every output steps first.
-    inc = (state[2] << 1 | state[3] >> 63, state[3] << 1 | 1)
-    hi, lo = _add128(*inc, state[0], state[1])
-    for _ in range(2):
-        hi, lo = _add128(*_mul128(hi, lo, _PCG_MULT), *inc)
-    # Jump ahead by doubling: s[w + span] = mult * s[w] + plus * inc, where
-    # mult = M**span and plus = 1 + M + ... + M**(span - 1).
-    mult, plus = _PCG_MULT, 1
-    while hi.shape[1] < words:
-        next_hi, next_lo = _add128(*_mul128(hi, lo, mult), *_mul128(*inc, plus))
-        hi, lo = np.hstack([hi, next_hi]), np.hstack([lo, next_lo])
-        mult, plus = mult * mult & _MASK128, plus * (mult + 1) & _MASK128
-    hi, lo = hi[:, :words], lo[:, :words]
-    folded, rotation = hi ^ lo, hi >> 58  # XSL-RR output
-    return folded >> rotation | folded << ((64 - rotation) & 63)
-
-
-def _seed_sequence_state(seed: int, block: range) -> list[np.ndarray]:
-    """``SeedSequence([seed, t]).generate_state(8)`` for each trial t of
-    ``block`` and a seed >= 0: eight uint32 columns."""
-    seed = operator.index(seed)
-    entropy = [np.full(len(block), (seed >> shift) & _MASK32, dtype=np.uint32)
-               for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(np.arange(block.start, block.stop, dtype=np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ result >> 16
-
-    zero = np.zeros(len(block), dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for extra in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(extra))
-    out, hash_const = [], _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        out.append(value ^ value >> 16)
-    return out
-
-
-def _mul128(hi: np.ndarray, lo: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) times the constant c, modulo 2**128."""
-    c_hi, c_lo = c >> 64, c & _MASK64
-    c1, c0 = c_lo >> 32, c_lo & _MASK32
-    a1, a0 = lo >> 32, lo & _MASK32
-    p00, p01, p10, p11 = a0 * c0, a0 * c1, a1 * c0, a1 * c1
-    middle = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = p11 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)  # high word of lo * c_lo
-    return carry + lo * c_hi + hi * c_lo, lo * c_lo
-
-
-def _add128(
-    hi: np.ndarray, lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    low = lo + b_lo
-    return hi + b_hi + (low < b_lo), low
+    n = sum(m * count for m, count in sizes.items())
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    missed = Fraction(0)
+    for m, count in sizes.items():
+        j = min(m, k)
+        missed += Fraction(count * math.comb(n - max(m, k), j), math.comb(n, j))
+    return float(sum(sizes.values()) - missed)
 
 
 def richness_vs_baseline(
-    groups: Iterable[Iterable[str]],
-    category_map: Mapping[str, str],
-    trials: int,
-    seed: int = DEFAULT_SEED,
+    groups: Iterable[Iterable[str]], category_map: Mapping[str, str]
 ) -> list[tuple[int, float, float]]:
     """Observed mean richness per group size against the sampling baseline.
 
@@ -529,9 +348,8 @@ def richness_vs_baseline(
         if not labels:
             continue
         observed.setdefault(len(labels), []).append(len(set(labels)))
-    sizes = sorted(observed)
-    baselines = _sampling_baselines(category_map, sizes, trials, seed)
+    sizes = _sizes_of_categories(category_map)
     return [
-        (size, float(np.mean(observed[size])), baseline)
-        for size, baseline in zip(sizes, baselines)
+        (size, float(np.mean(observed[size])), _expected_richness(sizes, size))
+        for size in sorted(observed)
     ]

@@ -699,29 +699,19 @@ def poisson_baseline_oracle(category_map, k, trials, seed):
     return total / trials
 
 
-def floyd_replay_reference(n, k, seed, trial):
-    """``default_rng([seed, trial]).choice(n, k, replace=False)`` replayed
-    with Python ints for k < n: Floyd's algorithm, slot s drawing a Lemire
-    bounded integer in [0, n - k + s] from the s-th 32-bit output (low
-    half of each 64-bit word first). Returns the drawn values, or None when
-    a draw meets Lemire's rejection branch or repeats an earlier value."""
-    stream = []
-    for word in np.random.PCG64([seed, trial]).random_raw((k + 1) // 2).tolist():
-        stream += [word & 0xFFFFFFFF, word >> 32]
-    drawn = []
-    for s in range(k):
-        j = n - k + s
-        product = stream[s] * (j + 1)
-        if product % 2**32 < (2**32 - 1 - j) % (j + 1):
-            return None
-        drawn.append(product >> 32)
-    return drawn if len(set(drawn)) == k else None
-
-
 def hypergeometric_expected_richness(category_counts, k):
-    """Closed-form E[distinct categories] for k draws without replacement."""
+    """Closed-form E[distinct categories] for k draws without replacement,
+    one exact term per category: sum_c 1 - C(n - m_c, k) / C(n, k)."""
     n_total = sum(category_counts)
-    return sum(1 - math.comb(n_total - c, k) / math.comb(n_total, k) for c in category_counts)
+    return sum(1 - Fraction(math.comb(n_total - c, k), math.comb(n_total, k))
+               for c in category_counts)
+
+
+def enumerated_expected_richness(category_map, k):
+    """Mean richness over every k-subset of the labeled sites, exactly."""
+    labels = [category_map[s] for s in sorted(category_map)]
+    subsets = list(itertools.combinations(labels, k))
+    return Fraction(sum(len(set(subset)) for subset in subsets), len(subsets))
 
 
 # ---------------------------------------------------------------------------

@@ -231,11 +231,10 @@ def test_stats_poisson(tmp_path):
     cats.write_text("a.example,News\nb.example,News\nc.example,Arts\nd.example,Arts\n",
                     encoding="utf-8")
     code = run(["stats", "poisson", "--categories", str(cats), "--size", "2",
-                "--trials", "10000", "--seed", "7", "--out", str(tmp_path / "baseline.json")])
+                "--out", str(tmp_path / "baseline.json")])
     assert code == 0
     baseline = json.loads((tmp_path / "baseline.json").read_text(encoding="utf-8"))
-    assert abs(baseline["mean_richness"] - 5 / 3) <= 0.05
-    assert baseline["seed"] == 7
+    assert baseline == {"size": 2, "labeled_sites": 4, "mean_richness": 5 / 3}
 
 
 def test_stats_diversity(tmp_path):
@@ -299,7 +298,7 @@ def test_report_bundle(crawl_file, tmp_path):
     lines += [f"site{i:02d}.example,Arts" for i in range(25, 50)]
     cats.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code = run(["report", "--in", str(crawl_file), "--out-dir", str(tmp_path / "r"),
-                "--categories", str(cats), "--trials", "200", "--top-fraction", "1.0"])
+                "--categories", str(cats), "--top-fraction", "1.0"])
     assert code == 0
     manifest = json.loads((tmp_path / "r" / "report_manifest.json").read_text(encoding="utf-8"))
     for name in ("profiles.jsonl", "summary.json", "metagraph.csv", "communities.csv",
@@ -328,7 +327,7 @@ def test_exit_codes(tmp_path, crawl_file):
         ["extract", "--in", str(crawl_file), "--out", str(out / "p.jsonl"), "--threads", "0"],
         ["extract", "--in", str(crawl_file), "--out", str(out / "p.jsonl"),
          "--anomaly-threshold", "0"],
-        ["report", "--in", str(crawl_file), "--out-dir", str(out), "--trials", "0"],
+        ["report", "--in", str(crawl_file), "--out-dir", str(out), "--top-fraction", "0"],
         ["stats", "popularity", "--profiles", "p.jsonl", "--site-ranks", "r.csv",
          "--max-size", "2", "--out", str(out / "pop.csv")],
         # history could not load a snapshot whose profiles have another name
@@ -344,6 +343,19 @@ def test_exit_codes(tmp_path, crawl_file):
     bad = tmp_path / "bad.csv"
     bad.write_text("site_a,site_b\n", encoding="utf-8")
     assert run(["communities", "--metagraph", str(bad), "--out-dir", str(tmp_path)]) == 1
+
+
+def test_removed_baseline_knobs_are_config_errors(tmp_path, crawl_file):
+    cats = _categories(tmp_path)
+    out = tmp_path / "out"
+    for argv in (
+        ["report", "--in", str(crawl_file), "--categories", str(cats), "--out-dir", str(out),
+         "--seed", "5"],
+        ["stats", "poisson", "--categories", str(cats), "--size", "2",
+         "--out", str(out / "b.json"), "--trials", "10"],
+    ):
+        assert run(argv) == 2
+        assert not out.exists()
 
 
 def test_rerun_is_byte_identical(crawl_file, tmp_path):
@@ -390,7 +402,7 @@ def test_report_runs_the_stage_commands(crawl_file, tmp_path):
         composed = [run(argv) for argv in steps]
         bundled = run(["report", "--in", str(crawl_file), "--out-dir", str(bundle),
                        "--ranks", str(rank_file), "--categories", str(cats),
-                       "--trials", "20", "--top-fraction", "1.0"])
+                       "--top-fraction", "1.0"])
         # a rank below 1 is an input error on both paths
         assert (composed[0], bundled) == ((0, 0) if name == "valid" else (1, 1))
         if bundled:
@@ -448,12 +460,11 @@ def test_every_command_echoes_its_config_once(crawl_file, tmp_path):
                             out("communities", "communities.csv"), "--categories", str(cats),
                             "--out", out("stats_diversity", "d.csv")],
         "stats_poisson": ["stats", "poisson", "--categories", str(cats), "--size", "2",
-                          "--trials", "10", "--out", out("stats_poisson", "b.json")],
+                          "--out", out("stats_poisson", "b.json")],
         **{f"history_{topic}": ["history", topic, "--snapshots", *snap_dirs,
                                 "--out", out(f"history_{topic}", f"{topic}.csv")]
            for topic in ("coverage", "idcounts", "transitions", "classes", "top")},
-        "report": ["report", "--in", str(crawl_file), "--trials", "10",
-                   "--out-dir", out("report")],
+        "report": ["report", "--in", str(crawl_file), "--out-dir", out("report")],
     }
     assert len(commands) == 16
     for name, argv in commands.items():

@@ -3,16 +3,15 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import adgraph.cli
-import adgraph.stats
 from adgraph.graphs import IdFamily, build_bipartite
 from adgraph.stats import (
-    _sampling_baselines,
     category_distribution,
     fit_power_law,
     linear_fit,
@@ -26,7 +25,7 @@ from adgraph.stats import (
 )
 from adgraph.extractor import IdKind
 from helpers import (
-    floyd_replay_reference,
+    enumerated_expected_richness,
     hypergeometric_expected_richness,
     make_profile,
     poisson_baseline_oracle,
@@ -354,51 +353,88 @@ def test_shannon_bounds_random_multisets():
 
 # --- poisson baseline -------------------------------------------------------
 
+def _counts(cats):
+    return sorted(Counter(cats.values()).values())
+
+
 def test_poisson_single_category():
     cats = {f"s{i}.example": "News" for i in range(6)}
-    assert poisson_sampling_baseline(cats, k=3, trials=50) == 1.0
+    assert poisson_sampling_baseline(cats, k=3) == 1.0
 
 
 def test_poisson_exhaustive_draw():
     cats = {"a.example": "News", "b.example": "Arts", "c.example": "Arts",
             "d.example": "Science"}
-    assert poisson_sampling_baseline(cats, k=4, trials=20) == 3.0
+    assert poisson_sampling_baseline(cats, k=4) == 3.0
 
 
 def test_poisson_matches_hypergeometric_expectation():
     cats = {"a.example": "A", "b.example": "A", "c.example": "B", "d.example": "B"}
     expected = hypergeometric_expected_richness([2, 2], 2)
-    assert expected == pytest.approx(5 / 3)
-    mc = poisson_sampling_baseline(cats, k=2, trials=10_000, seed=7)
-    assert abs(mc - expected) <= 0.05
+    assert expected == Fraction(5, 3)
+    assert poisson_sampling_baseline(cats, k=2) == 5 / 3
 
 
-def test_poisson_seed_reproducible():
+def test_poisson_independent_of_map_order():
     cats = {f"s{i}.example": f"c{i % 3}" for i in range(9)}
-    a = poisson_sampling_baseline(cats, k=4, trials=500, seed=3)
-    b = poisson_sampling_baseline(cats, k=4, trials=500, seed=3)
-    assert a == b
+    reordered = dict(reversed(list(cats.items())))
+    assert poisson_sampling_baseline(cats, k=4) == poisson_sampling_baseline(reordered, k=4)
 
 
 def test_poisson_rejects_oversized_k():
     with pytest.raises(ValueError):
-        poisson_sampling_baseline({"a.example": "News"}, k=2, trials=10)
+        poisson_sampling_baseline({"a.example": "News"}, k=2)
+    with pytest.raises(ValueError):
+        poisson_sampling_baseline({"a.example": "News"}, k=0)
 
 
 def test_poisson_monotone_in_k():
     rng = random.Random(21)
     cats = {f"s{i:03d}.example": f"c{rng.randrange(5)}" for i in range(30)}
-    trials = 3000
-    counts = [c for c in np.unique(list(cats.values()), return_counts=True)[1]]
-    previous = 0.0
-    for k in (1, 3, 6, 12, 24):
-        expected = hypergeometric_expected_richness(counts, k)
-        mc = poisson_sampling_baseline(cats, k, trials, seed=23)
-        # 3 sigma band around the closed form; richness variance < richness
-        sigma = math.sqrt(len(counts) / trials)
-        assert abs(mc - expected) <= 3 * sigma + 1e-9
-        assert mc >= previous - 3 * sigma
-        previous = mc
+    baselines = [poisson_sampling_baseline(cats, k) for k in range(1, 31)]
+    assert baselines == [float(hypergeometric_expected_richness(_counts(cats), k))
+                         for k in range(1, 31)]
+    assert baselines == sorted(baselines)
+    assert baselines[0] == 1.0 and baselines[-1] == len(set(cats.values()))
+
+
+def _small_map(seed):
+    """A seeded map of 1 to 12 sites: one category for seed 0, one
+    category per site for seed 1, a random labelling otherwise."""
+    rng = random.Random(seed)
+    n = rng.randrange(1, 13)
+    kinds = {0: 1, 1: n}.get(seed, rng.randrange(1, n + 1))
+    return {f"s{i:02d}.example": f"c{i % kinds if seed < 2 else rng.randrange(kinds)}"
+            for i in range(n)}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_poisson_equals_the_enumeration_oracle(seed):
+    cats = _small_map(seed)
+    for k in range(1, len(cats) + 1):
+        assert poisson_sampling_baseline(cats, k) == float(enumerated_expected_richness(cats, k))
+
+
+def test_enumeration_maps_cover_both_sides_of_the_category_size():
+    maps = [_small_map(seed) for seed in range(30)]
+    assert len(maps[0]) > len(set(maps[0].values())) == 1
+    assert len(set(maps[1].values())) == len(maps[1]) > 1
+    pairs = {(m > k) - (m < k) for cats in maps
+             for m in _counts(cats) for k in range(1, len(cats) + 1)}
+    assert pairs == {-1, 0, 1}  # categories smaller than, as large as and larger than k
+
+
+def test_baseline_agrees_with_per_trial_choice():
+    # The per-trial Generator.choice mean lies within 4 sigma of the exact
+    # expectation. Hit indicators of sampling without replacement are
+    # negatively associated, so the richness variance is at most K/4.
+    rng = random.Random(5)
+    cats = {f"s{i:04d}.example": f"c{rng.randrange(20)}" for i in range(4000)}
+    trials = 2000
+    sigma = math.sqrt(len(set(cats.values())) / 4 / trials)
+    for k in (2, 5, 12, 40):
+        exact = poisson_sampling_baseline(cats, k)
+        assert abs(poisson_baseline_oracle(cats, k, trials, 17) - exact) <= 4 * sigma
 
 
 # --- richness_vs_baseline ---------------------------------------------------
@@ -414,145 +450,11 @@ def test_baselines_equal_the_per_size_oracle(seed):
                     *(rng.randrange(1, min(n, 40) + 1) for _ in range(3))})
     rng.shuffle(sizes)
     groups = [rng.sample(sites, k) + ["unlabeled.example"] for k in sizes]
-    for trials in (1, rng.randrange(2, 40)):
-        oracle = {k: poisson_baseline_oracle(cats, k, trials, seed) for k in sizes}
-        series = richness_vs_baseline(groups, cats, trials, seed)
-        assert [(size, baseline) for size, _, baseline in series] == sorted(oracle.items())
-        assert _sampling_baselines(cats, sizes, trials, seed) == [oracle[k] for k in sizes]
-        for k in sizes:
-            assert poisson_sampling_baseline(cats, k, trials, seed) == oracle[k]
-
-
-def test_baselines_equal_the_oracle_on_the_tail_shuffle_path():
-    # Generator.choice draws with a tail shuffle instead of Floyd's
-    # algorithm once there are over 10,000 sites and k exceeds n/50.
-    rng = random.Random(5)
-    cats = {f"s{i:05d}.example": f"c{rng.randrange(5_000)}" for i in range(10_050)}
-    sizes = [300, 2, 5_000]
-    expected = [poisson_baseline_oracle(cats, k, 3, 11) for k in sizes]
-    assert _sampling_baselines(cats, sizes, 3, 11) == expected
-
-
-@pytest.mark.parametrize("seed", [0, 17, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3, 2**200 + 1])
-def test_pcg64_streams_match_numpy(seed):
-    # Seeds of five or more 32-bit words take SeedSequence's extra mixing.
-    block = range(5, 405)
-    for words in (1, 7, 40):
-        expected = np.stack([np.random.PCG64([seed, t]).random_raw(words) for t in block])
-        assert np.array_equal(adgraph.stats._pcg64_raw(seed, block, words), expected)
-
-
-@pytest.mark.parametrize("sizes", [[1], [4], [1, 4]])
-def test_baselines_reject_a_negative_seed(sizes):
-    cats = {f"s{i}.example": f"c{i % 2}" for i in range(4)}
-    with pytest.raises(ValueError, match="non-negative"):
-        np.random.default_rng([-1, 0])
-    with pytest.raises(ValueError, match="non-negative"):
-        _sampling_baselines(cats, sizes, 3, -1)
-
-
-def test_floyd_replay_reference_matches_choice():
-    # Generator.choice(replace=False) is Floyd's algorithm over Lemire draws;
-    # the vectorised baseline and its tests rest on this.
-    replayed = 0
-    for n, k in [(2, 1), (37, 5), (37, 36), (4000, 12), (9999, 300)]:
-        for trial in range(60):
-            drawn = floyd_replay_reference(n, k, 5, trial)
-            if drawn is not None:
-                replayed += 1
-                sample = np.random.default_rng([5, trial]).choice(n, size=k, replace=False)
-                assert sorted(drawn) == sorted(sample.tolist())
-    assert replayed > 150
-
-
-def test_baselines_rerun_only_the_trials_replay_cannot_take(monkeypatch):
-    """On a report-sized baseline, Generator.choice runs once per trial
-    whose draws repeat a value or meet Lemire's rejection branch, not once
-    per trial and size."""
-    rng = random.Random(5)
-    cats = {f"s{i:04d}.example": f"c{rng.randrange(20)}" for i in range(4000)}
-    sizes, trials = [2, 3, 4, 5, 6, 7, 8, 10, 12], 1000
-    expected = [poisson_baseline_oracle(cats, k, trials, 17) for k in sizes]
-    reruns = sum(floyd_replay_reference(4000, k, 17, t) is None
-                 for k in sizes for t in range(trials))
-    calls = []
-    choice = adgraph.stats._choice
-    monkeypatch.setattr(adgraph.stats, "_choice",
-                        lambda *args: calls.append(args) or choice(*args))
-    assert _sampling_baselines(cats, sizes, trials, 17) == expected
-    assert len(calls) == reruns
-    assert 0 < reruns < trials * len(sizes) // 20
-
-
-def test_baselines_rerun_a_lemire_rejection(monkeypatch):
-    # Trial 0 of seed 363967 rejects its second draw for (n, k) = (9763, 2):
-    # replaying the first two outputs would pick sites 5065 and 1819, but
-    # choice picks 5065 and 5590, the only site of category "b".
-    n, seed = 9763, 363967
-    cats = {f"s{i:04d}.example": "b" if i == 5590 else "a" for i in range(n)}
-    assert floyd_replay_reference(n, 2, seed, 0) is None
-    calls = []
-    choice = adgraph.stats._choice
-    monkeypatch.setattr(adgraph.stats, "_choice",
-                        lambda *args: calls.append(args) or choice(*args))
-    assert _sampling_baselines(cats, [2], 1, seed) == [2.0]
-    assert poisson_baseline_oracle(cats, 2, 1, seed) == 2.0
-    assert calls == [(n, 2, seed, 0)]
-
-
-@pytest.mark.parametrize("n", [10_000, 10_001])
-def test_baselines_equal_the_oracle_around_the_tail_shuffle_cutoff(n):
-    # Above 10,000 sites, sizes over n // 50 = 200 take choice's tail shuffle.
-    rng = random.Random(n)
-    cats = {f"s{i:05d}.example": f"c{rng.randrange(300)}" for i in range(n)}
-    sizes = [1, 60, 200, 201, n - 1, n]
-    expected = [poisson_baseline_oracle(cats, k, 4, 17) for k in sizes]
-    assert _sampling_baselines(cats, sizes, 4, 17) == expected
-
-
-def test_replay_takes_the_sizes_most_trials_replay():
-    def replay_share(n, k):  # the chance that k Floyd draws are distinct
-        return math.prod(Fraction(n - k + 1, n - k + s + 1) for s in range(k))
-
-    for n, sizes in [(2, [1]), (37, range(1, 37)), (4000, [*range(1, 120), 2000, 3999])]:
-        replayed = [k for k in sizes if adgraph.stats._replays(n, k)]
-        assert replayed == [k for k in sizes if replay_share(n, k) >= Fraction(1, 2)]
-    assert adgraph.stats._replays(4000, 74) and not adgraph.stats._replays(4000, 75)
-
-
-@pytest.mark.parametrize("elements", [1, 24, 100])
-def test_baselines_equal_the_oracle_across_trial_blocks(monkeypatch, elements):
-    monkeypatch.setattr(adgraph.stats, "_REPLAY_BLOCK_ELEMENTS", elements)
-    shapes = []
-    stream = adgraph.stats._uint32_stream
-
-    def recorded_stream(*args):
-        words = stream(*args)
-        shapes.append(words.shape)
-        return words
-
-    monkeypatch.setattr(adgraph.stats, "_uint32_stream", recorded_stream)
-    rng = random.Random(elements)
-    cats = {f"s{i:03d}.example": f"c{rng.randrange(6)}" for i in range(40)}
-    sizes = [12, 1, 7, 40, 3]
-    expected = [poisson_baseline_oracle(cats, k, 13, 9) for k in sizes]
-    assert _sampling_baselines(cats, sizes, 13, 9) == expected
-    assert sum(rows for rows, _ in shapes) == 13 and len(shapes) > 1
-    assert all(rows == 1 or rows * columns <= elements for rows, columns in shapes)
-
-
-def test_baselines_equal_the_oracle_when_every_trial_reruns(monkeypatch):
-    calls = []
-    choice = adgraph.stats._choice
-    monkeypatch.setattr(adgraph.stats, "_replays", lambda n, k: False)
-    monkeypatch.setattr(adgraph.stats, "_choice",
-                        lambda *args: calls.append(args) or choice(*args))
-    rng = random.Random(3)
-    cats = {f"s{i:03d}.example": f"c{rng.randrange(9)}" for i in range(300)}
-    sizes = [2, 10, 299, 300]
-    expected = [poisson_baseline_oracle(cats, k, 50, 5) for k in sizes]
-    assert _sampling_baselines(cats, sizes, 50, 5) == expected
-    assert len(calls) == 50 * 3  # every trial of every size but k = n
+    oracle = {k: float(hypergeometric_expected_richness(_counts(cats), k)) for k in sizes}
+    series = richness_vs_baseline(groups, cats)
+    assert [(size, baseline) for size, _, baseline in series] == sorted(oracle.items())
+    for k in sizes:
+        assert poisson_sampling_baseline(cats, k) == oracle[k]
 
 
 @pytest.mark.parametrize("size", [2, 10, 299, 300])
@@ -564,16 +466,16 @@ def test_stats_poisson_writes_the_oracle_mean(tmp_path, size):
                     encoding="utf-8")
     out = tmp_path / "baseline.json"
     assert adgraph.cli.run(["stats", "poisson", "--categories", str(path), "--size", str(size),
-                            "--trials", "700", "--seed", "5", "--out", str(out)]) == 0
-    expected = {"size": size, "trials": 700, "seed": 5, "labeled_sites": 300,
-                "mean_richness": poisson_baseline_oracle(cats, size, 700, 5)}
+                            "--out", str(out)]) == 0
+    expected = {"size": size, "labeled_sites": 300,
+                "mean_richness": float(hypergeometric_expected_richness(_counts(cats), size))}
     assert out.read_text(encoding="utf-8") == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_richness_single_category_groups():
     cats = {f"s{i}.example": "News" for i in range(10)}
     groups = [[f"s{i}.example", f"s{i+1}.example"] for i in range(0, 8, 2)]
-    series = richness_vs_baseline(groups, cats, trials=100)
+    series = richness_vs_baseline(groups, cats)
     for _, observed, baseline in series:
         assert observed == 1.0 <= baseline
 
@@ -588,7 +490,7 @@ def test_richness_preferential_grouping_below_baseline():
             cats[m] = f"cat{c}"
         groups.append(members[:3])
         groups.append(members[3:])
-    series = richness_vs_baseline(groups, cats, trials=2000, seed=29)
+    series = richness_vs_baseline(groups, cats)
     for size, observed, baseline in series:
         assert size == 3 and observed == 1.0
         assert observed < baseline
@@ -599,7 +501,7 @@ def test_richness_self_consistency_with_sampler():
     cats = {f"s{i:03d}.example": f"c{i % 5}" for i in range(40)}
     sites = sorted(cats)
     groups = [list(np.array(sites)[rng.choice(40, size=6, replace=False)]) for _ in range(300)]
-    series = richness_vs_baseline(groups, cats, trials=4000, seed=37)
+    series = richness_vs_baseline(groups, cats)
     (size, observed, baseline), = [row for row in series if row[0] == 6]
     assert abs(observed - baseline) < 0.15
 
@@ -607,7 +509,7 @@ def test_richness_self_consistency_with_sampler():
 def test_richness_skips_unlabeled_members():
     cats = {"a.example": "News", "b.example": "Arts"}
     series = richness_vs_baseline([["a.example", "b.example", "zz.example"], ["zz.example"]],
-                                  cats, trials=50)
+                                  cats)
     assert [row[0] for row in series] == [2]
 
 
