@@ -77,6 +77,7 @@ from .stats import (
 )
 from .history import (
     PublisherClass,
+    SiteKeys,
     Snapshot,
     TransitionClass,
     TransitionRecord,

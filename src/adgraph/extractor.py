@@ -28,7 +28,7 @@ import json
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .corpus import (
     CrawlRecord,
@@ -245,36 +245,46 @@ class SiteIdProfile:
         an object with a string ``domain``, ``ids`` maps each kind to an
         object of key -> list of distinct source names, and every
         ``raw_counts`` value is something ``int()`` accepts."""
-        if not isinstance(obj, dict) or not isinstance(obj.get("domain"), str):
-            raise ValueError("not a profile object with a string domain")
-        ids, counts = obj.get("ids", _NO_ENTRIES), obj.get("raw_counts", _NO_ENTRIES)
-        if not isinstance(ids, dict) or not isinstance(counts, dict):
-            raise ValueError("ids and raw_counts must be objects")
-        keys: dict[IdKind, frozenset[str]] = {}
-        sources: dict[str, frozenset[Source]] = {}
-        raw_counts: dict[IdKind, int] = {}
-        for kind, name in _KIND_NAMES:
-            entry = ids.get(name, _NO_ENTRIES)
-            if not isinstance(entry, dict):
-                raise ValueError(f"ids.{name} is not an object")
-            if entry:
-                keys[kind] = frozenset(entry)
-                for key, srcs in entry.items():
-                    if not isinstance(srcs, list):
-                        raise ValueError(f"the sources of {key} are not a list")
-                    try:
-                        sources[key] = _SOURCE_SETS[tuple(srcs)]
-                    except (KeyError, TypeError):  # unsorted, repeated or bad names
-                        sources[key] = _source_set(key, srcs)
-            count = counts.get(name, 0)
-            if type(count) is not int:  # "3", 2.0 and true are counts too
+        keys, sources, raw_counts = _profile_fields(obj)
+        return cls(obj["domain"], keys, sources, raw_counts)
+
+
+def _profile_fields(
+    obj: object,
+) -> tuple[dict[IdKind, frozenset[str]], dict[str, frozenset[Source]], dict[IdKind, int]]:
+    """The keys, sources and raw counts of one profile JSON object, after
+    the checks ``SiteIdProfile.from_json_obj`` documents: every reader of
+    profile lines rejects the same lines with the same messages."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("domain"), str):
+        raise ValueError("not a profile object with a string domain")
+    ids, counts = obj.get("ids", _NO_ENTRIES), obj.get("raw_counts", _NO_ENTRIES)
+    if not isinstance(ids, dict) or not isinstance(counts, dict):
+        raise ValueError("ids and raw_counts must be objects")
+    keys: dict[IdKind, frozenset[str]] = {}
+    sources: dict[str, frozenset[Source]] = {}
+    raw_counts: dict[IdKind, int] = {}
+    for kind, name in _KIND_NAMES:
+        entry = ids.get(name, _NO_ENTRIES)
+        if not isinstance(entry, dict):
+            raise ValueError(f"ids.{name} is not an object")
+        if entry:
+            keys[kind] = frozenset(entry)
+            for key, srcs in entry.items():
+                if not isinstance(srcs, list):
+                    raise ValueError(f"the sources of {key} are not a list")
                 try:
-                    count = int(count)
-                except (TypeError, ValueError, OverflowError):
-                    raise ValueError(f"raw_counts.{name} is not an integer") from None
-            if count:
-                raw_counts[kind] = count
-        return cls(landing_domain=obj["domain"], keys=keys, sources=sources, raw_counts=raw_counts)
+                    sources[key] = _SOURCE_SETS[tuple(srcs)]
+                except (KeyError, TypeError):  # unsorted, repeated or bad names
+                    sources[key] = _source_set(key, srcs)
+        count = counts.get(name, 0)
+        if type(count) is not int:  # "3", 2.0 and true are counts too
+            try:
+                count = int(count)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"raw_counts.{name} is not an integer") from None
+        if count:
+            raw_counts[kind] = count
+    return keys, sources, raw_counts
 
 
 def _fold_profile(
@@ -490,6 +500,63 @@ def dump_profiles(profiles: Iterable[SiteIdProfile], stream: IO[str]) -> None:
         stream.write(_encode_json(p.to_json_obj()) + "\n")
 
 
+# JSON's own whitespace; str.isspace() also accepts "\x0c", "\u2028" and more.
+_JSON_SPACE = " \t\n\r"
+_decode_json_prefix = json.JSONDecoder().raw_decode
+_T = TypeVar("_T")
+
+
+def _parse_json_line(line: str) -> object:
+    """``json.loads(line)``, without its whitespace scans for a line that
+    starts with its value. Anything else goes to ``json.loads`` itself, so
+    the errors are its own."""
+    try:
+        obj, end = _decode_json_prefix(line)
+    except ValueError:
+        return json.loads(line)
+    if line[end:].strip(_JSON_SPACE):
+        return json.loads(line)
+    return obj
+
+
+def _decode_line(line: str, decode: Callable[[object], _T]) -> tuple[str, _T]:
+    # The parsed line dies on return, so the next line's parse reuses its
+    # memory and the decoded values of consecutive lines stay close together.
+    obj = _parse_json_line(line)
+    value = decode(obj)
+    return obj["domain"], value
+
+
+def _read_profile_lines(
+    source: str | Path | IO[str], decode: Callable[[object], _T]
+) -> Iterator[tuple[str, _T]]:
+    """(domain, ``decode(obj)``) for each profile line of a JSONL file or
+    stream, in file order; blank lines are skipped.
+
+    ``decode`` takes the parsed object and raises ValueError unless
+    ``_profile_fields`` accepts it. A line that is not one JSON value, that
+    ``decode`` rejects, or whose domain an earlier line already holds,
+    raises FormatError naming the file and the 1-based line.
+    """
+    if not hasattr(source, "read"):
+        with open(source, encoding="utf-8") as fh:
+            yield from _read_profile_lines(fh, decode)
+        return
+    name = getattr(source, "name", "profiles stream")
+    first_line: dict[str, int] = {}
+    for line_no, line in enumerate(source, start=1):
+        if line.isspace():
+            continue
+        try:
+            domain, value = _decode_line(line, decode)
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise FormatError(f"{name}: line {line_no}: {exc}") from None
+        first = first_line.setdefault(domain, line_no)
+        if first != line_no:
+            raise FormatError(f"{name}: line {line_no}: domain {domain} repeats line {first}")
+        yield domain, value
+
+
 def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
     """Profiles from a JSONL file or stream; blank lines are skipped.
 
@@ -497,23 +564,4 @@ def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
     or whose domain an earlier line already holds, raises FormatError
     naming the file and the 1-based line.
     """
-    if not hasattr(source, "read"):
-        with open(source, encoding="utf-8") as fh:
-            return load_profiles(fh)
-    name = getattr(source, "name", "profiles stream")
-    profiles = []
-    first_line: dict[str, int] = {}
-    for line_no, line in enumerate(source, start=1):
-        if line.isspace():
-            continue
-        try:
-            profile = SiteIdProfile.from_json_obj(json.loads(line))
-        except ValueError as exc:  # json.JSONDecodeError included
-            raise FormatError(f"{name}: line {line_no}: {exc}") from None
-        first = first_line.setdefault(profile.landing_domain, line_no)
-        if first != line_no:
-            raise FormatError(
-                f"{name}: line {line_no}: domain {profile.landing_domain} repeats line {first}"
-            )
-        profiles.append(profile)
-    return profiles
+    return [p for _, p in _read_profile_lines(source, SiteIdProfile.from_json_obj)]

@@ -15,11 +15,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import FormatError
-from .extractor import IdKind, SiteIdProfile, dump_profiles, load_profiles
-from .graphs import _sites_by_key
+from .extractor import IdKind, SiteIdProfile, _profile_fields, _read_profile_lines, dump_profiles
 from .stats import RegressionFit, linear_fit
 
 
@@ -57,16 +56,56 @@ def classify_publisher(size: int) -> PublisherClass:
     return PublisherClass.MEGA
 
 
+def _unkept(kind: IdKind) -> ValueError:
+    return ValueError(f"a snapshot keeps no {kind.value} keys")
+
+
+@dataclass(frozen=True, slots=True)
+class SiteKeys:
+    """What the series read of one site: its Publisher and its Tracking
+    keys, each as a sorted tuple."""
+
+    publisher: tuple[str, ...] = ()
+    tracking: tuple[str, ...] = ()
+
+    def keys_for(self, kind: IdKind) -> tuple[str, ...]:
+        """Raises ValueError for Measurement and Container, which a snapshot
+        does not keep."""
+        if kind is IdKind.PUBLISHER:
+            return self.publisher
+        if kind is IdKind.TRACKING:
+            return self.tracking
+        raise _unkept(kind)
+
+
+_NO_KEYS = SiteKeys()
+
+
+def _site_keys(
+    publisher: Collection[str], tracking: Collection[str], sizes: dict[str, int]
+) -> SiteKeys:
+    """One site's record, with the site added to the size of each of its
+    Publisher keys. Keyless sites share one record."""
+    publisher = tuple(sorted(publisher))
+    for key in publisher:
+        sizes[key] = sizes.get(key, 0) + 1
+    if not publisher and not tracking:
+        return _NO_KEYS
+    return SiteKeys(publisher, tuple(sorted(tracking)))
+
+
 @dataclass(frozen=True)
 class Snapshot:
-    """One timestamped corpus of profiles.
+    """One timestamped corpus, reduced to what the series read.
 
-    publisher_sizes is computed across all sites of the snapshot, never a
-    sub-universe, so transition comparisons see true portfolio sizes.
+    ``profiles`` maps every profiled domain, keyless ones included, to its
+    ``SiteKeys``. publisher_sizes is computed across all sites of the
+    snapshot, never a sub-universe, so transition comparisons see true
+    portfolio sizes.
     """
 
     snapshot_id: str
-    profiles: dict[str, SiteIdProfile]
+    profiles: dict[str, SiteKeys]
     total_sites: int
     publisher_sizes: dict[str, int] = field(default_factory=dict)
 
@@ -74,17 +113,23 @@ class Snapshot:
     def build(
         cls,
         snapshot_id: str,
-        profiles: Iterable[SiteIdProfile] | Mapping[str, SiteIdProfile],
+        profiles: Iterable[SiteIdProfile] | Mapping[str, SiteIdProfile | SiteKeys],
         total_sites: int | None = None,
         publisher_sizes: Mapping[str, int] | None = None,
     ) -> "Snapshot":
+        """``profiles`` maps domains to anything with ``keys_for``, or is an
+        iterable of profiles."""
         if isinstance(profiles, Mapping):
-            by_domain = dict(profiles)
+            items = profiles.items()
         else:
-            by_domain = {p.landing_domain: p for p in profiles}
+            items = ((p.landing_domain, p) for p in profiles)
+        sizes: dict[str, int] = {}
+        by_domain = {
+            domain: _site_keys(p.keys_for(IdKind.PUBLISHER), p.keys_for(IdKind.TRACKING), sizes)
+            for domain, p in items
+        }
         if publisher_sizes is None:
-            by_key = _sites_by_key(by_domain.values(), (IdKind.PUBLISHER,))
-            publisher_sizes = {key: len(sites) for key, sites in by_key.items()}
+            publisher_sizes = sizes
         return cls(
             snapshot_id=snapshot_id,
             profiles=by_domain,
@@ -93,6 +138,9 @@ class Snapshot:
         )
 
     def bearing_domains(self, kind: IdKind) -> set[str]:
+        """Raises ValueError for Measurement and Container."""
+        if kind is not IdKind.PUBLISHER and kind is not IdKind.TRACKING:
+            raise _unkept(kind)
         return {d for d, p in self.profiles.items() if p.keys_for(kind)}
 
 
@@ -333,18 +381,25 @@ def top_publishers_series(snapshots: Sequence[Snapshot], k: int = 10) -> TopPubl
 # Snapshot I/O (directory per snapshot: profiles.jsonl + manifest.json)
 # ---------------------------------------------------------------------------
 
-def save_snapshot(snapshot: Snapshot, directory: str | Path) -> None:
+def save_snapshot(
+    profiles: Iterable[SiteIdProfile], directory: str | Path, snapshot_id: str, total_sites: int
+) -> None:
+    """Write a snapshot directory: the profiles, sorted by domain, and a
+    manifest with the id and the number of sites crawled."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "profiles.jsonl", "w", encoding="utf-8") as fh:
-        dump_profiles(snapshot.profiles.values(), fh)
-    manifest = {"snapshot_id": snapshot.snapshot_id, "total_sites": snapshot.total_sites}
+        dump_profiles(profiles, fh)
+    manifest = {"snapshot_id": snapshot_id, "total_sites": total_sites}
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
 
 def load_snapshot(directory: str | Path) -> Snapshot:
+    """Read a snapshot directory straight into ``SiteKeys``, counting
+    publisher_sizes in the same pass. Profile lines are checked, and
+    errors worded, as ``load_profiles`` does."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -359,10 +414,14 @@ def load_snapshot(directory: str | Path) -> Snapshot:
         total_sites = int(manifest["total_sites"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{manifest_path}: total_sites: {exc}") from None
-    profiles = load_profiles(directory / "profiles.jsonl")
-    return Snapshot.build(
-        snapshot_id=str(manifest["snapshot_id"]), profiles=profiles, total_sites=total_sites
-    )
+    sizes: dict[str, int] = {}
+
+    def site_keys(obj: object) -> SiteKeys:
+        keys = _profile_fields(obj)[0]
+        return _site_keys(keys.get(IdKind.PUBLISHER, ()), keys.get(IdKind.TRACKING, ()), sizes)
+
+    profiles = dict(_read_profile_lines(directory / "profiles.jsonl", site_keys))
+    return Snapshot(str(manifest["snapshot_id"]), profiles, total_sites, sizes)
 
 
 def load_snapshots(directories: Iterable[str | Path]) -> list[Snapshot]:

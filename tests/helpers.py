@@ -17,6 +17,7 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
@@ -32,9 +33,17 @@ from adgraph.extractor import (
     canonical_key,
     filter_dictionary,
     filter_keywords,
+    load_profiles,
 )
 from adgraph.graphs import FAMILY_ORDER, KINDS_OF_FAMILY, Metagraph
-from adgraph.history import Snapshot
+from adgraph.history import (
+    Snapshot,
+    class_population_series,
+    coverage_series,
+    publisher_id_count_series,
+    top_publishers_series,
+    transition_series,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -55,22 +64,119 @@ def make_profile(domain, publisher=(), tracking=(), measurement=(), container=()
     return SiteIdProfile(landing_domain=domain, keys=keys, sources=sources)
 
 
-def first_pair_only_snapshots():
-    """Three snapshots in which b.example bears a Publisher key in the first
-    pair only: it moves to a smaller publisher, then carries none. a.example
-    and c.example keep their keys throughout."""
+def first_pair_only_profiles():
+    """(snapshot_id, profiles) of three snapshots in which b.example bears a
+    Publisher key in the first pair only: it moves to a smaller publisher,
+    then carries none. a.example and c.example keep their keys throughout."""
     site_keys = [
         ("2021-01-01", {"a": "pub-100000001", "b": "pub-200000001", "c": "pub-200000001"}),
         ("2021-04-01", {"a": "pub-100000001", "b": "pub-300000001", "c": "pub-200000001"}),
         ("2021-07-01", {"a": "pub-100000001", "b": None, "c": "pub-200000001"}),
     ]
     return [
-        Snapshot.build(sid, [
-            make_profile(f"{site}.example", publisher={key} if key else ())
-            for site, key in keys.items()
-        ])
+        (sid, [make_profile(f"{site}.example", publisher={key} if key else ())
+               for site, key in keys.items()])
         for sid, keys in site_keys
     ]
+
+
+def first_pair_only_snapshots():
+    return [Snapshot.build(sid, profiles) for sid, profiles in first_pair_only_profiles()]
+
+
+# ---------------------------------------------------------------------------
+# History reference: snapshots of full profiles, read through load_profiles
+# and sized by counting each profile's Publisher keys. The library decodes a
+# snapshot straight into compact per-site keys; every series must come out
+# the same over both.
+# ---------------------------------------------------------------------------
+
+def load_snapshot_reference(directory):
+    directory = Path(directory)
+    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    profiles = {p.landing_domain: p for p in load_profiles(directory / "profiles.jsonl")}
+    sizes = {}
+    for p in profiles.values():
+        for key in p.keys_for(IdKind.PUBLISHER):
+            sizes[key] = sizes.get(key, 0) + 1
+    return Snapshot(str(manifest["snapshot_id"]), profiles, int(manifest["total_sites"]), sizes)
+
+
+def history_series(snapshots, k=2):
+    """The five series, transitions under both universes and top at k and
+    at a k that clamps, each as its result or the ValueError it raised."""
+    calls = {
+        "coverage": lambda: coverage_series(snapshots),
+        "idcounts": lambda: publisher_id_count_series(snapshots),
+        "transitions": lambda: transition_series(snapshots),
+        "transitions_per_pair": lambda: transition_series(snapshots, per_pair_universe=True),
+        "classes": lambda: class_population_series(snapshots),
+        "top": lambda: top_publishers_series(snapshots, k),
+        "top_clamped": lambda: top_publishers_series(snapshots, 10_000),
+    }
+    results = {}
+    for name, call in calls.items():
+        try:
+            results[name] = call()
+        except ValueError as exc:
+            results[name] = ("ValueError", str(exc))
+    return results
+
+
+_SITE_SHAPES = ("publisher", "publisher", "mixed", "tracking", "measurement", "keyless")
+
+
+def random_snapshot_set(seed):
+    """(snapshot_id, profiles, total_sites) of 1-4 seeded snapshots over one
+    pool of 24 domains. Each present site carries Publisher keys, Publisher
+    and other keys, only Tracking keys, only Measurement keys, or none, and
+    often keeps the keys it had in the snapshot before. Publisher keys come
+    from a pool of 8, so publishers share sites, and most sets keep a core
+    of sites Publisher-bearing in every snapshot."""
+    rng = random.Random(seed)
+    publishers = [f"pub-{rng.randrange(10**9, 10**10)}" for _ in range(8)]
+    trackers = [f"UA-{rng.randrange(1000, 10**6)}" for _ in range(6)]
+    core = rng.sample(range(24), rng.choice((0, 2, 4))) if rng.random() < 0.8 else []
+    keys_of = {}
+    snapshots = []
+    for t in range(rng.randint(1, 4)):
+        profiles = []
+        for i in range(24):
+            if i not in core and rng.random() < 0.3:
+                continue
+            if i not in keys_of or rng.random() < 0.4:
+                shape = "publisher" if i in core else rng.choice(_SITE_SHAPES)
+                keys = keys_of[i] = {}
+                if shape in ("publisher", "mixed"):
+                    keys["publisher"] = rng.sample(publishers, rng.choice((1, 1, 2, 3)))
+                if shape in ("mixed", "tracking"):
+                    keys["tracking"] = rng.sample(trackers, rng.randint(1, 2))
+                if shape in ("mixed", "measurement"):
+                    keys["measurement"] = [f"G-{rng.randrange(10**7, 10**8)}"]
+            profiles.append(make_profile(f"site{i:02d}.example", **keys_of[i]))
+        snapshots.append((f"2021-{t + 1:02d}-01", profiles, len(profiles) + rng.randrange(5)))
+    return snapshots
+
+
+def write_shuffled_snapshot(directory, snapshot_id, profiles, total_sites, rng):
+    """A snapshot directory in the profile format, but not as dump_profiles
+    writes it: lines, kinds and each kind's keys in shuffled order, with
+    blank lines and lines led by spaces."""
+    directory = Path(directory)
+    directory.mkdir(parents=True)
+    lines = []
+    for p in profiles:
+        obj = profile_to_json_obj_reference(p)
+        ids = list(obj["ids"].items())
+        rng.shuffle(ids)
+        obj["ids"] = {kind: dict(rng.sample(list(entry.items()), len(entry))) for kind, entry in ids}
+        lines.append(" " * rng.choice((0, 0, 0, 2)) + json.dumps(obj))
+        if rng.random() < 0.1:
+            lines.append("")
+    rng.shuffle(lines)
+    (directory / "profiles.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = {"snapshot_id": snapshot_id, "total_sites": total_sites}
+    (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

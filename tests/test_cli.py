@@ -15,7 +15,7 @@ import adgraph.cli
 import adgraph.corpus
 from adgraph.cli import run
 from adgraph.corpus import CrawlRecord, serialize_crawl_jsonl
-from adgraph.extractor import dump_profiles, load_profiles
+from adgraph.extractor import SiteIdProfile, dump_profiles, load_profiles
 from adgraph.graphs import (
     FAMILY_ORDER,
     IdFamily,
@@ -28,9 +28,10 @@ from adgraph.graphs import (
 from adgraph.history import save_snapshot
 from helpers import (
     exclude_intermediaries_reference,
-    first_pair_only_snapshots,
+    first_pair_only_profiles,
     fixture_corpus,
     make_profile,
+    random_snapshot_set,
     scale_corpus_lines,
 )
 
@@ -274,9 +275,9 @@ def test_history_commands(crawl_file, tmp_path):
 
 def test_history_transitions_per_pair_universe(tmp_path):
     snap_dirs = []
-    for snap in first_pair_only_snapshots():
-        save_snapshot(snap, tmp_path / snap.snapshot_id)
-        snap_dirs.append(str(tmp_path / snap.snapshot_id))
+    for sid, profiles in first_pair_only_profiles():
+        save_snapshot(profiles, tmp_path / sid, sid, len(profiles))
+        snap_dirs.append(str(tmp_path / sid))
     outputs = {}
     for name, flags in (("all", []), ("pair", ["--per-pair-universe"])):
         out = tmp_path / name / "transitions.csv"
@@ -421,9 +422,9 @@ def test_every_command_echoes_its_config_once(crawl_file, tmp_path):
     output directory (--out-dir, else the directory of --out), on success only."""
     cats = _categories(tmp_path)
     snap_dirs = []
-    for snap in first_pair_only_snapshots():
-        save_snapshot(snap, tmp_path / "snaps" / snap.snapshot_id)
-        snap_dirs.append(str(tmp_path / "snaps" / snap.snapshot_id))
+    for sid, profiles in first_pair_only_profiles():
+        save_snapshot(profiles, tmp_path / "snaps" / sid, sid, len(profiles))
+        snap_dirs.append(str(tmp_path / "snaps" / sid))
     # The fixture has two publisher sizes; the popularity fit needs three.
     ranked = tmp_path / "ranked"
     ranked.mkdir()
@@ -558,22 +559,27 @@ def test_repeated_metagraph_row_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+MALFORMED_PROFILE_LINES = (
+    '{not json', '["pub-100000001"]', '{"ids": {}}', '{"domain": 5}',
+    '{"domain": "b.example", "ids": []}',
+    '{"domain": "b.example", "raw_counts": [1]}',
+    '{"domain": "b.example", "ids": {"publisher": ["pub-100000001"]}}',
+    '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": 5}}}',
+    '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": ["bogus"]}}}',
+    '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": [["html"]]}}}',
+    '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": [5]}}}',
+    '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": [null]}}}',
+    '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": ["html", "html"]}}}',
+    '{"domain": "b.example", "raw_counts": {"publisher": "x"}}',
+    '{"domain": "b.example", "raw_counts": {"publisher": null}}',
+)
+
+
 def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):
     profiles = tmp_path / "profiles.jsonl"
     stats_ids = ["stats", "ids", "--profiles", str(profiles),
                  "--out", str(tmp_path / "ids" / "ids.csv")]
-    for line in ('{not json', '["pub-100000001"]', '{"ids": {}}', '{"domain": 5}',
-                 '{"domain": "b.example", "ids": []}',
-                 '{"domain": "b.example", "raw_counts": [1]}',
-                 '{"domain": "b.example", "ids": {"publisher": ["pub-100000001"]}}',
-                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": 5}}}',
-                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": ["bogus"]}}}',
-                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": [["html"]]}}}',
-                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": [5]}}}',
-                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": [null]}}}',
-                 '{"domain": "b.example", "ids": {"publisher": {"pub-100000001": ["html", "html"]}}}',
-                 '{"domain": "b.example", "raw_counts": {"publisher": "x"}}',
-                 '{"domain": "b.example", "raw_counts": {"publisher": null}}'):
+    for line in MALFORMED_PROFILE_LINES:
         profiles.write_text('{"domain": "a.example"}\n' + line + "\n", encoding="utf-8")
         assert run(stats_ids) == 1
         assert f"{profiles}: line 2: " in capsys.readouterr().err
@@ -581,8 +587,8 @@ def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):
     counts = '{"publisher": "3", "tracking": 2.0, "container": true}'
     profiles.write_text(f'{{"domain": "b.example", "raw_counts": {counts}}}\n', encoding="utf-8")
     assert run(stats_ids[:-1] + [str(tmp_path / "ok" / "ids.csv")]) == 0
-    snap = first_pair_only_snapshots()[0]
-    save_snapshot(snap, tmp_path / "snap")
+    sid, snap_profiles = first_pair_only_profiles()[0]
+    save_snapshot(snap_profiles, tmp_path / "snap", sid, len(snap_profiles))
     manifest = tmp_path / "snap" / "manifest.json"
     for text in ('{"snapshot_id": "2021-01-01"}\n', '{"snapshot_id": "2021-01-01",\n',
                  '{"snapshot_id": "2021-01-01", "total_sites": "x"}\n'):
@@ -608,6 +614,75 @@ def test_repeated_domain_is_an_input_error_everywhere(tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "out" / "x.csv")]) == 1
         assert f"{profiles}: line 4: domain a.example repeats line 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# json.loads calls each of these "Extra data"; a tail check with
+# str.isspace() would pass the first two.
+EXTRA_DATA_LINES = (
+    '{"domain": "b.example"}\x0c',
+    '{"domain": "b.example"}\u2028',
+    '{"domain": "b.example"} {"domain": "c.example"}',
+)
+
+
+@pytest.mark.parametrize("line", MALFORMED_PROFILE_LINES + EXTRA_DATA_LINES)
+def test_stats_and_history_reject_a_profile_line_alike(tmp_path, capsys, line):
+    snap = tmp_path / "snap"
+    snap.mkdir()
+    profiles = snap / "profiles.jsonl"
+    profiles.write_text('{"domain": "a.example"}\n' + line + "\n", encoding="utf-8")
+    (snap / "manifest.json").write_text('{"snapshot_id": "2021-01-01", "total_sites": 3}\n',
+                                        encoding="utf-8")
+    errors = []
+    for argv in (["stats", "ids", "--profiles", str(profiles)],
+                 ["history", "coverage", "--snapshots", str(snap)]):
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "out" / "x.csv")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith(f"adgraph: input error: {profiles}: line 2: ")
+    assert errors[0] == errors[1]
+    if line in EXTRA_DATA_LINES:
+        assert "Extra data" in errors[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_profile_lines_led_by_spaces_load(tmp_path):
+    snap = tmp_path / "snap"
+    snap.mkdir()
+    line = '{"domain": "a.example", "ids": {"publisher": {"pub-100000001": ["html"]}}}'
+    (snap / "profiles.jsonl").write_text("  " + line + "\n\t" + line.replace("a.", "b.") + "\n",
+                                         encoding="utf-8")
+    (snap / "manifest.json").write_text('{"snapshot_id": "2021-01-01", "total_sites": 4}\n',
+                                        encoding="utf-8")
+    assert run(["stats", "ids", "--profiles", str(snap / "profiles.jsonl"),
+                "--out", str(tmp_path / "ids.csv")]) == 0
+    assert run(["history", "coverage", "--snapshots", str(snap),
+                "--out", str(tmp_path / "coverage.csv")]) == 0
+    assert "2021-01-01,publisher_fraction,0.5" in \
+        (tmp_path / "coverage.csv").read_text(encoding="utf-8")
+
+
+def test_history_builds_no_site_profile(tmp_path, monkeypatch):
+    """history decodes snapshots straight into per-site keys."""
+    snap_dirs = []
+    for sid, profiles, total_sites in random_snapshot_set(16):  # four snapshots
+        save_snapshot(profiles, tmp_path / sid, sid, total_sites)
+        snap_dirs.append(str(tmp_path / sid))
+    topics = ("coverage", "idcounts", "transitions", "classes", "top")
+
+    def outputs(name):
+        for topic in topics:
+            assert run(["history", topic, "--snapshots", *snap_dirs,
+                        "--out", str(tmp_path / name / f"{topic}.csv")]) == 0
+        return [(tmp_path / name / f"{topic}.csv").read_bytes() for topic in topics]
+
+    before = outputs("before")
+
+    def refuse(obj):
+        raise AssertionError("history built a SiteIdProfile")
+
+    monkeypatch.setattr(SiteIdProfile, "from_json_obj", refuse)
+    assert outputs("after") == before
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(crawl_file, tmp_path):

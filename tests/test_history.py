@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from adgraph.history import (
@@ -17,14 +19,25 @@ from adgraph.history import (
     top_publishers_series,
     transition_series,
 )
-from helpers import first_pair_only_snapshots, make_profile
+from adgraph.extractor import IdKind
+from helpers import (
+    first_pair_only_snapshots,
+    history_series,
+    load_snapshot_reference,
+    make_profile,
+    random_snapshot_set,
+    write_shuffled_snapshot,
+)
+
+
+def _profiles(site_keys):
+    """site_keys: {domain: iterable of publisher keys}."""
+    profiles = [make_profile(d, publisher=set(keys)) for d, keys in site_keys.items() if keys]
+    return profiles + [make_profile(d) for d, keys in site_keys.items() if not keys]
 
 
 def _snap(snapshot_id, site_keys, total_sites=None, publisher_sizes=None):
-    """site_keys: {domain: iterable of publisher keys}."""
-    profiles = [make_profile(d, publisher=set(keys)) for d, keys in site_keys.items() if keys]
-    profiles += [make_profile(d) for d, keys in site_keys.items() if not keys]
-    return Snapshot.build(snapshot_id, profiles, total_sites=total_sites,
+    return Snapshot.build(snapshot_id, _profiles(site_keys), total_sites=total_sites,
                           publisher_sizes=publisher_sizes)
 
 
@@ -372,27 +385,28 @@ def test_top_publishers_fixed_requires_presence_everywhere():
 # --- snapshot I/O -----------------------------------------------------------
 
 def test_snapshot_roundtrip(tmp_path):
-    snap = _snap("2021-04-01", {"a.example": ["pub-100000001"], "b.example": []},
-                 total_sites=7)
-    save_snapshot(snap, tmp_path / "snap")
+    profiles = _profiles({"a.example": ["pub-100000001"], "b.example": []})
+    snap = Snapshot.build("2021-04-01", profiles, total_sites=7)
+    save_snapshot(profiles, tmp_path / "snap", "2021-04-01", 7)
     again = load_snapshot(tmp_path / "snap")
     assert again.snapshot_id == "2021-04-01"
     assert again.total_sites == 7
     assert again.profiles.keys() == snap.profiles.keys()
     assert again.publisher_sizes == snap.publisher_sizes
+    assert again == snap
 
 
 def test_load_snapshots_orders_and_validates(tmp_path):
     for sid in ("2021-07-01", "2021-04-01"):
-        snap = _snap(sid, {"a.example": ["pub-100000001"]})
-        save_snapshot(snap, tmp_path / sid)
+        save_snapshot(_profiles({"a.example": ["pub-100000001"]}), tmp_path / sid, sid, 1)
     snaps = load_snapshots([tmp_path / "2021-07-01", tmp_path / "2021-04-01"])
     assert [s.snapshot_id for s in snaps] == ["2021-04-01", "2021-07-01"]
 
 
 def test_load_snapshots_rejects_duplicate_ids(tmp_path):
     for name in ("x", "y"):
-        save_snapshot(_snap("2021-04-01", {"a.example": ["pub-100000001"]}), tmp_path / name)
+        save_snapshot(_profiles({"a.example": ["pub-100000001"]}), tmp_path / name,
+                      "2021-04-01", 1)
     with pytest.raises(ValueError):
         load_snapshots([tmp_path / "x", tmp_path / "y"])
 
@@ -404,3 +418,62 @@ def test_snapshot_ids_must_increase():
     ]
     with pytest.raises(ValueError):
         coverage_series(snaps)
+
+
+def test_compact_snapshots_match_the_full_profile_reference(tmp_path):
+    """Snapshots decoded straight into per-site keys give every series the
+    full-profile path gives, on seeded sets that hold the site shapes,
+    shared publishers, universes and k the series treat apart."""
+    seen = dict.fromkeys(("tracking only", "measurement only", "keyless", "shared publisher",
+                          "universes differ", "clamped k"), 0)
+    for seed in range(40):
+        rng = random.Random(seed)
+        dirs = []
+        for sid, profiles, total_sites in random_snapshot_set(seed):
+            dirs.append(tmp_path / str(seed) / sid)
+            write_shuffled_snapshot(dirs[-1], sid, profiles, total_sites, rng)
+        rng.shuffle(dirs)
+        compact = load_snapshots(dirs)
+        reference = sorted(map(load_snapshot_reference, dirs), key=lambda s: s.snapshot_id)
+        for got, want in zip(compact, reference, strict=True):
+            assert (got.snapshot_id, got.total_sites) == (want.snapshot_id, want.total_sites)
+            assert list(got.profiles) == list(want.profiles)
+            for domain, profile in want.profiles.items():
+                for kind in (IdKind.PUBLISHER, IdKind.TRACKING):
+                    keys = got.profiles[domain].keys_for(kind)
+                    assert keys == tuple(sorted(profile.keys_for(kind)))
+            assert got.publisher_sizes == want.publisher_sizes
+        k = random.Random(seed).choice((1, 2, 3))
+        got, want = history_series(compact, k), history_series(reference, k)
+        assert got == want, seed
+
+        for snap in reference:
+            for p in snap.profiles.values():
+                kinds = set(p.keys)
+                seen["tracking only"] += kinds == {IdKind.TRACKING}
+                seen["measurement only"] += kinds == {IdKind.MEASUREMENT}
+                seen["keyless"] += not kinds
+            seen["shared publisher"] += any(size > 1 for size in snap.publisher_sizes.values())
+        seen["universes differ"] += got["transitions"] != got["transitions_per_pair"]
+        seen["clamped k"] += got["top"] != got["top_clamped"]
+    assert all(seen.values()), seen
+
+
+def test_compact_snapshots_keep_only_publisher_and_tracking_keys():
+    snap = Snapshot.build("2021-01-01", [
+        make_profile("a.example", publisher={"pub-200000001", "pub-100000001"},
+                     tracking={"UA-1234"}, measurement={"G-ABCDEFG"}),
+        make_profile("b.example", container={"GTM-ABC123"}),
+    ])
+    a = snap.profiles["a.example"]
+    assert a.keys_for(IdKind.PUBLISHER) == ("pub-100000001", "pub-200000001")
+    assert a.keys_for(IdKind.TRACKING) == ("UA-1234",)
+    assert snap.profiles["b.example"].keys_for(IdKind.PUBLISHER) == ()
+    assert snap.bearing_domains(IdKind.TRACKING) == {"a.example"}
+    for kind in (IdKind.MEASUREMENT, IdKind.CONTAINER):
+        with pytest.raises(ValueError, match=f"keeps no {kind.value} keys"):
+            a.keys_for(kind)
+        with pytest.raises(ValueError, match=f"keeps no {kind.value} keys"):
+            snap.bearing_domains(kind)
+        with pytest.raises(ValueError):
+            Snapshot.build("2021-01-01", [], total_sites=1).bearing_domains(kind)
