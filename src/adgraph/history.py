@@ -56,10 +56,6 @@ def classify_publisher(size: int) -> PublisherClass:
     return PublisherClass.MEGA
 
 
-def _unkept(kind: IdKind) -> ValueError:
-    return ValueError(f"a snapshot keeps no {kind.value} keys")
-
-
 @dataclass(frozen=True, slots=True)
 class SiteKeys:
     """What the series read of one site: its Publisher and its Tracking
@@ -75,23 +71,24 @@ class SiteKeys:
             return self.publisher
         if kind is IdKind.TRACKING:
             return self.tracking
-        raise _unkept(kind)
+        raise ValueError(f"a snapshot keeps no {kind.value} keys")
 
 
 _NO_KEYS = SiteKeys()
 
 
-def _site_keys(
-    publisher: Collection[str], tracking: Collection[str], sizes: dict[str, int]
-) -> SiteKeys:
-    """One site's record, with the site added to the size of each of its
-    Publisher keys. Keyless sites share one record."""
-    publisher = tuple(sorted(publisher))
-    for key in publisher:
-        sizes[key] = sizes.get(key, 0) + 1
+def _site_keys(publisher: Collection[str], tracking: Collection[str]) -> SiteKeys:
+    """One site's record; keyless sites share one record."""
     if not publisher and not tracking:
         return _NO_KEYS
-    return SiteKeys(publisher, tuple(sorted(tracking)))
+    return SiteKeys(tuple(sorted(publisher)), tuple(sorted(tracking)))
+
+
+def _count_publishers(site: SiteKeys, sizes: dict[str, int]) -> SiteKeys:
+    """Adds the site to the size of each of its Publisher keys."""
+    for key in site.publisher:
+        sizes[key] = sizes.get(key, 0) + 1
+    return site
 
 
 @dataclass(frozen=True)
@@ -123,13 +120,14 @@ class Snapshot:
             items = profiles.items()
         else:
             items = ((p.landing_domain, p) for p in profiles)
-        sizes: dict[str, int] = {}
         by_domain = {
-            domain: _site_keys(p.keys_for(IdKind.PUBLISHER), p.keys_for(IdKind.TRACKING), sizes)
+            domain: _site_keys(p.keys_for(IdKind.PUBLISHER), p.keys_for(IdKind.TRACKING))
             for domain, p in items
         }
         if publisher_sizes is None:
-            publisher_sizes = sizes
+            publisher_sizes = {}
+            for site in by_domain.values():
+                _count_publishers(site, publisher_sizes)
         return cls(
             snapshot_id=snapshot_id,
             profiles=by_domain,
@@ -138,9 +136,6 @@ class Snapshot:
         )
 
     def bearing_domains(self, kind: IdKind) -> set[str]:
-        """Raises ValueError for Measurement and Container."""
-        if kind is not IdKind.PUBLISHER and kind is not IdKind.TRACKING:
-            raise _unkept(kind)
         return {d for d, p in self.profiles.items() if p.keys_for(kind)}
 
 
@@ -418,7 +413,8 @@ def load_snapshot(directory: str | Path) -> Snapshot:
 
     def site_keys(obj: object) -> SiteKeys:
         keys = _profile_fields(obj)[0]
-        return _site_keys(keys.get(IdKind.PUBLISHER, ()), keys.get(IdKind.TRACKING, ()), sizes)
+        site = _site_keys(keys.get(IdKind.PUBLISHER, ()), keys.get(IdKind.TRACKING, ()))
+        return _count_publishers(site, sizes)
 
     profiles = dict(_read_profile_lines(directory / "profiles.jsonl", site_keys))
     return Snapshot(str(manifest["snapshot_id"]), profiles, total_sites, sizes)

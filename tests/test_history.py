@@ -475,5 +475,15 @@ def test_compact_snapshots_keep_only_publisher_and_tracking_keys():
             a.keys_for(kind)
         with pytest.raises(ValueError, match=f"keeps no {kind.value} keys"):
             snap.bearing_domains(kind)
-        with pytest.raises(ValueError):
-            Snapshot.build("2021-01-01", [], total_sites=1).bearing_domains(kind)
+
+
+def test_build_counts_publisher_sizes_over_the_sites_it_keeps():
+    # A repeated domain keeps its last profile, and only that one counts.
+    snap = Snapshot.build("2021-01-01", [
+        make_profile("a.example", publisher={"pub-100000001"}),
+        make_profile("a.example", publisher={"pub-200000002"}),
+        make_profile("b.example", publisher={"pub-200000002"}),
+    ])
+    assert snap.profiles["a.example"].keys_for(IdKind.PUBLISHER) == ("pub-200000002",)
+    assert snap.publisher_sizes == {"pub-200000002": 2}
+    assert snap.total_sites == 2
