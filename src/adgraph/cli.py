@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import logging
 import sys
@@ -722,6 +723,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run one command with the cyclic collector paused, in every thread; if the
+    caller had it on, one young collection then frees the run's own cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+            gc.collect(0)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -730,6 +744,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             parser.error("--snapshot-id needs --out to name a profiles.jsonl file")
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    del parser  # else an escaping exception keeps it, in this frame, past run's collection
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
@@ -417,9 +418,18 @@ def test_report_runs_the_stage_commands(crawl_file, tmp_path):
             assert (files / artifact).read_bytes() == (bundle / artifact).read_bytes(), artifact
 
 
-def test_every_command_echoes_its_config_once(crawl_file, tmp_path):
-    """Each leaf command writes one config_<command>[_<topic>].json into its
-    output directory (--out-dir, else the directory of --out), on success only."""
+COMMANDS = (
+    "extract", "graph", "communities",
+    *(f"stats_{topic}" for topic in ("ids", "sizes", "powerlaw", "popularity", "categories",
+                                      "diversity", "poisson")),
+    *(f"history_{topic}" for topic in ("coverage", "idcounts", "transitions", "classes", "top")),
+    "report",
+)
+
+
+def _command_table(crawl_file, tmp_path) -> dict[str, list[str]]:
+    """The argv of every leaf command, by config name, in an order where each
+    command's inputs are written by the commands before it."""
     cats = _categories(tmp_path)
     snap_dirs = []
     for sid, profiles in first_pair_only_profiles():
@@ -467,7 +477,14 @@ def test_every_command_echoes_its_config_once(crawl_file, tmp_path):
            for topic in ("coverage", "idcounts", "transitions", "classes", "top")},
         "report": ["report", "--in", str(crawl_file), "--out-dir", out("report")],
     }
-    assert len(commands) == 16
+    assert tuple(commands) == COMMANDS
+    return commands
+
+
+def test_every_command_echoes_its_config_once(crawl_file, tmp_path):
+    """Each leaf command writes one config_<command>[_<topic>].json into its
+    output directory (--out-dir, else the directory of --out), on success only."""
+    commands = _command_table(crawl_file, tmp_path)
     for name, argv in commands.items():
         assert run(argv) == 0, name
         assert _configs(tmp_path / name) == [f"config_{name}.json"]
@@ -477,8 +494,9 @@ def test_every_command_echoes_its_config_once(crawl_file, tmp_path):
     # A failed command leaves no echo: the fixture has too few size buckets
     # for the popularity fit, and transitions need two snapshots.
     failed = tmp_path / "failed"
-    assert run(["stats", "popularity", "--profiles", profiles,
-                "--site-ranks", out("extract", "site_ranks.csv"),
+    profiles, ranks = commands["stats_sizes"][3], commands["stats_sizes"][5]
+    snap_dirs = commands["history_top"][3:-2]
+    assert run(["stats", "popularity", "--profiles", profiles, "--site-ranks", ranks,
                 "--out", str(failed / "pop.csv")]) == 1
     assert run(["history", "transitions", "--snapshots", snap_dirs[0],
                 "--out", str(failed / "t.csv")]) == 1
@@ -726,3 +744,89 @@ def test_key_error_in_a_command_is_not_an_input_error(tmp_path, monkeypatch):
         run(["stats", "poisson", "--categories", str(cats), "--size", "2",
              "--out", str(tmp_path / "b.json")])
     assert _configs(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def command_table(crawl_file, tmp_path_factory):
+    """The command table, run once, so that every command's inputs exist."""
+    commands = _command_table(crawl_file, tmp_path_factory.mktemp("commands"))
+    for name, argv in commands.items():
+        assert run(argv) == 0, name
+    return commands
+
+
+@pytest.mark.parametrize("case", [*COMMANDS, "input_error", "config_error", "help", "key_error"])
+def test_a_command_runs_with_the_collector_paused_and_leaves_no_garbage(
+        case, command_table, tmp_path, monkeypatch):
+    missing = str(tmp_path / "missing.jsonl")
+    argv, expected = {
+        "input_error": (["extract", "--in", missing, "--out", str(tmp_path / "p.jsonl")], 1),
+        "config_error": (["report", "--in", missing, "--out-dir", str(tmp_path),
+                          "--top-fraction", "0"], 2),
+        "help": (["--help"], 0),
+        "key_error": (command_table["stats_poisson"], KeyError),
+    }.get(case) or (command_table[case], 0)
+    seen = []
+
+    def watched(function):
+        def watcher(*args):
+            seen.append(gc.isenabled())
+            return function(*args)
+        return watcher
+
+    # Parsing builds the parser, and a command that succeeds echoes its config last.
+    monkeypatch.setattr(adgraph.cli, "build_parser", watched(adgraph.cli.build_parser))
+    monkeypatch.setattr(adgraph.cli, "_echo_config", watched(adgraph.cli._echo_config))
+    if expected is KeyError:
+        def broken(*args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(adgraph.cli, "poisson_sampling_baseline", watched(broken))
+
+    def run_case():
+        if expected is KeyError:
+            with pytest.raises(KeyError):
+                run(argv)
+        else:
+            assert run(argv) == expected
+
+    gc.collect()
+    run_case()
+    assert seen == [False] * (1 if case in ("input_error", "config_error", "help") else 2)
+    assert gc.isenabled()
+    assert gc.collect() == 0
+    # A caller that turned the collector off keeps it off.
+    gc.disable()
+    try:
+        run_case()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_report_garbage_does_not_grow_with_the_input(tmp_path):
+    """The one young collection as run returns frees the run's own cycles.
+    A change that built a cycle per record or profile would hold them all
+    until then, so what it frees must not grow with the input."""
+    freed = []
+
+    def count(phase, info):
+        if phase == "stop":
+            freed.append((info["generation"], info["collected"]))
+
+    runs = {}
+    gc.callbacks.append(count)
+    try:
+        for n_sites in (200, 2000):
+            crawl = tmp_path / f"crawl{n_sites}.jsonl"
+            crawl.write_text("\n".join(scale_corpus_lines(n_sites)) + "\n", encoding="utf-8")
+            gc.collect()
+            freed.clear()
+            assert run(["report", "--in", str(crawl), "--out-dir", str(tmp_path / "r")]) == 0
+            runs[n_sites] = freed[:]
+            assert gc.collect() == 0
+    finally:
+        gc.callbacks.remove(count)
+    [(small_gen, small)], [(large_gen, large)] = runs[200], runs[2000]
+    assert small_gen == large_gen == 0
+    assert large <= small
