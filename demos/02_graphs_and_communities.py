@@ -46,7 +46,7 @@ for (u, v), w in sorted(mg.weights.items()):
 
 # Connected components of a bipartite graph count site and id nodes both.
 for component in connected_components(graphs[IdFamily.ANALYTICS]):
-    print("  analytics component:", sorted(component.members))
+    print("  analytics component:", sorted(component))
 
 # Intermediary platforms (one ID across hundreds of client sites) drown
 # the ownership signal; intermediary_keys finds the keys that exceed a
@@ -55,7 +55,7 @@ blog_platform = [profile(f"blog{i:03d}.example", tracking={"UA-5555"}) for i in 
 excluded = intermediary_keys(profiles + blog_platform, threshold=100)
 print("\nintermediary keys excluded:", sorted(excluded))
 analytics = build_bipartite(profiles + blog_platform, IdFamily.ANALYTICS, excluded)
-print("analytics sites left:", sorted(analytics.site_to_keys))
+print("analytics sites left:", sorted(analytics.site_nodes))
 
 # Community detection on a graph with two obvious clusters joined by a
 # weak bridge. Pruning keeps the heaviest edges (ties at the boundary all

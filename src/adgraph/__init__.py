@@ -42,7 +42,6 @@ from .extractor import (
 )
 from .graphs import (
     BipartiteGraph,
-    Component,
     IdFamily,
     Metagraph,
     build_bipartite,

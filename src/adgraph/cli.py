@@ -85,7 +85,7 @@ def _at_least(low: float, kind: Callable[[str], float] = int) -> Callable[[str],
 
     def parse(text: str) -> float:
         value = kind(text)
-        if value < low:
+        if not value >= low:  # NaN too
             raise argparse.ArgumentTypeError(f"must be >= {low}")
         return value
 
@@ -396,7 +396,7 @@ def _cmd_stats_powerlaw(args: argparse.Namespace) -> None:
     if args.population == "publishers":
         sizes = [r.size for r in publisher_sizes(bipartite)]
     else:
-        sizes = [c.size for c in connected_components(bipartite)]
+        sizes = [len(c) for c in connected_components(bipartite)]
     _powerlaw_stage(sizes, out.parent, out.name, population=args.population, family=args.family)
 
 

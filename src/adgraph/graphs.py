@@ -49,15 +49,15 @@ def _edge(u: str, v: str) -> Edge:
 
 @dataclass
 class BipartiteGraph:
-    """Directed site -> identifier edges for one identifier family."""
+    """Site -> identifier edges for one identifier family, held as the set
+    of sites of each identifier."""
 
     family: IdFamily
-    site_to_keys: dict[str, frozenset[str]] = field(default_factory=dict)
     key_to_sites: dict[str, frozenset[str]] = field(default_factory=dict)
 
     @property
     def site_nodes(self) -> set[str]:
-        return set(self.site_to_keys)
+        return set().union(*self.key_to_sites.values())
 
     @property
     def id_nodes(self) -> set[str]:
@@ -65,12 +65,11 @@ class BipartiteGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.site_to_keys.values())
+        return sum(len(v) for v in self.key_to_sites.values())
 
-    def edges(self) -> Iterable[tuple[str, str]]:
-        for site in sorted(self.site_to_keys):
-            for key in sorted(self.site_to_keys[site]):
-                yield site, key
+    def edges(self) -> list[tuple[str, str]]:
+        """Every (site, key) pair, sorted."""
+        return sorted((site, key) for key, sites in self.key_to_sites.items() for site in sites)
 
 
 class _FractionView(Mapping[Edge, Fraction]):
@@ -155,15 +154,6 @@ class Metagraph:
         )
 
 
-@dataclass(frozen=True)
-class Component:
-    members: frozenset[str]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 def _sites_by_key(
     profiles: Iterable[SiteIdProfile], kinds: Collection[IdKind]
 ) -> dict[str, set[str]]:
@@ -193,15 +183,7 @@ def build_bipartite(
     key_to_sites = _sites_by_key(profiles, KINDS_OF_FAMILY[family])
     for key in excluded:
         key_to_sites.pop(key, None)
-    site_to_keys: dict[str, set[str]] = {}
-    for key, sites in key_to_sites.items():
-        for site in sites:
-            site_to_keys.setdefault(site, set()).add(key)
-    return BipartiteGraph(
-        family=family,
-        site_to_keys={s: frozenset(k) for s, k in site_to_keys.items()},
-        key_to_sites={k: frozenset(s) for k, s in key_to_sites.items()},
-    )
+    return BipartiteGraph(family, {k: frozenset(s) for k, s in key_to_sites.items()})
 
 
 def _component_of(adj: Mapping[str, Iterable[str]], start: str) -> frozenset[str]:
@@ -217,7 +199,7 @@ def _component_of(adj: Mapping[str, Iterable[str]], start: str) -> frozenset[str
 
 
 def _by_size(members: frozenset[str]) -> tuple[int, str]:
-    """Component order: largest first, ties by smallest member."""
+    """Order of components: largest first, ties by smallest member."""
     return -len(members), min(members)
 
 
@@ -234,18 +216,16 @@ def _components(adj: Mapping[str, Iterable[str]]) -> list[frozenset[str]]:
     return out
 
 
-def connected_components(graph: BipartiteGraph | Metagraph) -> list[Component]:
+def connected_components(graph: BipartiteGraph | Metagraph) -> list[frozenset[str]]:
     """Undirected components, largest first, ties by smallest member."""
-    adj: dict[str, set[str]]
-    if isinstance(graph, BipartiteGraph):
-        adj = {n: set() for n in list(graph.site_to_keys) + list(graph.key_to_sites)}
-        for site, keys in graph.site_to_keys.items():
-            for key in keys:
-                adj[site].add(key)
-                adj[key].add(site)
-    else:
-        adj = graph.adjacency()
-    return [Component(members) for members in _components(adj)]
+    if isinstance(graph, Metagraph):
+        return _components(graph.adjacency())
+    adj: dict[str, set[str]] = {}
+    for key, sites in graph.key_to_sites.items():
+        adj.setdefault(key, set()).update(sites)
+        for site in sites:
+            adj.setdefault(site, set()).add(key)
+    return _components(adj)
 
 
 def family_normalizers(profiles: Sequence[SiteIdProfile]) -> dict[IdFamily, int]:
@@ -285,7 +265,7 @@ def build_metagraph(
     mg = Metagraph(normalizers=effective, denominator=math.lcm(*filter(None, effective.values())))
     numerators = mg.numerators
     for bg in graphs.values():
-        mg.nodes.update(bg.site_to_keys)
+        mg.nodes.update(*bg.key_to_sites.values())
     for family, bg in graphs.items():
         n = effective[family]
         if n == 0:
@@ -306,7 +286,7 @@ def intermediary_keys(profiles: Sequence[SiteIdProfile], threshold: float = 100)
     client sites; their keys drown the co-ownership signal, so the pipeline
     passes this set to ``build_bipartite`` as ``excluded``.
     """
-    if threshold < 2:
+    if not threshold >= 2:  # NaN too
         raise ValueError("threshold must be >= 2")
     by_key = _sites_by_key(profiles, KIND_ORDER)
     return frozenset(key for key, sites in by_key.items() if len(sites) > threshold)
@@ -325,22 +305,16 @@ def dump_bipartite_csv(graph: BipartiteGraph, stream: IO[str]) -> None:
 
 def load_bipartite_csv(source: str | Path | IO[str]) -> BipartiteGraph:
     family: IdFamily | None = None
-    site_to_keys: dict[str, set[str]] = {}
     key_to_sites: dict[str, set[str]] = {}
     for site, key, f in _read_table(source, {"site": str, "key": str, "family": IdFamily}):
         if family is None:
             family = f
         elif family is not f:
             raise ValueError("bipartite CSV mixes families")
-        site_to_keys.setdefault(site, set()).add(key)
         key_to_sites.setdefault(key, set()).add(site)
     if family is None:
         raise ValueError("bipartite CSV has no edges")
-    return BipartiteGraph(
-        family=family,
-        site_to_keys={s: frozenset(k) for s, k in site_to_keys.items()},
-        key_to_sites={k: frozenset(s) for k, s in key_to_sites.items()},
-    )
+    return BipartiteGraph(family, {k: frozenset(s) for k, s in key_to_sites.items()})
 
 
 def dump_metagraph_csv(mg: Metagraph, stream: IO[str]) -> None:

@@ -19,6 +19,7 @@ from adgraph.corpus import CrawlRecord, serialize_crawl_jsonl
 from adgraph.extractor import SiteIdProfile, dump_profiles, load_profiles
 from adgraph.graphs import (
     FAMILY_ORDER,
+    KINDS_OF_FAMILY,
     IdFamily,
     build_bipartite,
     build_metagraph,
@@ -214,6 +215,11 @@ def test_graph_normalizer_and_intermediary_flags(tmp_path):
             dump_bipartite_csv(bg, expected)
             written = (out_dir / f"bipartite_{family.value}.csv").read_text(encoding="utf-8")
             assert written == expected.getvalue(), (name, family)
+            triples = {(p.landing_domain, key, family.value)
+                       for p in kept for kind in KINDS_OF_FAMILY[family] for key in p.keys_for(kind)}
+            rows = list(csv.reader(io.StringIO(written)))
+            assert rows[0] == ["site", "key", "family"]
+            assert [tuple(row) for row in rows[1:]] == sorted(triples), (name, family)
         expected = io.StringIO()
         dump_metagraph_csv(mg, expected)
         written = (out_dir / "metagraph.csv").read_text(encoding="utf-8")
@@ -330,6 +336,10 @@ def test_exit_codes(tmp_path, crawl_file):
         ["extract", "--in", str(crawl_file), "--out", str(out / "p.jsonl"),
          "--anomaly-threshold", "0"],
         ["report", "--in", str(crawl_file), "--out-dir", str(out), "--top-fraction", "0"],
+        ["graph", "--profiles", "p.jsonl", "--out-dir", str(out),
+         "--intermediary-threshold", "nan"],
+        ["report", "--in", str(crawl_file), "--out-dir", str(out),
+         "--intermediary-threshold", "nan"],
         ["stats", "popularity", "--profiles", "p.jsonl", "--site-ranks", "r.csv",
          "--max-size", "2", "--out", str(out / "pop.csv")],
         # history could not load a snapshot whose profiles have another name

@@ -26,7 +26,12 @@ from adgraph.graphs import (
 )
 from adgraph.history import Snapshot
 from adgraph.stats import publisher_sizes
-from helpers import brute_force_metagraph, exclude_intermediaries_reference, make_profile
+from helpers import (
+    brute_force_metagraph,
+    components_of,
+    exclude_intermediaries_reference,
+    make_profile,
+)
 
 
 def _graphs(profiles, normalizers=None, excluded=()):
@@ -109,13 +114,13 @@ def test_components_mixed_nodes():
         make_profile("c.example", publisher={"pub-222222222"}),
     ]
     comps = connected_components(build_bipartite(profiles, IdFamily.PUBLISHER))
-    assert [c.size for c in comps] == [3, 2]
+    assert [len(c) for c in comps] == [3, 2]
 
 
 def test_components_fully_shared_id():
     profiles = [make_profile(f"s{i}.example", publisher={"pub-111111111"}) for i in range(5)]
     comps = connected_components(build_bipartite(profiles, IdFamily.PUBLISHER))
-    assert [c.size for c in comps] == [6]
+    assert [len(c) for c in comps] == [6]
 
 
 def test_components_chain_size_five():
@@ -126,20 +131,29 @@ def test_components_chain_size_five():
     ]
     bg = build_bipartite(profiles, IdFamily.PUBLISHER)
     comps = connected_components(bg)
-    assert [c.size for c in comps] == [5]
+    assert [len(c) for c in comps] == [5]
     # brute-force reachability over the same fixture
     nodes = {"a.example", "b.example", "c.example", "pub-111111111", "pub-222222222"}
-    assert comps[0].members == frozenset(nodes)
+    assert comps[0] == frozenset(nodes)
 
 
 def test_components_partition_nodes():
     rng = random.Random(3)
-    profiles = _random_profiles(rng)
-    bg = build_bipartite(profiles, IdFamily.ANALYTICS)
-    comps = connected_components(bg)
-    covered = [n for c in comps for n in c.members]
-    assert len(covered) == len(set(covered))
-    assert set(covered) == bg.site_nodes | bg.id_nodes
+    for _ in range(20):
+        profiles = _random_profiles(rng)
+        for family in FAMILY_ORDER:
+            bg = build_bipartite(profiles, family)
+            comps = connected_components(bg)
+            covered = [n for c in comps for n in c]
+            assert len(covered) == len(set(covered))
+            assert set(covered) == bg.site_nodes | bg.id_nodes
+            adj: dict[str, set[str]] = {}
+            for p in profiles:
+                for kind in KINDS_OF_FAMILY[family]:
+                    for key in p.keys_for(kind):
+                        adj.setdefault(p.landing_domain, set()).add(key)
+                        adj.setdefault(key, set()).add(p.landing_domain)
+            assert tuple(comps) == components_of(adj)
 
 
 # --- build_metagraph --------------------------------------------------------
@@ -283,7 +297,7 @@ def test_exclude_strips_heavy_key_everywhere():
     excluded = intermediary_keys(profiles, threshold=100)
     assert excluded == {"UA-1000"}
     bg = build_bipartite(profiles, IdFamily.ANALYTICS, excluded)
-    assert bg.site_to_keys == {"t.example": {"UA-2000"}}
+    assert bg.site_nodes == {"t.example"}
     assert bg.key_to_sites == {"UA-2000": {"t.example"}}
 
 
@@ -304,25 +318,23 @@ def test_exclude_infinite_threshold_is_identity():
 
 
 def test_exclude_rejects_low_threshold():
-    with pytest.raises(ValueError):
-        intermediary_keys([], threshold=1)
+    for threshold in (1, math.nan):
+        with pytest.raises(ValueError):
+            intermediary_keys([], threshold=threshold)
 
 
 # --- CSV dumps --------------------------------------------------------------
 
 def test_bipartite_csv_roundtrip():
-    profiles = [
-        make_profile("a.example", publisher={"pub-111111111"}),
-        make_profile("b.example", publisher={"pub-111111111", "pub-222222222"}),
-    ]
-    bg = build_bipartite(profiles, IdFamily.PUBLISHER)
-    buf = io.StringIO()
-    dump_bipartite_csv(bg, buf)
-    buf.seek(0)
-    again = load_bipartite_csv(buf)
-    assert again.site_to_keys == bg.site_to_keys
-    assert again.key_to_sites == bg.key_to_sites
-    assert again.family == bg.family
+    rng = random.Random(4)
+    for _ in range(20):
+        profiles = _random_profiles(rng)
+        for family in FAMILY_ORDER:
+            bg = build_bipartite(profiles, family)
+            buf = io.StringIO()
+            dump_bipartite_csv(bg, buf)
+            buf.seek(0)
+            assert load_bipartite_csv(buf) == bg
 
 
 def test_metagraph_csv_ordering_and_roundtrip():
