@@ -18,6 +18,7 @@ from adgraph import (
     girvan_newman,
     intermediary_keys,
     prune_edges,
+    without_keys,
 )
 from adgraph.extractor import IdKind, SiteIdProfile, Source
 
@@ -38,7 +39,9 @@ profiles = [
     profile("c.example", tracking={"UA-2000"}),
     profile("d.example", tracking={"UA-3000"}),
 ]
-graphs = {family: build_bipartite(profiles, family) for family in IdFamily}
+# build_bipartite reads the profiles once and returns all three graphs,
+# keyed by family; any iterable of profiles will do, a stream included.
+graphs = build_bipartite(profiles)
 mg = build_metagraph(graphs[IdFamily.PUBLISHER], graphs[IdFamily.ANALYTICS],
                      graphs[IdFamily.CONTAINER])
 for (u, v), w in sorted(mg.weights.items()):
@@ -49,12 +52,13 @@ for component in connected_components(graphs[IdFamily.ANALYTICS]):
     print("  analytics component:", sorted(component))
 
 # Intermediary platforms (one ID across hundreds of client sites) drown
-# the ownership signal; intermediary_keys finds the keys that exceed a
-# site-count threshold, and build_bipartite leaves them out.
+# the ownership signal; intermediary_keys finds the keys of the graphs that
+# exceed a site-count threshold, and without_keys leaves them out.
 blog_platform = [profile(f"blog{i:03d}.example", tracking={"UA-5555"}) for i in range(300)]
-excluded = intermediary_keys(profiles + blog_platform, threshold=100)
+with_platform = build_bipartite(profiles + blog_platform)
+excluded = intermediary_keys(with_platform, threshold=100)
 print("\nintermediary keys excluded:", sorted(excluded))
-analytics = build_bipartite(profiles + blog_platform, IdFamily.ANALYTICS, excluded)
+analytics = without_keys(with_platform[IdFamily.ANALYTICS], excluded)
 print("analytics sites left:", sorted(analytics.site_nodes))
 
 # Community detection on a graph with two obvious clusters joined by a

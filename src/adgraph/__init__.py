@@ -11,14 +11,10 @@ from .corpus import (
     CrawlRecord,
     FormatError,
     PublicSuffixTable,
-    assign_ranks,
     canonicalize,
-    dedup_by_landing,
     load_category_map,
     load_rank_list,
-    parse_crawl_jsonl,
     parse_har,
-    serialize_crawl_jsonl,
 )
 from .extractor import (
     CrawlExtraction,
@@ -30,10 +26,10 @@ from .extractor import (
     dump_profiles,
     extract_crawl,
     extract_profile,
-    extract_profiles,
     filter_dictionary,
     filter_keywords,
     flag_anomalies,
+    iter_profiles,
     load_blocklist,
     load_dictionary,
     load_profiles,
@@ -49,6 +45,7 @@ from .graphs import (
     connected_components,
     family_normalizers,
     intermediary_keys,
+    without_keys,
 )
 from .communities import (
     Partition,

@@ -33,6 +33,7 @@ from .extractor import (
     dump_profiles,
     extract_crawl,
     flag_anomalies,
+    iter_profiles,
     load_blocklist,
     load_dictionary,
     load_profiles,
@@ -51,6 +52,7 @@ from .graphs import (
     family_normalizers,
     intermediary_keys,
     load_metagraph_csv,
+    without_keys,
     _read_table,
 )
 from .history import (
@@ -187,18 +189,19 @@ def _extract_stage(
 
 
 def _graph_stage(
-    profiles: list[SiteIdProfile],
+    profiles: Iterable[SiteIdProfile],
     threshold: float,
     keep_intermediaries: bool,
     normalizer_mode: str,
     out_dir: Path | _Bundle,
 ) -> tuple[dict[IdFamily, BipartiteGraph], Metagraph]:
-    """Profiles -> bipartite_<family>.csv and metagraph.csv."""
-    normalizers = None
-    if normalizer_mode == "pre-exclusion":
-        normalizers = family_normalizers(profiles)
-    excluded = frozenset() if keep_intermediaries else intermediary_keys(profiles, threshold)
-    graphs = {family: build_bipartite(profiles, family, excluded) for family in FAMILY_ORDER}
+    """Profiles -> bipartite_<family>.csv and metagraph.csv; ``profiles``
+    is read once, before any file is written."""
+    graphs = build_bipartite(profiles)
+    normalizers = family_normalizers(graphs) if normalizer_mode == "pre-exclusion" else None
+    if not keep_intermediaries:
+        excluded = intermediary_keys(graphs, threshold)
+        graphs = {family: without_keys(bg, excluded) for family, bg in graphs.items()}
     metagraph = build_metagraph(
         graphs[IdFamily.PUBLISHER],
         graphs[IdFamily.ANALYTICS],
@@ -351,7 +354,7 @@ def _cmd_extract(args: argparse.Namespace) -> None:
 
 def _cmd_graph(args: argparse.Namespace) -> None:
     _graph_stage(
-        load_profiles(args.profiles),
+        iter_profiles(args.profiles),
         args.intermediary_threshold,
         args.keep_intermediaries,
         args.normalizer_mode,
@@ -379,20 +382,30 @@ def _cmd_stats_ids(args: argparse.Namespace) -> None:
 
 
 def _load_site_ranks(path) -> dict[str, int]:
-    return {domain: rank for rank, domain in _read_table(path, {"rank": int, "domain": str})}
+    """site_ranks.csv: one rank >= 1 per domain, else FormatError naming the row."""
+    first_row: dict[str, int] = {}
+
+    def check(row: list, row_no: int) -> None:
+        rank, domain = row
+        if rank < 1:
+            raise ValueError(f"rank {rank} is below 1")
+        first = first_row.setdefault(domain, row_no)
+        if first != row_no:
+            raise ValueError(f"domain {domain} repeats row {first}")
+
+    return {domain: rank for rank, domain in _read_table(path, {"rank": int, "domain": str}, check)}
 
 
 def _cmd_stats_sizes(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    profiles = load_profiles(args.profiles)
+    bipartite = build_bipartite(iter_profiles(args.profiles))[IdFamily(args.family)]
     ranks = _load_site_ranks(args.site_ranks) if args.site_ranks else None
-    bipartite = build_bipartite(profiles, IdFamily(args.family))
     _sizes_stage(bipartite, ranks, out.parent, out.name)
 
 
 def _cmd_stats_powerlaw(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    bipartite = build_bipartite(load_profiles(args.profiles), IdFamily(args.family))
+    bipartite = build_bipartite(iter_profiles(args.profiles))[IdFamily(args.family)]
     if args.population == "publishers":
         sizes = [r.size for r in publisher_sizes(bipartite)]
     else:
@@ -402,9 +415,8 @@ def _cmd_stats_powerlaw(args: argparse.Namespace) -> None:
 
 def _cmd_stats_popularity(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    profiles = load_profiles(args.profiles)
+    bipartite = build_bipartite(iter_profiles(args.profiles))[IdFamily.PUBLISHER]
     ranks = _load_site_ranks(args.site_ranks)
-    bipartite = build_bipartite(profiles, IdFamily.PUBLISHER)
     _popularity_stage(publisher_sizes(bipartite, ranks), args.max_size, out.parent, out.name)
 
 

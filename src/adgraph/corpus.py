@@ -11,10 +11,10 @@ import ipaddress
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator
 from urllib.parse import urlsplit
 
 logger = logging.getLogger(__name__)
@@ -193,14 +193,6 @@ class CrawlRecord:
     snapshot_id: str | None = None
 
 
-@dataclass
-class ParseResult:
-    """Records parsed from a crawl JSONL stream plus skipped-line log."""
-
-    records: list[CrawlRecord] = field(default_factory=list)
-    skips: list[tuple[int, str]] = field(default_factory=list)  # (line_no, reason)
-
-
 def _record_from_obj(obj: dict, table: PublicSuffixTable | None) -> CrawlRecord:
     domain = obj.get("domain")
     landing_url = obj.get("landing_url")
@@ -280,41 +272,6 @@ def _crawl_records(
         logger.warning("skipped %d malformed crawl line(s)", len(skips))
 
 
-def parse_crawl_jsonl(
-    stream: IO[str] | Iterable[str],
-    table: PublicSuffixTable | None = None,
-) -> ParseResult:
-    """Parse crawl JSONL: one record per well-formed line, in input order.
-
-    Malformed lines never abort the stream; they are recorded in
-    ``result.skips`` as ``(line_number, reason)``.
-    """
-    result = ParseResult()
-    result.records.extend(_crawl_records(stream, table, result.skips))
-    return result
-
-
-def record_to_json_obj(record: CrawlRecord) -> dict:
-    obj: dict = {
-        "domain": record.requested_domain,
-        "landing_url": record.landing_url,
-        "html": record.page_text,
-        "requests": list(record.request_urls),
-        "cookies": [{"name": n, "value": v} for n, v in record.cookies],
-    }
-    if record.rank is not None:
-        obj["rank"] = record.rank
-    if record.snapshot_id is not None:
-        obj["snapshot"] = record.snapshot_id
-    return obj
-
-
-def serialize_crawl_jsonl(records: Iterable[CrawlRecord], stream: IO[str]) -> None:
-    """Inverse of parse_crawl_jsonl for well-formed records."""
-    for record in records:
-        stream.write(json.dumps(record_to_json_obj(record), sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # HAR ingestion
 # ---------------------------------------------------------------------------
@@ -380,59 +337,8 @@ def parse_har(source: str | Path | IO[str], table: PublicSuffixTable | None = No
 
 
 # ---------------------------------------------------------------------------
-# Deduplication and auxiliary loaders
+# Auxiliary loaders
 # ---------------------------------------------------------------------------
-
-_UNRANKED = float("inf")  # the rank key of a rank-less record
-
-
-def _keep_survivor(
-    survivors: dict[str, tuple],
-    domain: str,
-    rank: int | None,
-    pos: int,
-    value: Callable[[], object],
-) -> None:
-    """Offer the record at input position ``pos`` as the survivor of its
-    landing ``domain``.
-
-    ``survivors`` maps each landing domain to ``(rank key, position, rank,
-    value)``, the rank key being the rank, or infinity for a rank-less
-    record. The smaller ``(rank key, position)`` wins; ``value()`` is
-    called only when the offered record does.
-    """
-    key = _UNRANKED if rank is None else rank
-    current = survivors.get(domain)
-    if current is None or (key, pos) < current[:2]:
-        survivors[domain] = (key, pos, rank, value())
-
-
-def dedup_by_landing(records: Sequence[CrawlRecord]) -> list[CrawlRecord]:
-    """Keep one record per landing domain.
-
-    Survivor: best (smallest) rank; rank-less records lose to ranked ones;
-    full ties keep the earliest input record. Output follows the first
-    occurrence order of each landing domain.
-    """
-    survivors: dict[str, tuple] = {}  # a replaced entry keeps its place
-    for pos, rec in enumerate(records):
-        if not rec.landing_domain:
-            raise ValueError("record without landing_domain cannot be deduplicated")
-        _keep_survivor(survivors, rec.landing_domain, rec.rank, pos, lambda: rec)
-    return [entry[3] for entry in survivors.values()]
-
-
-def assign_ranks(records: Sequence[CrawlRecord], ranks: Mapping[str, int]) -> list[CrawlRecord]:
-    """Fill record ranks from a rank list keyed by requested domain."""
-    filled = []
-    for r in records:
-        rank = ranks.get(r.requested_domain, r.rank)
-        if rank != r.rank:
-            r = CrawlRecord(r.requested_domain, r.landing_url, r.landing_domain, r.page_text,
-                            r.request_urls, r.cookies, rank, r.snapshot_id)
-        filled.append(r)
-    return filled
-
 
 def load_rank_list(path: str | Path) -> dict[str, int]:
     """Load a headerless ``rank,domain`` CSV into domain -> rank.

@@ -35,7 +35,6 @@ from .corpus import (
     FormatError,
     PublicSuffixTable,
     _crawl_records,
-    _keep_survivor,
     _read_data_file,
 )
 
@@ -287,13 +286,12 @@ def _profile_fields(
     return keys, sources, raw_counts
 
 
-def _fold_profile(
-    records: Sequence[CrawlRecord],
+def extract_profile(
+    record: CrawlRecord,
     dictionary: frozenset[str] | set[str],
     blocklist: frozenset[str] | set[str],
 ) -> SiteIdProfile:
-    """Aggregate the filtered matches of records that share a landing
-    domain into one profile of canonical keys.
+    """Aggregate one record's filtered matches into canonical keys.
 
     raw_counts tally every filtered match occurrence per kind, before
     canonical merging.
@@ -301,56 +299,26 @@ def _fold_profile(
     found: dict[IdKind, set[str]] = {}
     sources: dict[str, frozenset[Source]] = {}
     counts: dict[IdKind, int] = {}
-    for record in records:
-        for source, kind, values in _matches(record, dictionary, blocklist):
-            counts[kind] = counts.get(kind, 0) + len(values)
-            if kind is IdKind.TRACKING:
-                values = [canonical_key(value, kind) for value in values]
-            found.setdefault(kind, set()).update(values)
-            for key in values:
-                sources[key] = _WITH_SOURCE[sources.get(key, _NO_SOURCES), source]
+    for source, kind, values in _matches(record, dictionary, blocklist):
+        counts[kind] = counts.get(kind, 0) + len(values)
+        if kind is IdKind.TRACKING:
+            values = [canonical_key(value, kind) for value in values]
+        found.setdefault(kind, set()).update(values)
+        for key in values:
+            sources[key] = _WITH_SOURCE[sources.get(key, _NO_SOURCES), source]
     return SiteIdProfile(
-        landing_domain=records[0].landing_domain,
+        landing_domain=record.landing_domain,
         keys={kind: frozenset(found[kind]) for kind in _KINDS_BY_NAME if kind in found},
         sources=sources,
         raw_counts={kind: counts[kind] for kind in _KINDS_BY_NAME if kind in counts},
     )
 
 
-def extract_profile(
-    record: CrawlRecord,
-    dictionary: frozenset[str] | set[str],
-    blocklist: frozenset[str] | set[str],
-) -> SiteIdProfile:
-    """Aggregate one record's filtered matches into canonical keys."""
-    return _fold_profile((record,), dictionary, blocklist)
+_UNRANKED = float("inf")  # the rank key of a rank-less record
 
 
-def extract_profiles(
-    records: Sequence[CrawlRecord],
-    dictionary: frozenset[str] | set[str] | None = None,
-    blocklist: frozenset[str] | set[str] | None = None,
-    keep_empty: bool = False,
-) -> list[SiteIdProfile]:
-    """Extract per-site profiles for a whole corpus, sorted by domain.
-
-    Records sharing a landing domain fold into one profile. Extraction runs
-    serially: the scan is Python work that holds the interpreter lock.
-    Empty profiles are dropped unless ``keep_empty``.
-    """
-    if dictionary is None:
-        dictionary = load_dictionary()
-    if blocklist is None:
-        blocklist = load_blocklist()
-    by_domain: dict[str, list[CrawlRecord]] = {}
-    for record in records:
-        by_domain.setdefault(record.landing_domain, []).append(record)
-    profiles = [
-        _fold_profile(group, dictionary, blocklist) for _, group in sorted(by_domain.items())
-    ]
-    if keep_empty:
-        return profiles
-    return [p for p in profiles if not p.is_empty()]
+def _keyed(profile: SiteIdProfile) -> SiteIdProfile | None:
+    return None if profile.is_empty() else profile
 
 
 class CrawlExtraction(NamedTuple):
@@ -362,10 +330,6 @@ class CrawlExtraction(NamedTuple):
     skips: list[tuple[int, str]]  # (line number, reason) of malformed lines
 
 
-def _keyed(profile: SiteIdProfile) -> SiteIdProfile | None:
-    return None if profile.is_empty() else profile
-
-
 def extract_crawl(
     lines: IO[str] | Iterable[str],
     ranks: Mapping[str, int] | None = None,
@@ -375,13 +339,13 @@ def extract_crawl(
 ) -> CrawlExtraction:
     """Crawl JSONL straight to profiles, in one pass that keeps no record.
 
-    Equal to ``parse_crawl_jsonl``, then ``assign_ranks`` (a record's rank
-    is ``ranks[requested domain]``, else its JSONL ``rank``), then
-    ``dedup_by_landing`` and ``extract_profiles``. Each record is folded
-    into its landing domain's survivor entry as its line is read, and
-    extracted only if it beats the survivor so far, so memory grows with
-    the landing domains kept, not with the page bytes. A survivor without
-    keys is kept as None, since it only counts towards ``site_count``.
+    A record's rank is ``ranks[requested domain]``, else its JSONL
+    ``rank``. Each landing domain keeps one survivor: the record of
+    smallest rank, a rank-less record losing to any ranked one and a tie
+    keeping the earlier line. A record is extracted as its line is read,
+    and only if it beats the survivor so far, so memory grows with the
+    landing domains kept, not with the page bytes. A survivor without keys
+    is kept as None, since it only counts towards ``site_count``.
     """
     if ranks is None:
         ranks = {}
@@ -390,17 +354,20 @@ def extract_crawl(
     if blocklist is None:
         blocklist = load_blocklist()
     skips: list[tuple[int, str]] = []
-    survivors: dict[str, tuple] = {}
-    for pos, record in enumerate(_crawl_records(lines, table, skips)):
-        _keep_survivor(
-            survivors, record.landing_domain, ranks.get(record.requested_domain, record.rank),
-            pos, lambda: _keyed(extract_profile(record, dictionary, blocklist)),
-        )
+    # landing domain -> (rank or _UNRANKED, rank, profile or None)
+    survivors: dict[str, tuple[float, int | None, SiteIdProfile | None]] = {}
+    for record in _crawl_records(lines, table, skips):
+        rank = ranks.get(record.requested_domain, record.rank)
+        rank_key = _UNRANKED if rank is None else rank
+        current = survivors.get(record.landing_domain)
+        if current is None or rank_key < current[0]:
+            profile = _keyed(extract_profile(record, dictionary, blocklist))
+            survivors[record.landing_domain] = (rank_key, rank, profile)
     profiles = sorted(
-        (entry[3] for entry in survivors.values() if entry[3] is not None),
+        (entry[2] for entry in survivors.values() if entry[2] is not None),
         key=lambda p: p.landing_domain,
     )
-    site_ranks = {domain: entry[2] for domain, entry in survivors.items() if entry[2] is not None}
+    site_ranks = {domain: entry[1] for domain, entry in survivors.items() if entry[1] is not None}
     return CrawlExtraction(profiles, site_ranks, len(survivors), skips)
 
 
@@ -558,11 +525,18 @@ def _read_profile_lines(
         yield domain, value
 
 
-def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
-    """Profiles from a JSONL file or stream; blank lines are skipped.
+def iter_profiles(source: str | Path | IO[str]) -> Iterator[SiteIdProfile]:
+    """Profiles from a JSONL file or stream, one per line as it is read;
+    blank lines are skipped. A path is opened at the first ``next()``.
 
     A line that is not JSON, that ``SiteIdProfile.from_json_obj`` rejects,
     or whose domain an earlier line already holds, raises FormatError
     naming the file and the 1-based line.
     """
-    return [p for _, p in _read_profile_lines(source, SiteIdProfile.from_json_obj)]
+    for _, profile in _read_profile_lines(source, SiteIdProfile.from_json_obj):
+        yield profile
+
+
+def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
+    """Every profile of ``iter_profiles(source)``, in file order."""
+    return list(iter_profiles(source))

@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Collection, Iterable, Iterator, Mapping
 
 from .corpus import FormatError
-from .extractor import KIND_ORDER, IdKind, SiteIdProfile
+from .extractor import IdKind, SiteIdProfile
 
 
 class IdFamily(enum.Enum):
@@ -154,36 +154,40 @@ class Metagraph:
         )
 
 
-def _sites_by_key(
-    profiles: Iterable[SiteIdProfile], kinds: Collection[IdKind]
-) -> dict[str, set[str]]:
-    """Every key of the given kinds, mapped to the landing domains of the
-    profiles that carry it. A key found under two kinds counts once."""
-    key_to_sites: dict[str, set[str]] = {}
-    for p in profiles:
-        for kind, keys in p.keys.items():
-            if kind in kinds:
-                for key in keys:
-                    key_to_sites.setdefault(key, set()).add(p.landing_domain)
-    return key_to_sites
-
-
 def _shared_keys(key_to_sites: Mapping[str, Collection[str]]) -> int:
     """The number of keys carried by more than one site."""
     return sum(1 for sites in key_to_sites.values() if len(sites) > 1)
 
 
-def build_bipartite(
-    profiles: Sequence[SiteIdProfile], family: IdFamily, excluded: Collection[str] = ()
-) -> BipartiteGraph:
-    """One site node per profile with at least one key in the family, one id
-    node per distinct canonical key, one edge per (site, key) pair. Keys in
-    ``excluded`` (see ``intermediary_keys``) are left out, with any site
-    that carries no other key of the family."""
-    key_to_sites = _sites_by_key(profiles, KINDS_OF_FAMILY[family])
-    for key in excluded:
-        key_to_sites.pop(key, None)
-    return BipartiteGraph(family, {k: frozenset(s) for k, s in key_to_sites.items()})
+def build_bipartite(profiles: Iterable[SiteIdProfile]) -> dict[IdFamily, BipartiteGraph]:
+    """The bipartite graph of every family, in one pass over the profiles.
+
+    Each graph has one site node per profile with at least one key in the
+    family, one id node per distinct canonical key, and one edge per
+    (site, key) pair; a key found under two kinds of one family counts
+    once. ``without_keys`` leaves keys out afterwards.
+    """
+    maps: dict[IdFamily, dict[str, Any]] = {family: {} for family in FAMILY_ORDER}
+    map_of_kind = {kind: maps[f] for f in FAMILY_ORDER for kind in KINDS_OF_FAMILY[f]}
+    for p in profiles:
+        domain = p.landing_domain
+        for kind, keys in p.keys.items():
+            key_to_sites = map_of_kind[kind]
+            for key in keys:
+                key_to_sites.setdefault(key, set()).add(domain)
+    # In place, so a family never holds a key's set and its frozenset at once.
+    for key_to_sites in maps.values():
+        for key, sites in key_to_sites.items():
+            key_to_sites[key] = frozenset(sites)
+    return {family: BipartiteGraph(family, maps[family]) for family in FAMILY_ORDER}
+
+
+def without_keys(graph: BipartiteGraph, excluded: Collection[str]) -> BipartiteGraph:
+    """The graph without the keys in ``excluded`` (see ``intermediary_keys``),
+    and so without any site that carries no other key of the family. The
+    kept keys share their frozensets of sites with ``graph``."""
+    kept = {key: sites for key, sites in graph.key_to_sites.items() if key not in excluded}
+    return BipartiteGraph(graph.family, kept)
 
 
 def _component_of(adj: Mapping[str, Iterable[str]], start: str) -> frozenset[str]:
@@ -228,10 +232,10 @@ def connected_components(graph: BipartiteGraph | Metagraph) -> list[frozenset[st
     return _components(adj)
 
 
-def family_normalizers(profiles: Sequence[SiteIdProfile]) -> dict[IdFamily, int]:
+def family_normalizers(graphs: Mapping[IdFamily, BipartiteGraph]) -> dict[IdFamily, int]:
     """Per family, the number of distinct canonical keys found on more than
-    one site of the given profile set."""
-    return {f: _shared_keys(_sites_by_key(profiles, KINDS_OF_FAMILY[f])) for f in FAMILY_ORDER}
+    one site of its graph in ``graphs`` (as ``build_bipartite`` returns)."""
+    return {f: _shared_keys(graphs[f].key_to_sites) for f in FAMILY_ORDER}
 
 
 def build_metagraph(
@@ -279,17 +283,24 @@ def build_metagraph(
     return mg
 
 
-def intermediary_keys(profiles: Sequence[SiteIdProfile], threshold: float = 100) -> frozenset[str]:
-    """The canonical keys present on more than ``threshold`` sites.
+def intermediary_keys(
+    graphs: Mapping[IdFamily, BipartiteGraph], threshold: float = 100
+) -> frozenset[str]:
+    """The canonical keys present on more than ``threshold`` sites of the
+    graphs; a key found in two families counts the union of their sites.
 
     Intermediary monetization platforms place one ID across hundreds of
     client sites; their keys drown the co-ownership signal, so the pipeline
-    passes this set to ``build_bipartite`` as ``excluded``.
+    leaves this set out of each graph with ``without_keys``.
     """
     if not threshold >= 2:  # NaN too
         raise ValueError("threshold must be >= 2")
-    by_key = _sites_by_key(profiles, KIND_ORDER)
-    return frozenset(key for key, sites in by_key.items() if len(sites) > threshold)
+    carriers: dict[str, frozenset[str]] = {}
+    for bg in graphs.values():
+        for key, sites in bg.key_to_sites.items():
+            other = carriers.get(key)
+            carriers[key] = sites if other is None else other | sites
+    return frozenset(key for key, sites in carriers.items() if len(sites) > threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,20 @@ from urllib.parse import urlsplit
 import numpy as np
 from scipy.special import zeta
 
-from adgraph.corpus import CanonicalizationError, CrawlRecord, default_suffix_table
+from adgraph.corpus import (
+    CanonicalizationError,
+    CrawlRecord,
+    _crawl_records,
+    default_suffix_table,
+)
 from adgraph.extractor import (
     KIND_ORDER,
+    CrawlExtraction,
     IdKind,
     SiteIdProfile,
     Source,
     canonical_key,
+    extract_profile,
     filter_dictionary,
     filter_keywords,
     load_profiles,
@@ -332,6 +339,43 @@ def extract_profile_reference(record, dictionary, blocklist):
         keys={k: frozenset(v) for k, v in keys.items()},
         sources={k: frozenset(v) for k, v in sources.items()},
         raw_counts=raw_counts,
+    )
+
+
+def crawl_jsonl(records):
+    """The crawl JSONL text of records, one line each, that the crawl
+    reader parses back into the same records."""
+    lines = []
+    for r in records:
+        obj = {"domain": r.requested_domain, "landing_url": r.landing_url, "html": r.page_text,
+               "requests": list(r.request_urls),
+               "cookies": [{"name": n, "value": v} for n, v in r.cookies]}
+        if r.rank is not None:
+            obj["rank"] = r.rank
+        if r.snapshot_id is not None:
+            obj["snapshot"] = r.snapshot_id
+        lines.append(json.dumps(obj, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def extract_crawl_reference(lines, ranks, dictionary, blocklist):
+    """``extract_crawl`` the naive way: parse every line, then keep for
+    each landing domain the record of smallest (rank, or infinity without
+    one; line position), and extract each survivor."""
+    skips = []
+    records = list(_crawl_records(lines, None, skips))
+    ranked = [(ranks.get(r.requested_domain, r.rank), pos, r) for pos, r in enumerate(records)]
+    survivors = [
+        min((t for t in ranked if t[2].landing_domain == domain),
+            key=lambda t: (math.inf if t[0] is None else t[0], t[1]))
+        for domain in {r.landing_domain for r in records}
+    ]
+    profiles = [extract_profile(r, dictionary, blocklist) for _, _, r in survivors]
+    return CrawlExtraction(
+        sorted((p for p in profiles if not p.is_empty()), key=lambda p: p.landing_domain),
+        {r.landing_domain: rank for rank, _, r in survivors if rank is not None},
+        len(survivors),
+        skips,
     )
 
 

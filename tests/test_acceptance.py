@@ -6,7 +6,6 @@ they print. Every tolerance is pinned here, not configurable.
 
 from __future__ import annotations
 
-import io
 import math
 import random
 import time
@@ -16,14 +15,13 @@ from fractions import Fraction
 
 from adgraph.cli import run
 from adgraph.communities import girvan_newman, modularity, prune_edges
-from adgraph.corpus import dedup_by_landing, parse_crawl_jsonl, serialize_crawl_jsonl
-from adgraph.extractor import extract_profiles, load_blocklist, load_dictionary
+from adgraph.extractor import extract_crawl, extract_profile, load_blocklist, load_dictionary
 from adgraph.graphs import (
-    FAMILY_ORDER,
     IdFamily,
     build_bipartite,
     build_metagraph,
     intermediary_keys,
+    without_keys,
 )
 from adgraph.history import (
     PublisherClass,
@@ -41,6 +39,7 @@ from adgraph.stats import (
 )
 from helpers import (
     brute_force_metagraph,
+    crawl_jsonl,
     fixture_corpus,
     girvan_newman_oracle,
     make_profile,
@@ -67,9 +66,8 @@ def test_criterion_1_extraction_fidelity():
         records, manifest = fixture_corpus()
         assert len(records) == 50
         started = time.monotonic()
-        profiles = extract_profiles(
-            records, load_dictionary(), load_blocklist(), keep_empty=True
-        )
+        dictionary, blocklist = load_dictionary(), load_blocklist()
+        profiles = [extract_profile(r, dictionary, blocklist) for r in records]
         elapsed = time.monotonic() - started
         extracted = profiles_to_manifest(profiles)
         # every expected (site, kind, key, sources) is found, and nothing else
@@ -87,7 +85,7 @@ def test_criterion_2_metagraph_formula():
         ]
 
         def project(ps):
-            bgs = {f: build_bipartite(ps, f) for f in FAMILY_ORDER}
+            bgs = build_bipartite(ps)
             return build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS],
                                    bgs[IdFamily.CONTAINER])
 
@@ -286,9 +284,7 @@ def test_criterion_9_thread_determinism(tmp_path):
     with criterion(9, "--threads 1 and --threads 8 produce byte-identical CSVs"):
         records, _ = fixture_corpus()
         crawl = tmp_path / "crawl.jsonl"
-        buf = io.StringIO()
-        serialize_crawl_jsonl(records, buf)
-        crawl.write_text(buf.getvalue(), encoding="utf-8")
+        crawl.write_text(crawl_jsonl(records), encoding="utf-8")
         for threads, name in ((1, "t1"), (8, "t8")):
             code = run(["report", "--in", str(crawl), "--out-dir", str(tmp_path / name),
                         "--top-fraction", "1.0", "--threads", str(threads)])
@@ -306,12 +302,11 @@ def test_criterion_10_scale_smoke():
     with criterion(10, "100k records: extract -> graph -> prune -> communities <5min"):
         lines = scale_corpus_lines(100_000)
         started = time.monotonic()
-        parsed = parse_crawl_jsonl(iter(lines))
-        assert len(parsed.records) == 100_000
-        records = dedup_by_landing(parsed.records)
-        profiles = extract_profiles(records, load_dictionary(), load_blocklist())
-        excluded = intermediary_keys(profiles, 100)
-        bgs = {f: build_bipartite(profiles, f, excluded) for f in FAMILY_ORDER}
+        extraction = extract_crawl(iter(lines))
+        assert extraction.site_count == 100_000 and not extraction.skips
+        graphs = build_bipartite(extraction.profiles)
+        excluded = intermediary_keys(graphs, 100)
+        bgs = {f: without_keys(bg, excluded) for f, bg in graphs.items()}
         mg = build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS],
                              bgs[IdFamily.CONTAINER])
         pruned = prune_edges(mg, 0.05)

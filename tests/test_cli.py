@@ -15,10 +15,9 @@ import pytest
 import adgraph.cli
 import adgraph.corpus
 from adgraph.cli import run
-from adgraph.corpus import CrawlRecord, serialize_crawl_jsonl
+from adgraph.corpus import CrawlRecord
 from adgraph.extractor import SiteIdProfile, dump_profiles, load_profiles
 from adgraph.graphs import (
-    FAMILY_ORDER,
     KINDS_OF_FAMILY,
     IdFamily,
     build_bipartite,
@@ -29,6 +28,7 @@ from adgraph.graphs import (
 )
 from adgraph.history import save_snapshot
 from helpers import (
+    crawl_jsonl,
     exclude_intermediaries_reference,
     first_pair_only_profiles,
     fixture_corpus,
@@ -42,9 +42,7 @@ from helpers import (
 def crawl_file(tmp_path_factory):
     records, _ = fixture_corpus()
     path = tmp_path_factory.mktemp("crawl") / "crawl.jsonl"
-    buf = io.StringIO()
-    serialize_crawl_jsonl(records, buf)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    path.write_text(crawl_jsonl(records), encoding="utf-8")
     return path
 
 
@@ -190,8 +188,7 @@ def test_graph_normalizer_and_intermediary_flags(tmp_path):
         for domain in ("extra-a.example", "extra-b.example")
     ]
     crawl = tmp_path / "crawl.jsonl"
-    with open(crawl, "w", encoding="utf-8") as fh:
-        serialize_crawl_jsonl(records, fh)
+    crawl.write_text(crawl_jsonl(records), encoding="utf-8")
     profiles_path = _extract(crawl, tmp_path)
     profiles = load_profiles(profiles_path)
     for name, extra, threshold in (  # threshold None: keep every key
@@ -206,8 +203,9 @@ def test_graph_normalizer_and_intermediary_flags(tmp_path):
                     *extra]) == 0
         kept = (profiles if threshold is None
                 else exclude_intermediaries_reference(profiles, threshold))
-        bgs = {f: build_bipartite(kept, f) for f in FAMILY_ORDER}
-        normalizers = family_normalizers(profiles) if "pre-exclusion" in extra else None
+        bgs = build_bipartite(kept)
+        pre = "pre-exclusion" in extra
+        normalizers = family_normalizers(build_bipartite(profiles)) if pre else None
         mg = build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS],
                              bgs[IdFamily.CONTAINER], normalizers=normalizers)
         for family, bg in bgs.items():
@@ -348,9 +346,12 @@ def test_exit_codes(tmp_path, crawl_file):
     ):
         assert run(argv) == 2
         assert not out.exists()
-    # missing input file -> 1
+    # missing input file -> 1; graph opens its profiles lazily, still before writing
     assert run(["extract", "--in", str(tmp_path / "missing.jsonl"),
                 "--out", str(tmp_path / "p.jsonl")]) == 1
+    assert run(["graph", "--profiles", str(tmp_path / "missing.jsonl"),
+                "--out-dir", str(out)]) == 1
+    assert not out.exists()
     # malformed metagraph -> 1
     bad = tmp_path / "bad.csv"
     bad.write_text("site_a,site_b\n", encoding="utf-8")
@@ -575,6 +576,27 @@ def test_unparseable_csv_value_names_the_row(crawl_file, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("rows, row, reason", [
+    ("0,a.example\n-3,b.example\n5,a.example\n", 2, "rank 0 is below 1"),
+    ("1,a.example\n-3,b.example\n", 3, "rank -3 is below 1"),
+    ("1,a.example\n2,b.example\n5,a.example\n", 4, "domain a.example repeats row 2"),
+])
+def test_site_ranks_reject_low_ranks_and_repeated_domains(crawl_file, tmp_path, capsys,
+                                                          rows, row, reason):
+    """site_ranks.csv holds one rank >= 1 per landing domain, as extract
+    writes it; any other row names the file and the row."""
+    profiles = _extract(crawl_file, tmp_path / "x")
+    ranks = tmp_path / "site_ranks.csv"
+    ranks.write_text("rank,domain\n" + rows, encoding="utf-8")
+    for topic in ("sizes", "popularity"):
+        out = tmp_path / topic
+        capsys.readouterr()
+        assert run(["stats", topic, "--profiles", str(profiles), "--site-ranks", str(ranks),
+                    "--out", str(out / "x.csv")]) == 1
+        assert f"{ranks}: row {row}: {reason}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_repeated_metagraph_row_is_an_input_error(tmp_path, capsys):
     """A second row for one site pair would silently replace the first
     weight, so it names the file and both rows instead."""
@@ -627,8 +649,18 @@ def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):
     assert not (tmp_path / "ids").exists() and not (tmp_path / "h").exists()
 
 
+def _profile_readers(profiles, snap, out):
+    """Command lines that read ``profiles`` (history through ``snap``) and
+    write under ``out``."""
+    return (["stats", "ids", "--profiles", str(profiles), "--out", str(out / "x.csv")],
+            ["stats", "sizes", "--profiles", str(profiles), "--out", str(out / "x.csv")],
+            ["graph", "--profiles", str(profiles), "--out-dir", str(out)],
+            ["history", "coverage", "--snapshots", str(snap), "--out", str(out / "x.csv")])
+
+
 def test_repeated_domain_is_an_input_error_everywhere(tmp_path, capsys):
-    """stats and history read the same profiles file the same way."""
+    """stats, graph and history read the same profiles file the same way,
+    and the streaming readers fail before writing anything."""
     snap = tmp_path / "snap"
     snap.mkdir()
     profiles = snap / "profiles.jsonl"
@@ -636,12 +668,11 @@ def test_repeated_domain_is_an_input_error_everywhere(tmp_path, capsys):
     profiles.write_text(line + '{"domain": "b.example"}\n\n' + line, encoding="utf-8")
     (snap / "manifest.json").write_text('{"snapshot_id": "2021-01-01", "total_sites": 3}\n',
                                         encoding="utf-8")
-    for argv in (["stats", "ids", "--profiles", str(profiles)],
-                 ["history", "coverage", "--snapshots", str(snap)]):
+    for argv in _profile_readers(profiles, snap, tmp_path / "out"):
         capsys.readouterr()
-        assert run(argv + ["--out", str(tmp_path / "out" / "x.csv")]) == 1
+        assert run(argv) == 1
         assert f"{profiles}: line 4: domain a.example repeats line 1" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists(), argv
 
 
 # json.loads calls each of these "Extra data"; a tail check with
@@ -662,16 +693,15 @@ def test_stats_and_history_reject_a_profile_line_alike(tmp_path, capsys, line):
     (snap / "manifest.json").write_text('{"snapshot_id": "2021-01-01", "total_sites": 3}\n',
                                         encoding="utf-8")
     errors = []
-    for argv in (["stats", "ids", "--profiles", str(profiles)],
-                 ["history", "coverage", "--snapshots", str(snap)]):
+    for argv in _profile_readers(profiles, snap, tmp_path / "out"):
         capsys.readouterr()
-        assert run(argv + ["--out", str(tmp_path / "out" / "x.csv")]) == 1
+        assert run(argv) == 1
         errors.append(capsys.readouterr().err)
+        assert not (tmp_path / "out").exists(), argv
     assert errors[0].startswith(f"adgraph: input error: {profiles}: line 2: ")
-    assert errors[0] == errors[1]
+    assert errors == [errors[0]] * len(errors)
     if line in EXTRA_DATA_LINES:
         assert "Extra data" in errors[0]
-    assert not (tmp_path / "out").exists()
 
 
 def test_profile_lines_led_by_spaces_load(tmp_path):

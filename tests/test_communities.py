@@ -17,7 +17,7 @@ from adgraph.communities import (
     modularity,
     prune_edges,
 )
-from adgraph.graphs import FAMILY_ORDER, IdFamily, Metagraph, build_bipartite, build_metagraph
+from adgraph.graphs import IdFamily, Metagraph, build_bipartite, build_metagraph
 from helpers import (
     best_of_replay,
     enumerate_edge_betweenness,
@@ -389,7 +389,7 @@ def test_graph_stage_builds_no_fraction_per_edge(monkeypatch):
                      tracking={f"UA-{g}-{i % 2}", f"UA-{rng.randrange(20)}"})
         for g in range(12) for i in range(rng.randrange(3, 8))
     ]
-    bgs = {f: build_bipartite(profiles, f) for f in FAMILY_ORDER}
+    bgs = build_bipartite(profiles)
     mg = build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS], bgs[IdFamily.CONTAINER])
     pruned = prune_edges(mg, 0.5)
     assert mg.edge_count > 100 and pruned.edge_count > 50

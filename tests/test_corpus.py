@@ -12,20 +12,18 @@ from adgraph.corpus import (
     CrawlRecord,
     FormatError,
     PublicSuffixTable,
+    _crawl_records,
     _is_ip_literal,
     _read_data_file,
-    assign_ranks,
     canonicalize,
-    dedup_by_landing,
     load_category_map,
     load_rank_list,
-    parse_crawl_jsonl,
     parse_har,
-    serialize_crawl_jsonl,
 )
 from adgraph.extractor import IdKind, extract_profile
 from helpers import (
     canonicalize_reference,
+    crawl_jsonl,
     fixture_corpus,
     random_url_inputs,
     registrable_domain_reference,
@@ -194,7 +192,13 @@ def test_packaged_suffix_table_matches_rule_by_rule_reference():
         assert table.registrable_domain(host) == registrable_domain_reference(rules, host), host
 
 
-# --- parse_crawl_jsonl ------------------------------------------------------
+# --- crawl JSONL records ---------------------------------------------------
+
+def _parse(stream):
+    """(records, skips) of a crawl JSONL stream."""
+    skips = []
+    return list(_crawl_records(stream, None, skips)), skips
+
 
 def _line(**kw):
     base = {"domain": "a.example", "landing_url": "https://a.example/",
@@ -204,22 +208,22 @@ def _line(**kw):
 
 
 def test_parse_identity_case():
-    result = parse_crawl_jsonl(io.StringIO(_line()))
-    assert len(result.records) == 1 and not result.skips
-    rec = result.records[0]
+    records, skips = _parse(io.StringIO(_line()))
+    assert len(records) == 1 and not skips
+    rec = records[0]
     assert rec.landing_domain == "a.example"
     assert rec.page_text == "<html/>"
 
 
 def test_parse_canonicalizes_landing():
-    result = parse_crawl_jsonl(io.StringIO(_line(landing_url="https://WWW.B.Example/path")))
-    assert result.records[0].landing_domain == "b.example"
+    records, _ = _parse(io.StringIO(_line(landing_url="https://WWW.B.Example/path")))
+    assert records[0].landing_domain == "b.example"
 
 
 def test_parse_empty_line_is_one_skip():
-    result = parse_crawl_jsonl(io.StringIO("\n"))
-    assert len(result.records) == 0
-    assert len(result.skips) == 1
+    records, skips = _parse(io.StringIO("\n"))
+    assert len(records) == 0
+    assert len(skips) == 1
 
 
 def test_parse_malformed_lines_do_not_abort():
@@ -229,35 +233,32 @@ def test_parse_malformed_lines_do_not_abort():
         _line(cookies=[{"name": None, "value": {"x": "UA-1234-5"}}]),
         _line(cookies=[{"name": "sid", "value": 5}]),
     ]))
-    result = parse_crawl_jsonl(stream)
-    assert len(result.records) == 1
-    assert [line_no for line_no, _ in result.skips] == [2, 3, 4, 5, 6]
-    assert result.skips[-1][1] == "cookie 'name' and 'value' must be strings"
+    records, skips = _parse(stream)
+    assert len(records) == 1
+    assert [line_no for line_no, _ in skips] == [2, 3, 4, 5, 6]
+    assert skips[-1][1] == "cookie 'name' and 'value' must be strings"
 
 
 def test_parse_unparseable_landing_falls_back_to_domain():
-    result = parse_crawl_jsonl(io.StringIO(_line(landing_url="")))
-    assert result.records[0].landing_domain == "a.example"
+    records, _ = _parse(io.StringIO(_line(landing_url="")))
+    assert records[0].landing_domain == "a.example"
 
 
 def test_parse_optional_fields():
-    result = parse_crawl_jsonl(io.StringIO(_line(rank=7, snapshot="2021-04-01")))
-    rec = result.records[0]
+    records, _ = _parse(io.StringIO(_line(rank=7, snapshot="2021-04-01")))
+    rec = records[0]
     assert rec.rank == 7 and rec.snapshot_id == "2021-04-01"
 
 
-def test_roundtrip_serialize_parse():
+def test_parse_reads_back_every_field():
     records = [
         CrawlRecord("a.example", "https://a.example/", "a.example", "<html>x</html>",
                     ("https://cdn.example/a.js",), (("sid", "1"),), 3, "2021-01-01"),
         CrawlRecord("b.example", "https://b.example/", "b.example"),
     ]
-    buf = io.StringIO()
-    serialize_crawl_jsonl(records, buf)
-    buf.seek(0)
-    result = parse_crawl_jsonl(buf)
-    assert not result.skips
-    assert result.records == records
+    parsed, skips = _parse(io.StringIO(crawl_jsonl(records)))
+    assert not skips
+    assert parsed == records
 
 
 # --- parse_har --------------------------------------------------------------
@@ -333,45 +334,6 @@ def test_har_skips_cookies_without_string_name_and_value():
     assert extract_profile(rec, frozenset(), frozenset()).keys == {IdKind.TRACKING: {"UA-3333"}}
 
 
-# --- dedup_by_landing -------------------------------------------------------
-
-def _rec(domain, landing, rank=None):
-    return CrawlRecord(domain, f"https://{landing}/", landing, rank=rank)
-
-
-def test_dedup_keeps_best_rank():
-    out = dedup_by_landing([_rec("x.example", "c.example", 500), _rec("y.example", "c.example", 10)])
-    assert len(out) == 1 and out[0].rank == 10
-
-
-def test_dedup_distinct_domains_unchanged():
-    records = [_rec("a.example", "a.example", 1), _rec("b.example", "b.example", 2)]
-    assert dedup_by_landing(records) == records
-
-
-def test_dedup_rankless_tie_keeps_first():
-    first = _rec("x.example", "c.example")
-    out = dedup_by_landing([first, _rec("y.example", "c.example")])
-    assert out == [first]
-
-
-def test_dedup_ranked_beats_rankless():
-    ranked = _rec("y.example", "c.example", 999)
-    assert dedup_by_landing([_rec("x.example", "c.example"), ranked]) == [ranked]
-
-
-def test_dedup_idempotent():
-    records = [
-        _rec("a.example", "a.example", 5),
-        _rec("b.example", "a.example", 2),
-        _rec("c.example", "c.example"),
-        _rec("d.example", "c.example", 9),
-        _rec("e.example", "e.example"),
-    ]
-    once = dedup_by_landing(records)
-    assert dedup_by_landing(once) == once
-
-
 # --- loaders ----------------------------------------------------------------
 
 def test_load_rank_list(tmp_path):
@@ -403,9 +365,3 @@ def test_load_category_map(tmp_path):
     cats = load_category_map(path)
     assert cats["a.example"] == "News and Media"
     assert "c.example" not in cats
-
-
-def test_assign_ranks():
-    records = [_rec("a.example", "a.example"), _rec("b.example", "b.example", 50)]
-    out = assign_ranks(records, {"a.example": 7})
-    assert out[0].rank == 7 and out[1].rank == 50

@@ -4,13 +4,14 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import random
 import re
 
 import pytest
 
 import adgraph.extractor
-from adgraph.corpus import CrawlRecord, assign_ranks, dedup_by_landing, parse_crawl_jsonl
+from adgraph.corpus import CrawlRecord, _crawl_records
 from adgraph.extractor import (
     IdKind,
     SiteIdProfile,
@@ -19,15 +20,17 @@ from adgraph.extractor import (
     dump_profiles,
     extract_crawl,
     extract_profile,
-    extract_profiles,
     filter_dictionary,
     filter_keywords,
     flag_anomalies,
+    iter_profiles,
     load_profiles,
     scan_text,
     summarize_extraction,
 )
 from helpers import (
+    crawl_jsonl,
+    extract_crawl_reference,
     extract_profile_reference,
     make_profile,
     profile_from_json_obj_reference,
@@ -321,92 +324,68 @@ def test_profile_is_aggregate_of_hits(corpus50, dictionary, blocklist):
             {m: occurrences.count(m) for m in occurrences}
 
 
-def test_extract_profiles_merges_two_records_of_one_domain(dictionary, blocklist):
-    first = _record(html="pub-111111111 UA-1111-1", cookies=[("sid", "UA-1111-2")])
-    second = _record(html="pub-111111111 GTM-XYZ999",
-                     requests=["https://x.example/?client=ca-pub-111111111&tid=UA-1111-3"])
-    other = _record(domain="b.example", html="G-AB12345")
-    profiles = extract_profiles([first, other, second], dictionary, blocklist)
-    joined = _record(html=first.page_text + "\n" + second.page_text,
-                     requests=first.request_urls + second.request_urls,
-                     cookies=first.cookies + second.cookies)
-    assert profiles == [
-        extract_profile(joined, dictionary, blocklist),
-        extract_profile(other, dictionary, blocklist),
-    ]
-    merged = profiles[0]
-    assert merged.keys == {IdKind.PUBLISHER: {"pub-111111111"}, IdKind.TRACKING: {"UA-1111"},
-                           IdKind.CONTAINER: {"GTM-XYZ999"}}
-    assert merged.sources == {"pub-111111111": {Source.HTML, Source.REQUEST},
-                              "UA-1111": {Source.HTML, Source.COOKIE, Source.REQUEST},
-                              "GTM-XYZ999": {Source.HTML}}
-    assert merged.raw_counts == {IdKind.PUBLISHER: 3, IdKind.TRACKING: 3, IdKind.CONTAINER: 1}
+def _crawl(*records):
+    """(domain, landing domain, rank, html) tuples as crawl JSONL lines."""
+    return crawl_jsonl(CrawlRecord(domain, f"https://{landing}/", landing, html, rank=rank)
+                       for domain, landing, rank, html in records).splitlines(keepends=True)
 
 
-def test_extract_profiles_folds_random_groups_like_one_joined_record(dictionary, blocklist):
-    """Records of one landing domain give the profile of a single record
-    holding all their channels: newline-joined HTML, every request URL and
-    every cookie."""
-    blocked = sorted(blocklist)[:20]
-    records = [dataclasses.replace(rec, landing_domain=f"d{i % 9}.example")
-               for i, rec in enumerate(random_scan_records(120, 41, sorted(dictionary), blocked))]
-    groups = {}
-    for rec in records:
-        groups.setdefault(rec.landing_domain, []).append(rec)
-    expected = [
-        extract_profile(
-            CrawlRecord(group[0].requested_domain, group[0].landing_url, domain,
-                        "\n".join(r.page_text for r in group),
-                        tuple(u for r in group for u in r.request_urls),
-                        tuple(c for r in group for c in r.cookies)),
-            dictionary, blocklist)
-        for domain, group in sorted(groups.items())
-    ]
-    assert extract_profiles(records, dictionary, blocklist, keep_empty=True) == expected
-    assert all(len(group) > 1 for group in groups.values())
+@pytest.mark.parametrize("records, ranks, survivor, rank", [
+    # the smaller rank wins, whichever line comes first
+    ([("x.example", "c.example", 500, "pub-100000001"),
+      ("y.example", "c.example", 10, "pub-100000002")], {}, "pub-100000002", 10),
+    # a rank-less tie keeps the first line
+    ([("x.example", "c.example", None, "pub-100000001"),
+      ("y.example", "c.example", None, "pub-100000002")], {}, "pub-100000001", None),
+    # a ranked record beats a rank-less one
+    ([("x.example", "c.example", None, "pub-100000001"),
+      ("y.example", "c.example", 999, "pub-100000002")], {}, "pub-100000002", 999),
+    # the rank list overrides the JSONL rank of its requested domain
+    ([("x.example", "c.example", 5, "pub-100000001"),
+      ("y.example", "c.example", 9, "pub-100000002")], {"y.example": 2}, "pub-100000002", 2),
+])
+def test_extract_crawl_keeps_one_survivor_per_landing_domain(
+    dictionary, blocklist, records, ranks, survivor, rank
+):
+    got = extract_crawl(_crawl(*records), ranks, dictionary, blocklist)
+    assert got.site_count == 1
+    assert [p.keys for p in got.profiles] == [{IdKind.PUBLISHER: {survivor}}]
+    assert got.site_ranks == ({} if rank is None else {"c.example": rank})
 
 
-def test_extract_profiles_merges_same_landing(dictionary, blocklist):
-    records = [
-        _record(html="pub-111111111"),
-        _record(html="pub-222222222"),
-    ]
-    profiles = extract_profiles(records, dictionary, blocklist)
-    assert len(profiles) == 1
-    assert profiles[0].keys_for(IdKind.PUBLISHER) == {"pub-111111111", "pub-222222222"}
+def test_extract_crawl_keeps_distinct_landing_domains(dictionary, blocklist):
+    lines = _crawl(("a.example", "a.example", 1, "pub-100000001"),
+                   ("b.example", "b.example", 2, "pub-100000002"))
+    got = extract_crawl(lines, None, dictionary, blocklist)
+    assert got.profiles == [extract_profile(r, dictionary, blocklist)
+                            for r in _crawl_records(lines, None, [])]
+    assert got.site_ranks == {"a.example": 1, "b.example": 2} and got.site_count == 2
 
 
-def test_extract_crawl_matches_parse_rank_dedup_extract(dictionary, blocklist):
-    """One streaming pass equals parse -> assign_ranks -> dedup_by_landing
-    -> extract_profiles, with and without a rank list."""
+def test_extract_crawl_matches_naive_reference(dictionary, blocklist):
+    """One streaming pass equals parsing every line, keeping each landing
+    domain's best record and extracting it, with and without a rank list."""
     blocked = sorted(blocklist)[:20]
     seen = dict.fromkeys(["later wins", "later loses", "rank tie", "override", "rankless",
                           "malformed", "empty profile"], 0)
     for seed in range(40):
         lines, rank_list = random_crawl_lines(30, seed, sorted(dictionary), blocked)
-        for ranks in (rank_list, None):
-            parsed = parse_crawl_jsonl(lines)
-            ranked = assign_ranks(parsed.records, ranks) if ranks else parsed.records
-            survivors = dedup_by_landing(ranked)
+        for ranks in (rank_list, {}):
             got = extract_crawl(iter(lines), ranks, dictionary, blocklist)
-            assert got.profiles == extract_profiles(survivors, dictionary, blocklist)
-            assert got.site_ranks == {r.landing_domain: r.rank for r in survivors
-                                      if r.rank is not None}
-            assert got.site_count == len(survivors)
-            assert got.skips == parsed.skips
+            assert got == extract_crawl_reference(lines, ranks, dictionary, blocklist)
 
-            firsts = {}
-            for rec in ranked:
-                first = firsts.setdefault(rec.landing_domain, rec)
-                if first is not rec:
-                    seen["later wins" if rec in survivors else "later loses"] += 1
-                    seen["rank tie"] += rec.rank is not None and rec.rank == first.rank
-            seen["override"] += sum(r.rank is not None and filled.rank != r.rank
-                                    for r, filled in zip(parsed.records, ranked))
-            seen["rankless"] += sum(r.rank is None for r in ranked)
-            seen["malformed"] += len(parsed.skips)
-            seen["empty profile"] += sum(
-                p.is_empty() for p in extract_profiles(survivors, dictionary, blocklist, True))
+            best = {}  # landing domain -> smallest rank key so far
+            for rec in _crawl_records(lines, None, []):
+                rank = ranks.get(rec.requested_domain, rec.rank)
+                key, domain = math.inf if rank is None else rank, rec.landing_domain
+                if domain in best:
+                    seen["later wins" if key < best[domain] else "later loses"] += 1
+                    seen["rank tie"] += key == best[domain] < math.inf
+                best[domain] = min(key, best.get(domain, math.inf))
+                seen["override"] += rec.rank is not None and rank != rec.rank
+                seen["rankless"] += rank is None
+            seen["malformed"] += len(got.skips)
+            seen["empty profile"] += got.site_count - len(got.profiles)
     assert all(seen.values()), seen
 
 
@@ -503,12 +482,22 @@ def test_flag_anomalies_counts_across_kinds():
 
 def test_profile_jsonl_roundtrip(corpus50, dictionary, blocklist):
     records, _ = corpus50
-    profiles = extract_profiles(records, dictionary, blocklist)
+    profiles = sorted((extract_profile(r, dictionary, blocklist) for r in records),
+                      key=lambda p: p.landing_domain)
     buf = io.StringIO()
     dump_profiles(profiles, buf)
     buf.seek(0)
     again = load_profiles(buf)
     assert again == profiles
+
+
+def test_iter_profiles_opens_its_file_at_the_first_profile(tmp_path):
+    path = tmp_path / "profiles.jsonl"
+    reader = iter_profiles(path)  # no file yet
+    profiles = random_profiles(8, 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_profiles(profiles, fh)
+    assert list(reader) == profiles == load_profiles(path)
 
 
 @pytest.mark.parametrize("seed", range(5))

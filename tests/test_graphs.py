@@ -23,6 +23,7 @@ from adgraph.graphs import (
     intermediary_keys,
     load_bipartite_csv,
     load_metagraph_csv,
+    without_keys,
 )
 from adgraph.history import Snapshot
 from adgraph.stats import publisher_sizes
@@ -35,7 +36,7 @@ from helpers import (
 
 
 def _graphs(profiles, normalizers=None, excluded=()):
-    bgs = {f: build_bipartite(profiles, f, excluded) for f in FAMILY_ORDER}
+    bgs = {f: without_keys(bg, excluded) for f, bg in build_bipartite(profiles).items()}
     return build_metagraph(
         bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS], bgs[IdFamily.CONTAINER],
         normalizers=normalizers,
@@ -69,7 +70,7 @@ def test_bipartite_counts():
         make_profile("a.example", publisher={"pub-111111111"}),
         make_profile("b.example", publisher={"pub-111111111", "pub-222222222"}),
     ]
-    bg = build_bipartite(profiles, IdFamily.PUBLISHER)
+    bg = build_bipartite(profiles)[IdFamily.PUBLISHER]
     assert len(bg.site_nodes) == 2 and len(bg.id_nodes) == 2 and bg.edge_count == 3
 
 
@@ -78,13 +79,13 @@ def test_analytics_family_unions_tracking_and_measurement():
         make_profile("a.example", tracking={"UA-7000"}),
         make_profile("b.example", measurement={"G-XXXXXXX"}),
     ]
-    bg = build_bipartite(profiles, IdFamily.ANALYTICS)
+    bg = build_bipartite(profiles)[IdFamily.ANALYTICS]
     assert bg.id_nodes == {"UA-7000", "G-XXXXXXX"}
     assert bg.site_nodes == {"a.example", "b.example"}
 
 
 def test_bipartite_empty_profiles():
-    bg = build_bipartite([], IdFamily.PUBLISHER)
+    bg = build_bipartite([])[IdFamily.PUBLISHER]
     assert bg.edge_count == 0 and not bg.site_nodes
 
 
@@ -93,7 +94,7 @@ def test_bipartite_edge_count_invariant():
     for _ in range(20):
         profiles = _random_profiles(rng)
         for family in FAMILY_ORDER:
-            bg = build_bipartite(profiles, family)
+            bg = build_bipartite(profiles)[family]
             kinds = {IdFamily.PUBLISHER: (IdKind.PUBLISHER,),
                      IdFamily.ANALYTICS: (IdKind.TRACKING, IdKind.MEASUREMENT),
                      IdFamily.CONTAINER: (IdKind.CONTAINER,)}[family]
@@ -113,13 +114,13 @@ def test_components_mixed_nodes():
         make_profile("b.example", publisher={"pub-111111111"}),
         make_profile("c.example", publisher={"pub-222222222"}),
     ]
-    comps = connected_components(build_bipartite(profiles, IdFamily.PUBLISHER))
+    comps = connected_components(build_bipartite(profiles)[IdFamily.PUBLISHER])
     assert [len(c) for c in comps] == [3, 2]
 
 
 def test_components_fully_shared_id():
     profiles = [make_profile(f"s{i}.example", publisher={"pub-111111111"}) for i in range(5)]
-    comps = connected_components(build_bipartite(profiles, IdFamily.PUBLISHER))
+    comps = connected_components(build_bipartite(profiles)[IdFamily.PUBLISHER])
     assert [len(c) for c in comps] == [6]
 
 
@@ -129,7 +130,7 @@ def test_components_chain_size_five():
         make_profile("b.example", publisher={"pub-111111111", "pub-222222222"}),
         make_profile("c.example", publisher={"pub-222222222"}),
     ]
-    bg = build_bipartite(profiles, IdFamily.PUBLISHER)
+    bg = build_bipartite(profiles)[IdFamily.PUBLISHER]
     comps = connected_components(bg)
     assert [len(c) for c in comps] == [5]
     # brute-force reachability over the same fixture
@@ -142,7 +143,7 @@ def test_components_partition_nodes():
     for _ in range(20):
         profiles = _random_profiles(rng)
         for family in FAMILY_ORDER:
-            bg = build_bipartite(profiles, family)
+            bg = build_bipartite(profiles)[family]
             comps = connected_components(bg)
             covered = [n for c in comps for n in c]
             assert len(covered) == len(set(covered))
@@ -218,8 +219,9 @@ def test_metagraph_numerators_share_the_normalizers_lcm():
     rng = random.Random(17)
     for _ in range(50):
         profiles = _random_profiles(rng)
-        bgs = {f: build_bipartite(profiles, f) for f in FAMILY_ORDER}
-        for normalizers in (None, family_normalizers(profiles + _random_profiles(rng))):
+        bgs = build_bipartite(profiles)
+        others = build_bipartite(profiles + _random_profiles(rng))
+        for normalizers in (None, family_normalizers(others)):
             mg = build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS],
                                  bgs[IdFamily.CONTAINER], normalizers=normalizers)
             assert mg.denominator == math.lcm(*(n for n in mg.normalizers.values() if n))
@@ -229,29 +231,55 @@ def test_metagraph_numerators_share_the_normalizers_lcm():
             assert mg.total_weight() == sum(expected.values(), Fraction(0))
 
 
+def _cross_family_profiles(rng):
+    """``_random_profiles`` whose keys also turn up under a random other
+    kind on some sites: pub-1000000000 as a Container key, say."""
+    profiles = _random_profiles(rng)
+    pool = sorted({key for p in profiles for keys in p.keys.values() for key in keys})
+    crossed = []
+    for p in profiles:
+        keys = {kind.value: set(p.keys_for(kind)) for kind in IdKind}
+        for key in pool:
+            if rng.random() < 0.15:
+                keys[rng.choice(list(keys))].add(key)
+        crossed.append(make_profile(p.landing_domain, **keys))
+    return crossed
+
+
 def test_key_walks_match_brute_counts_on_random_corpora():
+    """Every other draw puts key strings under two or more families, where
+    a key's carriers are the union of its sites in each."""
     rng = random.Random(13)
-    for _ in range(100):
-        profiles = _random_profiles(rng)
+    cross_family_keys = 0
+    for draw in range(100):
+        profiles = (_cross_family_profiles if draw % 2 else _random_profiles)(rng)
         all_keys = {key for p in profiles for keys in p.keys.values() for key in keys}
 
         def carriers(key, kinds=tuple(IdKind)):
             return {p.landing_domain for p in profiles if any(key in p.keys_for(k) for k in kinds)}
 
-        assert family_normalizers(profiles) == {
+        graphs = build_bipartite(iter(profiles))  # one pass over a stream
+        for f in FAMILY_ORDER:
+            expected = {key: carriers(key, KINDS_OF_FAMILY[f]) for key in all_keys}
+            assert graphs[f].key_to_sites == {k: sites for k, sites in expected.items() if sites}
+            assert all(type(sites) is frozenset for sites in graphs[f].key_to_sites.values())
+        assert family_normalizers(graphs) == {
             f: sum(1 for key in all_keys if len(carriers(key, KINDS_OF_FAMILY[f])) > 1)
             for f in FAMILY_ORDER
         }
-        bipartite = build_bipartite(profiles, IdFamily.PUBLISHER)
+        cross_family_keys += sum(
+            sum(key in graphs[f].key_to_sites for f in FAMILY_ORDER) > 1 for key in all_keys
+        )
         assert Snapshot.build("s", profiles).publisher_sizes == {
-            r.key: r.size for r in publisher_sizes(bipartite)
+            r.key: r.size for r in publisher_sizes(graphs[IdFamily.PUBLISHER])
         }
         for threshold in range(2, len(profiles) + 1):
-            heavy = intermediary_keys(profiles, threshold)
+            heavy = intermediary_keys(graphs, threshold)
             assert heavy == {k for k in all_keys if len(carriers(k)) > threshold}
-            reduced = exclude_intermediaries_reference(profiles, threshold)
+            reduced = build_bipartite(exclude_intermediaries_reference(profiles, threshold))
             for f in FAMILY_ORDER:
-                assert build_bipartite(profiles, f, heavy) == build_bipartite(reduced, f)
+                assert without_keys(graphs[f], heavy) == reduced[f]
+    assert cross_family_keys > 100
 
 
 def test_metagraph_weight_sum_identity():
@@ -259,9 +287,8 @@ def test_metagraph_weight_sum_identity():
     for _ in range(25):
         profiles = _random_profiles(rng)
         mg = _graphs(profiles)
-        bgs = {f: build_bipartite(profiles, f) for f in FAMILY_ORDER}
         expected = Fraction(0)
-        for family, bg in bgs.items():
+        for bg in build_bipartite(profiles).values():
             multi = {k: s for k, s in bg.key_to_sites.items() if len(s) > 1}
             if not multi:
                 continue
@@ -278,9 +305,10 @@ def test_metagraph_pre_exclusion_normalizers():
         make_profile("x.example", tracking={"UA-2000"}),
         make_profile("y.example", tracking={"UA-2000"}),
     ]
-    pre = family_normalizers(profiles)
+    graphs = build_bipartite(profiles)
+    pre = family_normalizers(graphs)
     assert pre[IdFamily.ANALYTICS] == 2
-    excluded = intermediary_keys(profiles, threshold=3)
+    excluded = intermediary_keys(graphs, threshold=3)
     assert excluded == {"UA-1000"}
     # projected mode: only UA-2000 is still multi-site -> weight 1
     assert _graphs(profiles, excluded=excluded).weight("x.example", "y.example") == Fraction(1)
@@ -289,38 +317,42 @@ def test_metagraph_pre_exclusion_normalizers():
     assert mg.weight("x.example", "y.example") == Fraction(1, 2)
 
 
-# --- intermediary_keys and build_bipartite(excluded=...) --------------------
+# --- intermediary_keys and without_keys -------------------------------------
 
 def test_exclude_strips_heavy_key_everywhere():
     profiles = [make_profile(f"s{i:03d}.example", tracking={"UA-1000"}) for i in range(150)]
     profiles.append(make_profile("t.example", tracking={"UA-1000", "UA-2000"}))
-    excluded = intermediary_keys(profiles, threshold=100)
+    graphs = build_bipartite(profiles)
+    excluded = intermediary_keys(graphs, threshold=100)
     assert excluded == {"UA-1000"}
-    bg = build_bipartite(profiles, IdFamily.ANALYTICS, excluded)
+    bg = without_keys(graphs[IdFamily.ANALYTICS], excluded)
     assert bg.site_nodes == {"t.example"}
     assert bg.key_to_sites == {"UA-2000": {"t.example"}}
+    assert bg.key_to_sites["UA-2000"] is graphs[IdFamily.ANALYTICS].key_to_sites["UA-2000"]
 
 
 def test_exclude_keeps_key_at_threshold():
     profiles = [make_profile(f"s{i:03d}.example", tracking={"UA-1000"}) for i in range(100)]
-    excluded = intermediary_keys(profiles, threshold=100)
+    graphs = build_bipartite(profiles)
+    excluded = intermediary_keys(graphs, threshold=100)
     assert excluded == frozenset()
-    bg = build_bipartite(profiles, IdFamily.ANALYTICS, excluded)
+    bg = without_keys(graphs[IdFamily.ANALYTICS], excluded)
     assert bg.key_to_sites == {"UA-1000": {p.landing_domain for p in profiles}}
 
 
 def test_exclude_infinite_threshold_is_identity():
     profiles = [make_profile(f"s{i}.example", tracking={"UA-1000"}) for i in range(5)]
-    excluded = intermediary_keys(profiles, threshold=math.inf)
+    graphs = build_bipartite(profiles)
+    excluded = intermediary_keys(graphs, threshold=math.inf)
     assert excluded == frozenset()
     for f in FAMILY_ORDER:
-        assert build_bipartite(profiles, f, excluded) == build_bipartite(profiles, f)
+        assert without_keys(graphs[f], excluded) == graphs[f]
 
 
 def test_exclude_rejects_low_threshold():
     for threshold in (1, math.nan):
         with pytest.raises(ValueError):
-            intermediary_keys([], threshold=threshold)
+            intermediary_keys(build_bipartite([]), threshold=threshold)
 
 
 # --- CSV dumps --------------------------------------------------------------
@@ -330,7 +362,7 @@ def test_bipartite_csv_roundtrip():
     for _ in range(20):
         profiles = _random_profiles(rng)
         for family in FAMILY_ORDER:
-            bg = build_bipartite(profiles, family)
+            bg = build_bipartite(profiles)[family]
             buf = io.StringIO()
             dump_bipartite_csv(bg, buf)
             buf.seek(0)

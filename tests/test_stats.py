@@ -69,7 +69,7 @@ def test_id_counts_fractions_sum_to_one():
 
 def _bipartite(profile_specs):
     profiles = [make_profile(d, publisher=keys) for d, keys in profile_specs]
-    return build_bipartite(profiles, IdFamily.PUBLISHER)
+    return build_bipartite(profiles)[IdFamily.PUBLISHER]
 
 
 def test_publisher_sizes_ordering():
@@ -252,7 +252,7 @@ def test_linear_fit_preconditions():
 
 def _records_with_ranks(specs, ranks):
     profiles = [make_profile(d, publisher=keys) for d, keys in specs]
-    bg = build_bipartite(profiles, IdFamily.PUBLISHER)
+    bg = build_bipartite(profiles)[IdFamily.PUBLISHER]
     return publisher_sizes(bg, ranks)
 
 
