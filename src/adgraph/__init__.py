@@ -26,14 +26,11 @@ from .extractor import (
     dump_profiles,
     extract_crawl,
     extract_profile,
-    filter_dictionary,
-    filter_keywords,
     flag_anomalies,
     iter_profiles,
     load_blocklist,
     load_dictionary,
     load_profiles,
-    scan_text,
     summarize_extraction,
 )
 from .graphs import (

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .corpus import load_category_map, load_rank_list
+from .corpus import FormatError, load_category_map, load_rank_list
 from .communities import (
     community_size_distribution,
     girvan_newman,
@@ -164,14 +164,16 @@ def _extract_stage(
 
     Reads the files named by the shared extraction flags (``--in``,
     ``--dict``, ``--blocklist``, ``--ranks``) and returns the profiles, the
-    landing-domain ranks and the number of landing domains.
+    landing-domain ranks and the number of landing domains. A crawl without
+    one well-formed line raises FormatError before any file is written.
     """
     dictionary = load_dictionary(args.dict)
     blocklist = load_blocklist(args.blocklist)
     with open(args.infile, encoding="utf-8") as fh:
         ranks = load_rank_list(args.ranks) if args.ranks else None
         profiles, site_ranks, site_count, skips = extract_crawl(fh, ranks, dictionary, blocklist)
-
+    if site_count == 0:
+        raise FormatError(f"{args.infile}: no well-formed crawl line ({len(skips)} skipped)")
     with _open_out(out_dir / profiles_name) as fh:
         dump_profiles(profiles, fh)
     summary = summarize_extraction(profiles, corpus_size=site_count).to_json_obj()

@@ -11,8 +11,11 @@ shape:
 A match embedded in a longer token is rejected: the character before a
 match must not be alphanumeric, and the character after it must not extend
 the pattern's final character class. Two data-driven filters remove false
-positives (dictionary words and a keyword blocklist) before the surviving
-values are canonicalized and aggregated into per-site profiles.
+positives: a Measurement or Container value whose text after the hyphen is
+a dictionary word, in any case, and any raw value listed verbatim in the
+keyword blocklist. The surviving values are then canonicalized and
+aggregated into per-site profiles. ``extract_profile`` is the one scan and
+filter path.
 
 Each pattern starts with its literal prefix on purpose, with the boundary
 lookbehind placed after it: CPython's ``re`` then jumps from one occurrence
@@ -77,41 +80,12 @@ PATTERNS: dict[IdKind, re.Pattern[str]] = {
     IdKind.CONTAINER: re.compile(r"GTM-(?<![0-9A-Za-z]GTM-)[A-Z0-9]{6,}(?![A-Z0-9])"),
 }
 
-RawMatch = tuple[str, IdKind]
-
-
-def scan_text(text: str) -> list[RawMatch]:
-    """All boundary-respecting matches of the four patterns, as
-    (value, kind) pairs ordered by position in the text."""
-    found: list[tuple[int, int, str, IdKind]] = []
-    for order, kind in enumerate(KIND_ORDER):
-        for m in PATTERNS[kind].finditer(text):
-            found.append((m.start(), order, m.group(), kind))
-    found.sort()
-    return [(value, kind) for _, _, value, kind in found]
-
-
 # The kinds whose values can be English words after the hyphen.
 _WORD_KINDS = frozenset({IdKind.MEASUREMENT, IdKind.CONTAINER})
 
 
 def _is_word(value: str, dictionary: frozenset[str] | set[str]) -> bool:
     return value.split("-", 1)[1].lower() in dictionary
-
-
-def filter_dictionary(matches: Iterable[RawMatch], dictionary: frozenset[str] | set[str]) -> list[RawMatch]:
-    """Drop G-/GTM- matches whose post-hyphen suffix is an English word.
-
-    Publisher and Tracking values have all-numeric suffixes and are never
-    dropped here.
-    """
-    return [(value, kind) for value, kind in matches
-            if not (kind in _WORD_KINDS and _is_word(value, dictionary))]
-
-
-def filter_keywords(matches: Iterable[RawMatch], blocklist: frozenset[str] | set[str]) -> list[RawMatch]:
-    """Drop matches whose raw value appears verbatim in the blocklist."""
-    return [(value, kind) for value, kind in matches if value not in blocklist]
 
 
 def canonical_key(value: str, kind: IdKind) -> str:

@@ -314,20 +314,6 @@ def dump_bipartite_csv(graph: BipartiteGraph, stream: IO[str]) -> None:
         writer.writerow([site, key, graph.family.value])
 
 
-def load_bipartite_csv(source: str | Path | IO[str]) -> BipartiteGraph:
-    family: IdFamily | None = None
-    key_to_sites: dict[str, set[str]] = {}
-    for site, key, f in _read_table(source, {"site": str, "key": str, "family": IdFamily}):
-        if family is None:
-            family = f
-        elif family is not f:
-            raise ValueError("bipartite CSV mixes families")
-        key_to_sites.setdefault(key, set()).add(site)
-    if family is None:
-        raise ValueError("bipartite CSV has no edges")
-    return BipartiteGraph(family, {k: frozenset(s) for k, s in key_to_sites.items()})
-
-
 def dump_metagraph_csv(mg: Metagraph, stream: IO[str]) -> None:
     """Edge list ``site_a,site_b,weight`` with site_a < site_b, as decimals.
 

@@ -36,10 +36,6 @@ from adgraph.extractor import (
     IdKind,
     SiteIdProfile,
     Source,
-    canonical_key,
-    extract_profile,
-    filter_dictionary,
-    filter_keywords,
     load_profiles,
 )
 from adgraph.graphs import FAMILY_ORDER, KINDS_OF_FAMILY, Metagraph
@@ -305,6 +301,20 @@ class Hit(NamedTuple):
     count: int
 
 
+def _kept(value, kind, dictionary, blocklist):
+    """Whether a raw match survives both filters: it is not blocklisted,
+    and a Measurement or Container value is no dictionary word after its
+    hyphen."""
+    is_word = (kind in (IdKind.MEASUREMENT, IdKind.CONTAINER)
+               and value.partition("-")[2].lower() in dictionary)
+    return not is_word and value not in blocklist
+
+
+def _canonical(value, kind):
+    """A Tracking value without its property number; others as they are."""
+    return value.rsplit("-", 1)[0] if kind is IdKind.TRACKING else value
+
+
 def scan_record_reference(record, dictionary, blocklist):
     """One ``Hit`` per filtered raw value of the record, ordered by
     (kind name, raw)."""
@@ -318,11 +328,13 @@ def scan_record_reference(record, dictionary, blocklist):
         for text in texts:
             if not text:
                 continue
-            for match in filter_keywords(filter_dictionary(scan_text_oracle(text), dictionary), blocklist):
+            for match in scan_text_oracle(text):
+                if not _kept(*match, dictionary, blocklist):
+                    continue
                 sources.setdefault(match, set()).add(source)
                 counts[match] = counts.get(match, 0) + 1
     return [
-        Hit(raw=value, kind=kind, canonical=canonical_key(value, kind),
+        Hit(raw=value, kind=kind, canonical=_canonical(value, kind),
             sources=frozenset(srcs), count=counts[value, kind])
         for (value, kind), srcs in sorted(sources.items(), key=lambda kv: (kv[0][1].value, kv[0][0]))
     ]
@@ -370,7 +382,7 @@ def extract_crawl_reference(lines, ranks, dictionary, blocklist):
             key=lambda t: (math.inf if t[0] is None else t[0], t[1]))
         for domain in {r.landing_domain for r in records}
     ]
-    profiles = [extract_profile(r, dictionary, blocklist) for _, _, r in survivors]
+    profiles = [extract_profile_reference(r, dictionary, blocklist) for _, _, r in survivors]
     return CrawlExtraction(
         sorted((p for p in profiles if not p.is_empty()), key=lambda p: p.landing_domain),
         {r.landing_domain: rank for rank, _, r in survivors if rank is not None},

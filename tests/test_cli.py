@@ -15,6 +15,7 @@ import pytest
 import adgraph.cli
 import adgraph.corpus
 from adgraph.cli import run
+from adgraph.communities import girvan_newman, prune_edges
 from adgraph.corpus import CrawlRecord
 from adgraph.extractor import SiteIdProfile, dump_profiles, load_profiles
 from adgraph.graphs import (
@@ -25,6 +26,7 @@ from adgraph.graphs import (
     dump_bipartite_csv,
     dump_metagraph_csv,
     family_normalizers,
+    load_metagraph_csv,
 )
 from adgraph.history import save_snapshot
 from helpers import (
@@ -232,6 +234,39 @@ def test_graph_normalizer_and_intermediary_flags(tmp_path):
     assert metagraph("pre_strict") != metagraph("strict")
 
 
+def test_communities_flags_match_girvan_newman_in_memory(tmp_path):
+    """``communities`` writes what girvan_newman gives the metagraph that
+    ``graph`` wrote, for each setting of --max-communities and
+    --weighted-paths; each flag changes the partition of these sites."""
+    profiles = [
+        make_profile("a.example", publisher={"pub-100000001"}, tracking={"UA-4000"}),
+        make_profile("b.example", publisher={"pub-100000001"}, tracking={"UA-4001"}),
+        make_profile("c.example", tracking={"UA-4000", "UA-4001"}),
+        make_profile("d.example", publisher={"pub-100000001"}),
+        make_profile("e.example", tracking={"UA-4001"}),
+    ]
+    profiles_path = tmp_path / "profiles.jsonl"
+    with open(profiles_path, "w", encoding="utf-8") as fh:
+        dump_profiles(profiles, fh)
+    assert run(["graph", "--profiles", str(profiles_path), "--out-dir", str(tmp_path / "g")]) == 0
+    metagraph = tmp_path / "g" / "metagraph.csv"
+    written = {}
+    for max_communities in (None, 2):
+        for weighted in (False, True):
+            out = tmp_path / f"c_{max_communities}_{weighted}"
+            flags = ((["--max-communities", str(max_communities)] if max_communities else [])
+                     + (["--weighted-paths"] if weighted else []))
+            assert run(["communities", "--metagraph", str(metagraph), "--top-fraction", "1",
+                        "--out-dir", str(out), *flags]) == 0
+            partition = girvan_newman(prune_edges(load_metagraph_csv(metagraph), 1),
+                                      max_communities, weighted)
+            expected = "community_id,site\n" + "".join(
+                f"{i},{site}\n" for i, c in enumerate(partition.communities) for site in sorted(c))
+            written[max_communities, weighted] = (out / "communities.csv").read_text(encoding="utf-8")
+            assert written[max_communities, weighted] == expected, flags
+    assert len(set(written.values())) == 4, written
+
+
 def test_stats_poisson(tmp_path):
     cats = tmp_path / "cats.csv"
     cats.write_text("a.example,News\nb.example,News\nc.example,Arts\nd.example,Arts\n",
@@ -356,6 +391,24 @@ def test_exit_codes(tmp_path, crawl_file):
     bad = tmp_path / "bad.csv"
     bad.write_text("site_a,site_b\n", encoding="utf-8")
     assert run(["communities", "--metagraph", str(bad), "--out-dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("text, skipped", [("", 0), ("garbage\n", 1)], ids=["empty", "garbage"])
+@pytest.mark.parametrize("command", [
+    ["extract", "--out", "out/profiles.jsonl"],
+    ["extract", "--out", "out/profiles.jsonl", "--snapshot-id", "2021-04-01"],
+    ["report", "--out-dir", "out"],
+], ids=["extract", "snapshot", "report"])
+def test_crawl_without_a_well_formed_line_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                                            command, text, skipped):
+    """An empty or all-malformed crawl names its file and writes nothing."""
+    crawl = tmp_path / "crawl.jsonl"
+    crawl.write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run([*command, "--in", str(crawl)]) == 1
+    err = capsys.readouterr().err
+    assert f"adgraph: input error: {crawl}: no well-formed crawl line ({skipped} skipped)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_removed_baseline_knobs_are_config_errors(tmp_path, crawl_file):

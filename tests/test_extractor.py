@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -16,16 +17,12 @@ from adgraph.extractor import (
     IdKind,
     SiteIdProfile,
     Source,
-    canonical_key,
     dump_profiles,
     extract_crawl,
     extract_profile,
-    filter_dictionary,
-    filter_keywords,
     flag_anomalies,
     iter_profiles,
     load_profiles,
-    scan_text,
     summarize_extraction,
 )
 from helpers import (
@@ -39,7 +36,6 @@ from helpers import (
     random_profiles,
     random_scan_records,
     scan_record_reference,
-    scan_text_oracle,
 )
 
 
@@ -48,79 +44,69 @@ def _record(domain="a.example", html="", requests=(), cookies=()):
                        tuple(requests), tuple(cookies))
 
 
-# --- scan_text --------------------------------------------------------------
-
-def test_scan_minimal_publisher():
-    assert scan_text("ca-pub-123456789") == [("pub-123456789", IdKind.PUBLISHER)]
+P, T, M, C = IdKind.PUBLISHER, IdKind.TRACKING, IdKind.MEASUREMENT, IdKind.CONTAINER
+NO_FILTER = frozenset()
 
 
-def test_scan_tracking_format():
-    assert scan_text("UA-12345-6") == [("UA-12345-6", IdKind.TRACKING)]
+def _assert_found(rec, dictionary, blocklist, expected):
+    """extract_profile of ``rec`` finds ``expected``, kind -> (keys, raw
+    count), and agrees with the per-text reference."""
+    profile = extract_profile(rec, dictionary, blocklist)
+    assert profile.keys == {kind: keys for kind, (keys, _) in expected.items()}
+    assert profile.raw_counts == {kind: count for kind, (_, count) in expected.items()}
+    assert profile == extract_profile_reference(rec, dictionary, blocklist)
 
 
-def test_scan_boundary_rejects_embedded_prefix():
-    assert scan_text("XG-ABCDEFG") == []
-    assert scan_text("datapub-999999999") == []
-    assert scan_text("9UA-1234-5") == []
-
-
-def test_scan_no_midstream_subreads():
-    # One long id, never a shorter id carved out of its digits.
-    assert scan_text("pub-12345678901") == [("pub-12345678901", IdKind.PUBLISHER)]
-
-
-def test_scan_too_short_values():
-    assert scan_text("pub-12345678 UA-123-4 G-ABC12 GTM-AB1") == []
-
-
-def test_scan_is_case_sensitive():
-    assert scan_text("PUB-123456789 ua-1234-5 gtm-abc123 g-abcdefg") == []
-
-
-def test_scan_position_order_and_kinds():
-    text = "GTM-XYZ999 then ca-pub-123456789 then G-AB12345 and UA-4444-1"
-    assert scan_text(text) == [
-        ("GTM-XYZ999", IdKind.CONTAINER),
-        ("pub-123456789", IdKind.PUBLISHER),
-        ("G-AB12345", IdKind.MEASUREMENT),
-        ("UA-4444-1", IdKind.TRACKING),
-    ]
-
-
-def test_scan_empty_text():
-    assert scan_text("") == []
-
-
-def test_scan_separators_allow_adjacent_ids():
-    assert len(scan_text("UA-1111-1,UA-2222-2;UA-3333-3")) == 3
-
+# --- patterns: one page text, no filter -------------------------------------
 
 @pytest.mark.parametrize("text,expected", [
+    ("", {}),
+    ("ca-pub-123456789", {P: ({"pub-123456789"}, 1)}),
+    ("UA-12345-6", {T: ({"UA-12345"}, 1)}),
+    # the four kinds in one text, in any order
+    ("GTM-XYZ999 then ca-pub-123456789 then G-AB12345 and UA-4444-1",
+     {C: ({"GTM-XYZ999"}, 1), P: ({"pub-123456789"}, 1), M: ({"G-AB12345"}, 1),
+      T: ({"UA-4444"}, 1)}),
     # a match at offset 0, for every kind
-    ("pub-123456789 x", [("pub-123456789", IdKind.PUBLISHER)]),
-    ("UA-1234-5 x", [("UA-1234-5", IdKind.TRACKING)]),
-    ("G-ABCDEFG x", [("G-ABCDEFG", IdKind.MEASUREMENT)]),
-    ("GTM-ABC123 x", [("GTM-ABC123", IdKind.CONTAINER)]),
-    # a non-ASCII letter is not in the boundary class
-    ("épub-123456789", [("pub-123456789", IdKind.PUBLISHER)]),
-    ("éG-ABCDEFG", [("G-ABCDEFG", IdKind.MEASUREMENT)]),
-    # adjacent matches
-    ("UA-1111-1,UA-2222-2", [("UA-1111-1", IdKind.TRACKING), ("UA-2222-2", IdKind.TRACKING)]),
-    # GTM- next to G-
-    ("GTM-G-ABCDEFG", [("G-ABCDEFG", IdKind.MEASUREMENT)]),
-    ("G-GTM-ABC123", [("GTM-ABC123", IdKind.CONTAINER)]),
-    ("GTM-ABC123G-ABCDEFG", [("GTM-ABC123G", IdKind.CONTAINER)]),
-    ("G-ABCDEFG-GTM-ABC123", [("G-ABCDEFG", IdKind.MEASUREMENT), ("GTM-ABC123", IdKind.CONTAINER)]),
+    ("pub-123456789 x", {P: ({"pub-123456789"}, 1)}),
+    ("UA-1234-5 x", {T: ({"UA-1234"}, 1)}),
+    ("G-ABCDEFG x", {M: ({"G-ABCDEFG"}, 1)}),
+    ("GTM-ABC123 x", {C: ({"GTM-ABC123"}, 1)}),
+    # one long id, never a shorter id carved out of its digits
+    ("pub-12345678901", {P: ({"pub-12345678901"}, 1)}),
+    # too short, and case-sensitive
+    ("pub-12345678 UA-123-4 G-ABC12 GTM-AB1", {}),
+    ("PUB-123456789 ua-1234-5 gtm-abc123 g-abcdefg", {}),
     # an alphanumeric character just before the prefix
-    ("xpub-123456789", []),
-    ("1GTM-ABC123", []),
+    ("XG-ABCDEFG", {}),
+    ("datapub-999999999", {}),
+    ("9UA-1234-5", {}),
+    ("xpub-123456789", {}),
+    ("1GTM-ABC123", {}),
+    # a non-ASCII letter is not in the boundary class
+    ("épub-123456789", {P: ({"pub-123456789"}, 1)}),
+    ("éG-ABCDEFG", {M: ({"G-ABCDEFG"}, 1)}),
+    # separators allow adjacent matches
+    ("UA-1111-1,UA-2222-2", {T: ({"UA-1111", "UA-2222"}, 2)}),
+    ("UA-1111-1,UA-2222-2;UA-3333-3", {T: ({"UA-1111", "UA-2222", "UA-3333"}, 3)}),
+    # GTM- next to G-
+    ("GTM-G-ABCDEFG", {M: ({"G-ABCDEFG"}, 1)}),
+    ("G-GTM-ABC123", {C: ({"GTM-ABC123"}, 1)}),
+    ("GTM-ABC123G-ABCDEFG", {C: ({"GTM-ABC123G"}, 1)}),
+    ("G-ABCDEFG-GTM-ABC123", {M: ({"G-ABCDEFG"}, 1), C: ({"GTM-ABC123"}, 1)}),
+    # Tracking values collapse to their account prefix; other kinds do not
+    ("UA-12345-6 UA-12345-77", {T: ({"UA-12345"}, 2)}),
+    ("GTM-ABC123 pub-123456789 G-AB12CD34",
+     {C: ({"GTM-ABC123"}, 1), P: ({"pub-123456789"}, 1), M: ({"G-AB12CD34"}, 1)}),
 ])
-def test_scan_edge_cases(text, expected):
-    assert scan_text(text) == expected
-    assert scan_text_oracle(text) == expected
+def test_patterns(text, expected):
+    _assert_found(_record(html=text), NO_FILTER, NO_FILTER, expected)
 
 
-def test_scan_matches_lookbehind_first_oracle():
+def test_patterns_match_lookbehind_first_oracle():
+    """Random strings, each scanned as page text and split at a random
+    point into two request URLs, find what the reference finds text by
+    text with the lookbehind-first patterns."""
     groups = [
         ["pub-", "UA-", "UA-1234-", "G-", "GTM-"],
         ["123456789", "1234", "ABCDEFG", "-"],
@@ -129,69 +115,71 @@ def test_scan_matches_lookbehind_first_oracle():
     ]
     rng = random.Random(20)
     seen = {kind: 0 for kind in IdKind}
+    split_apart = 0
     for _ in range(5000):
         text = "".join(rng.choice(rng.choices(groups, weights=(3, 3, 2, 2))[0])
                        for _ in range(rng.randrange(1, 25)))
-        found = scan_text(text)
-        assert found == scan_text_oracle(text), text
-        for _, kind in found:
-            seen[kind] += 1
-    # the strings reach every kind, so the comparison is not vacuous
+        cut = rng.randrange(len(text) + 1)
+        rec = _record(html=text, requests=[text[:cut], text[cut:]])
+        profile = extract_profile(rec, NO_FILTER, NO_FILTER)
+        assert profile == extract_profile_reference(rec, NO_FILTER, NO_FILTER), (text, cut)
+        for kind, keys in profile.keys.items():
+            seen[kind] += sum(Source.HTML in profile.sources[key] for key in keys)
+        split_apart += any(srcs != {Source.HTML, Source.REQUEST} for srcs in profile.sources.values())
+    # the strings reach every kind, and the cut often breaks a match, so
+    # the comparison is not vacuous
     assert min(seen.values()) >= 50, seen
+    assert split_apart >= 50, split_apart
 
 
 # --- filters ----------------------------------------------------------------
 
-def test_dictionary_drops_word_suffixes(dictionary):
-    matches = scan_text("G-BACKPACK G-1A2B3C4")
-    kept = filter_dictionary(matches, dictionary)
-    assert kept == [("G-1A2B3C4", IdKind.MEASUREMENT)]
+# A dictionary whose words look like the suffixes of Publisher and Tracking
+# values too: only Measurement and Container values are ever dropped as words.
+NUMERIC_WORDS = frozenset({"123456789", "1234-5", "abcdefg"})
 
 
-def test_dictionary_drops_gtm_word(dictionary):
-    assert filter_dictionary(scan_text("GTM-NOODLE"), dictionary) == []
-
-
-def test_dictionary_never_touches_numeric_kinds(dictionary):
-    matches = scan_text("pub-123456789 UA-1234-5")
-    assert filter_dictionary(matches, dictionary) == matches
-
-
-def test_keywords_exact_case_sensitive(blocklist):
-    assert filter_keywords(scan_text("G-APRIL2020"), blocklist) == []
-    kept = filter_keywords(scan_text("G-APRIL20XX"), blocklist)
-    assert kept == [("G-APRIL20XX", IdKind.MEASUREMENT)]
-
-
-def test_keywords_empty_blocklist_is_identity():
-    matches = scan_text("G-APRIL2020 GTM-XYZ999")
-    assert filter_keywords(matches, frozenset()) == matches
+@pytest.mark.parametrize("text,words,blocked,expected", [
+    # dictionary words after the hyphen, in any case
+    ("G-BACKPACK G-1A2B3C4", "packaged", NO_FILTER, {M: ({"G-1A2B3C4"}, 1)}),
+    ("GTM-NOODLE", "packaged", NO_FILTER, {}),
+    ("pub-123456789 UA-1234-5", "packaged", NO_FILTER,
+     {P: ({"pub-123456789"}, 1), T: ({"UA-1234"}, 1)}),
+    ("pub-123456789 UA-1234-5 G-ABCDEFG GTM-ABCDEFG", NUMERIC_WORDS, NO_FILTER,
+     {P: ({"pub-123456789"}, 1), T: ({"UA-1234"}, 1)}),
+    # the blocklist holds raw values, compared exactly
+    ("G-APRIL2020", NO_FILTER, "packaged", {}),
+    ("G-APRIL20XX", NO_FILTER, "packaged", {M: ({"G-APRIL20XX"}, 1)}),
+    ("G-APRIL2020 GTM-XYZ999", NO_FILTER, NO_FILTER,
+     {M: ({"G-APRIL2020"}, 1), C: ({"GTM-XYZ999"}, 1)}),
+    ("UA-1234-5 UA-1234-6", NO_FILTER, frozenset({"UA-1234-5"}), {T: ({"UA-1234"}, 1)}),
+    ("UA-1234-5", NO_FILTER, frozenset({"UA-1234"}), {T: ({"UA-1234"}, 1)}),
+    # both filters at once
+    ("G-BACKPACK G-APRIL2020 G-REAL1234", "packaged", "packaged", {M: ({"G-REAL1234"}, 1)}),
+])
+def test_filters(dictionary, blocklist, text, words, blocked, expected):
+    words = dictionary if words == "packaged" else words
+    blocked = blocklist if blocked == "packaged" else blocked
+    _assert_found(_record(html=text), words, blocked, expected)
 
 
 def test_filters_only_remove_and_commute(dictionary, blocklist):
+    """Each filter drops values one by one: the keys kept by both are the
+    keys kept by each alone, and none is new."""
     rng = random.Random(4)
     alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
     pieces = ["G-BACKPACK", "G-APRIL2020", "GTM-NOODLE", "pub-123456789"]
     pieces += ["G-" + "".join(rng.choice(alphabet) for _ in range(8)) for _ in range(200)]
-    text = " ".join(pieces)
-    matches = scan_text(text)
-    a = filter_keywords(filter_dictionary(matches, dictionary), blocklist)
-    b = filter_dictionary(filter_keywords(matches, blocklist), dictionary)
-    assert a == b
-    assert set(a) <= set(matches)
+    rec = _record(html=" ".join(pieces))
 
+    def keys(d, b):
+        return set().union(*extract_profile(rec, d, b).keys.values())
 
-# --- canonical_key ----------------------------------------------------------
-
-def test_tracking_prefix_collapse():
-    assert canonical_key("UA-12345-6", IdKind.TRACKING) == "UA-12345"
-    assert canonical_key("UA-12345-77", IdKind.TRACKING) == "UA-12345"
-
-
-def test_other_kinds_identity():
-    assert canonical_key("GTM-ABC123", IdKind.CONTAINER) == "GTM-ABC123"
-    assert canonical_key("pub-123456789", IdKind.PUBLISHER) == "pub-123456789"
-    assert canonical_key("G-AB12CD34", IdKind.MEASUREMENT) == "G-AB12CD34"
+    both = keys(dictionary, blocklist)
+    assert both == keys(dictionary, NO_FILTER) & keys(NO_FILTER, blocklist)
+    assert both < keys(NO_FILTER, NO_FILTER)
+    assert extract_profile(rec, dictionary, blocklist) == \
+        extract_profile_reference(rec, dictionary, blocklist)
 
 
 def test_canonical_tracking_shape(dictionary, blocklist):
@@ -316,12 +304,12 @@ def test_profile_is_aggregate_of_hits(corpus50, dictionary, blocklist):
         assert profile.keys == keys
         assert profile.sources == sources
         assert profile.raw_counts == raw_counts
-        # each hit's count is its occurrences over the record's filtered texts
+        # raw_counts add up the record's texts, each scanned on its own
         texts = [rec.page_text, *rec.request_urls, *(t for pair in rec.cookies for t in pair)]
-        occurrences = [m for t in texts
-                       for m in filter_keywords(filter_dictionary(scan_text(t), dictionary), blocklist)]
-        assert {(h.raw, h.kind): h.count for h in hits} == \
-            {m: occurrences.count(m) for m in occurrences}
+        per_text = Counter()
+        for text in texts:
+            per_text.update(extract_profile(_record(html=text), dictionary, blocklist).raw_counts)
+        assert profile.raw_counts == dict(per_text)
 
 
 def _crawl(*records):

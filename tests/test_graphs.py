@@ -21,7 +21,6 @@ from adgraph.graphs import (
     dump_metagraph_csv,
     family_normalizers,
     intermediary_keys,
-    load_bipartite_csv,
     load_metagraph_csv,
     without_keys,
 )
@@ -357,16 +356,24 @@ def test_exclude_rejects_low_threshold():
 
 # --- CSV dumps --------------------------------------------------------------
 
-def test_bipartite_csv_roundtrip():
+def test_bipartite_csv_rows():
+    """One sorted ``site,key,family`` row per site carrying a key of the
+    family; a family without keys gives the header line alone."""
     rng = random.Random(4)
     for _ in range(20):
         profiles = _random_profiles(rng)
-        for family in FAMILY_ORDER:
-            bg = build_bipartite(profiles)[family]
+        for family, bg in build_bipartite(profiles).items():
+            rows = sorted((p.landing_domain, key, family.value)
+                          for p in profiles for kind in KINDS_OF_FAMILY[family]
+                          for key in p.keys_for(kind))
             buf = io.StringIO()
             dump_bipartite_csv(bg, buf)
-            buf.seek(0)
-            assert load_bipartite_csv(buf) == bg
+            assert buf.getvalue() == "".join(f"{','.join(row)}\n"
+                                             for row in [("site", "key", "family"), *rows])
+    for bg in build_bipartite([make_profile("a.example")]).values():
+        buf = io.StringIO()
+        dump_bipartite_csv(bg, buf)
+        assert buf.getvalue() == "site,key,family\n"
 
 
 def test_metagraph_csv_ordering_and_roundtrip():
@@ -433,16 +440,14 @@ def test_from_weights_checks_edges():
         Metagraph.from_weights({("a", "b"): 0})
 
 
-def test_csv_loaders_check_header_and_row_width():
-    for load, text, row in (
-        (load_bipartite_csv, "site,key,family\n\na.example,pub-111111111\n", 3),
-        (load_metagraph_csv, "site_a,site_b,weight\na.example,b.example,1,2\n", 2),
-    ):
-        with pytest.raises(FormatError, match=f"CSV stream: row {row} has [24] fields, expected 3"):
-            load(io.StringIO(text))
-    for text in ("", "site,key\n"):
-        with pytest.raises(FormatError, match="expected header site,key,family"):
-            load_bipartite_csv(io.StringIO(text))
-    with pytest.raises(FormatError, match="CSV stream: row 3: 'bogus' is not a valid IdFamily"):
-        load_bipartite_csv(io.StringIO("site,key,family\na.example,pub-1,publisher\n"
-                                       "b.example,pub-1,bogus\n"))
+def test_metagraph_csv_checks_header_and_row_width():
+    for text, row, fields in (("site_a,site_b,weight\na.example,b.example,1,2\n", 2, 4),
+                              ("site_a,site_b,weight\n\na.example,b.example\n", 3, 2)):
+        with pytest.raises(FormatError, match=f"CSV stream: row {row} has {fields} fields, expected 3"):
+            load_metagraph_csv(io.StringIO(text))
+    for text in ("", "site_a,site_b\n"):
+        with pytest.raises(FormatError, match="expected header site_a,site_b,weight"):
+            load_metagraph_csv(io.StringIO(text))
+    with pytest.raises(FormatError, match="CSV stream: row 3: .*'bogus'"):
+        load_metagraph_csv(io.StringIO("site_a,site_b,weight\na.example,b.example,1\n"
+                                       "b.example,c.example,bogus\n"))
