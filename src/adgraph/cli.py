@@ -28,7 +28,7 @@ from .communities import (
     prune_edges,
 )
 from .extractor import (
-    KIND_ORDER,
+    IdKind,
     SiteIdProfile,
     dump_profiles,
     extract_crawl,
@@ -40,7 +40,6 @@ from .extractor import (
     summarize_extraction,
 )
 from .graphs import (
-    FAMILY_ORDER,
     BipartiteGraph,
     IdFamily,
     Metagraph,
@@ -58,7 +57,7 @@ from .graphs import (
 from .history import (
     PublisherClass,
     Snapshot,
-    TRANSITION_ORDER,
+    TransitionClass,
     class_population_series,
     coverage_series,
     load_snapshots,
@@ -252,7 +251,7 @@ def _id_counts_stage(profiles: list[SiteIdProfile], out_dir: Path | _Bundle, nam
         ["kind", "count", "fraction"],
         [
             [kind.value, count, _fmt(fraction)]
-            for kind in KIND_ORDER
+            for kind in IdKind
             for count, fraction in histograms[kind].items()
         ],
     )
@@ -478,9 +477,9 @@ def _idcounts_rows(snapshots: list[Snapshot], args: argparse.Namespace) -> Itera
 def _transitions_rows(snapshots: list[Snapshot], args: argparse.Namespace) -> Iterator[list]:
     series = transition_series(snapshots, per_pair_universe=args.per_pair_universe)
     for from_id, to_id, counts in series.intervals:
-        for cls in TRANSITION_ORDER:
+        for cls in TransitionClass:
             yield [f"{from_id}..{to_id}", cls.value, counts[cls]]
-    for cls in TRANSITION_ORDER:
+    for cls in TransitionClass:
         fit = series.trends[cls]
         if fit is not None:
             yield ["trend", f"{cls.value}_slope", _fmt(fit.slope)]
@@ -597,12 +596,6 @@ def _extract_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dict", default=None, help="dictionary file (default: packaged)")
     p.add_argument("--blocklist", default=None, help="keyword blocklist file (default: packaged)")
     p.add_argument("--ranks", default=None, help="rank,domain CSV keyed by requested domain")
-    p.add_argument(
-        "--threads",
-        type=_at_least(1),
-        default=1,
-        help="accepted and echoed in the config; extraction runs serially",
-    )
 
 
 def _graph_flags(p: argparse.ArgumentParser) -> None:
@@ -665,14 +658,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--site-ranks", default=None, help="rank,domain CSV keyed by landing domain"
             )
-            p.add_argument("--family", choices=[f.value for f in FAMILY_ORDER], default="publisher")
+            p.add_argument("--family", choices=[f.value for f in IdFamily], default="publisher")
             p.add_argument("--out", required=True)
             p.set_defaults(func=_cmd_stats_sizes)
 
         @topics.lazy("powerlaw", help="power-law fit + LR test")
         def powerlaw(p: argparse.ArgumentParser) -> None:
             p.add_argument("--profiles", required=True)
-            p.add_argument("--family", choices=[f.value for f in FAMILY_ORDER], default="publisher")
+            p.add_argument("--family", choices=[f.value for f in IdFamily], default="publisher")
             p.add_argument(
                 "--population", choices=["publishers", "components"], default="publishers"
             )

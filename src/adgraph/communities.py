@@ -76,7 +76,7 @@ def prune_edges(mg: Metagraph, top_fraction: float = 0.05) -> Metagraph:
     if not 0 < top_fraction <= 1:
         raise ValueError("top_fraction must be in (0, 1]")
     if not mg.numerators:
-        return Metagraph(denominator=mg.denominator, normalizers=dict(mg.normalizers))
+        return Metagraph(denominator=mg.denominator)
     # From the decimal the caller wrote: in float, 0.07 * 100 rounds up to 8.
     k = math.ceil(Fraction(str(top_fraction)) * len(mg.numerators))
     cutoff = sorted(mg.numerators.values(), reverse=True)[k - 1]
@@ -85,7 +85,6 @@ def prune_edges(mg: Metagraph, top_fraction: float = 0.05) -> Metagraph:
         nodes={n for e in kept for n in e},
         numerators=kept,
         denominator=mg.denominator,
-        normalizers=dict(mg.normalizers),
     )
 
 
@@ -213,7 +212,8 @@ def girvan_newman(
     grows, and returns the recorded partition of maximal modularity
     (earliest on ties), scored against the input graph with weights.
     ``max_communities`` instead returns the first partition reaching that
-    many communities.
+    many communities. Removing every edge leaves one community per node,
+    so a ``max_communities`` above the node count raises ValueError.
 
     A round costs as much as the component that lost the edge: only its
     betweenness is recomputed, and a split changes modularity by the terms
@@ -223,6 +223,10 @@ def girvan_newman(
         raise ValueError("max_communities must be >= 1")
     if not mg.nodes:
         return Partition(communities=(), modularity=Fraction(0))
+    if max_communities is not None and max_communities > len(mg.nodes):
+        raise ValueError(
+            f"max_communities is {max_communities}, more than the graph's {len(mg.nodes)} nodes"
+        )
     adj = mg.adjacency()
     distances = _distances(mg, weighted_paths)
     term, scale = _modularity_term(mg)

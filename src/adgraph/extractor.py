@@ -42,6 +42,7 @@ from .corpus import (
 )
 
 
+# Definition order fixes the reporting order everywhere downstream.
 class IdKind(enum.Enum):
     PUBLISHER = "publisher"
     TRACKING = "tracking"
@@ -62,14 +63,6 @@ class Source(enum.Enum):
 
     __hash__ = object.__hash__  # see IdKind
 
-
-# Kind order fixes the reporting order everywhere downstream.
-KIND_ORDER: tuple[IdKind, ...] = (
-    IdKind.PUBLISHER,
-    IdKind.TRACKING,
-    IdKind.MEASUREMENT,
-    IdKind.CONTAINER,
-)
 
 # The lookbehind follows the prefix and spans it, so it tests the character
 # before the match, exactly as a leading (?<![0-9A-Za-z]) would.
@@ -151,7 +144,7 @@ def _matches(
 # per profile: each kind with its JSON name, and each of the 8 source
 # combinations as its sorted JSON names, mapped to one shared frozenset and
 # back. Every decoded profile shares those frozensets.
-_KIND_NAMES: tuple[tuple[IdKind, str], ...] = tuple((kind, kind.value) for kind in KIND_ORDER)
+_KIND_NAMES: tuple[tuple[IdKind, str], ...] = tuple((kind, kind.value) for kind in IdKind)
 _SOURCE_SETS: dict[tuple[str, ...], frozenset[Source]] = {
     names: frozenset(map(Source, names))
     for size in range(len(Source) + 1)
@@ -166,7 +159,7 @@ _WITH_SOURCE: dict[tuple[frozenset[Source], Source], frozenset[Source]] = {
     for source in Source
 }
 # Kinds enter a profile in name order, whichever channel finds them first.
-_KINDS_BY_NAME: tuple[IdKind, ...] = tuple(sorted(KIND_ORDER, key=lambda kind: kind.value))
+_KINDS_BY_NAME: tuple[IdKind, ...] = tuple(sorted(IdKind, key=lambda kind: kind.value))
 _NO_ENTRIES: dict = {}  # the default of a missing JSON object; never written to
 
 
@@ -382,8 +375,8 @@ def summarize_extraction(profiles: Sequence[SiteIdProfile], corpus_size: int) ->
     bearing = [p for p in profiles if not p.is_empty()]
     if len({p.landing_domain for p in bearing}) > corpus_size:
         raise ValueError("more profiled sites than corpus_size")
-    key_sources_of: dict[IdKind, dict[str, set[Source]]] = {kind: {} for kind in KIND_ORDER}
-    sites_of = dict.fromkeys(KIND_ORDER, 0)
+    key_sources_of: dict[IdKind, dict[str, set[Source]]] = {kind: {} for kind in IdKind}
+    sites_of = dict.fromkeys(IdKind, 0)
     for p in bearing:
         for kind, ks in p.keys.items():
             if ks:
@@ -392,7 +385,7 @@ def summarize_extraction(profiles: Sequence[SiteIdProfile], corpus_size: int) ->
                 for key in ks:
                     key_sources.setdefault(key, set()).update(p.sources.get(key, _NO_SOURCES))
     kinds: dict[IdKind, KindSummary] = {}
-    for kind in KIND_ORDER:
+    for kind in IdKind:
         key_sources, sites = key_sources_of[kind], sites_of[kind]
         n_ids = len(key_sources)
 

@@ -28,12 +28,6 @@ class IdFamily(enum.Enum):
     CONTAINER = "container"
 
 
-FAMILY_ORDER: tuple[IdFamily, ...] = (
-    IdFamily.PUBLISHER,
-    IdFamily.ANALYTICS,
-    IdFamily.CONTAINER,
-)
-
 KINDS_OF_FAMILY: dict[IdFamily, tuple[IdKind, ...]] = {
     IdFamily.PUBLISHER: (IdKind.PUBLISHER,),
     IdFamily.ANALYTICS: (IdKind.TRACKING, IdKind.MEASUREMENT),
@@ -103,7 +97,6 @@ class Metagraph:
     nodes: set[str] = field(default_factory=set)
     numerators: dict[Edge, int] = field(default_factory=dict)
     denominator: int = 1
-    normalizers: dict[IdFamily, int] = field(default_factory=dict)
 
     @classmethod
     def from_weights(
@@ -149,9 +142,7 @@ class Metagraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Metagraph):
             return NotImplemented
-        return (self.nodes, self.weights, self.normalizers) == (
-            other.nodes, other.weights, other.normalizers
-        )
+        return (self.nodes, self.weights) == (other.nodes, other.weights)
 
 
 def _shared_keys(key_to_sites: Mapping[str, Collection[str]]) -> int:
@@ -167,8 +158,8 @@ def build_bipartite(profiles: Iterable[SiteIdProfile]) -> dict[IdFamily, Biparti
     (site, key) pair; a key found under two kinds of one family counts
     once. ``without_keys`` leaves keys out afterwards.
     """
-    maps: dict[IdFamily, dict[str, Any]] = {family: {} for family in FAMILY_ORDER}
-    map_of_kind = {kind: maps[f] for f in FAMILY_ORDER for kind in KINDS_OF_FAMILY[f]}
+    maps: dict[IdFamily, dict[str, Any]] = {family: {} for family in IdFamily}
+    map_of_kind = {kind: maps[f] for f in IdFamily for kind in KINDS_OF_FAMILY[f]}
     for p in profiles:
         domain = p.landing_domain
         for kind, keys in p.keys.items():
@@ -179,7 +170,7 @@ def build_bipartite(profiles: Iterable[SiteIdProfile]) -> dict[IdFamily, Biparti
     for key_to_sites in maps.values():
         for key, sites in key_to_sites.items():
             key_to_sites[key] = frozenset(sites)
-    return {family: BipartiteGraph(family, maps[family]) for family in FAMILY_ORDER}
+    return {family: BipartiteGraph(family, maps[family]) for family in IdFamily}
 
 
 def without_keys(graph: BipartiteGraph, excluded: Collection[str]) -> BipartiteGraph:
@@ -235,7 +226,7 @@ def connected_components(graph: BipartiteGraph | Metagraph) -> list[frozenset[st
 def family_normalizers(graphs: Mapping[IdFamily, BipartiteGraph]) -> dict[IdFamily, int]:
     """Per family, the number of distinct canonical keys found on more than
     one site of its graph in ``graphs`` (as ``build_bipartite`` returns)."""
-    return {f: _shared_keys(graphs[f].key_to_sites) for f in FAMILY_ORDER}
+    return {f: _shared_keys(graphs[f].key_to_sites) for f in IdFamily}
 
 
 def build_metagraph(
@@ -266,7 +257,7 @@ def build_metagraph(
         family: _shared_keys(bg.key_to_sites) if normalizers is None else normalizers.get(family, 0)
         for family, bg in graphs.items()
     }
-    mg = Metagraph(normalizers=effective, denominator=math.lcm(*filter(None, effective.values())))
+    mg = Metagraph(denominator=math.lcm(*filter(None, effective.values())))
     numerators = mg.numerators
     for bg in graphs.values():
         mg.nodes.update(*bg.key_to_sites.values())

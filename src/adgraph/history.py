@@ -29,14 +29,6 @@ class TransitionClass(enum.Enum):
     INSIGNIFICANT = "insignificant"
 
 
-TRANSITION_ORDER: tuple[TransitionClass, ...] = (
-    TransitionClass.NO_CHANGE,
-    TransitionClass.BIGGER,
-    TransitionClass.SMALLER,
-    TransitionClass.INSIGNIFICANT,
-)
-
-
 class PublisherClass(enum.IntEnum):
     SMALL = 1   # up to 10 sites
     MEDIUM = 2  # 11-50
@@ -295,13 +287,13 @@ def transition_series(
 
     intervals = []
     for (a, b), universe in zip(zip(snapshots, snapshots[1:]), universes):
-        counts = {cls: 0 for cls in TRANSITION_ORDER}
+        counts = dict.fromkeys(TransitionClass, 0)
         for site in sorted(universe):
             counts[classify_transition(site, a, b).transition] += 1
         intervals.append((a.snapshot_id, b.snapshot_id, counts))
 
     trends: dict[TransitionClass, RegressionFit | None] = {}
-    for cls in TRANSITION_ORDER:
+    for cls in TransitionClass:
         points = [(float(i), float(counts[cls])) for i, (_, _, counts) in enumerate(intervals)]
         trends[cls] = linear_fit(points) if len(points) >= 3 else None
     return TransitionSeries(intervals, trends)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc, zeta
 
-from .extractor import KIND_ORDER, IdKind, SiteIdProfile
+from .extractor import IdKind, SiteIdProfile
 from .graphs import BipartiteGraph
 
 _MIN_TAIL = 10
@@ -33,7 +33,7 @@ _ALPHA_BOUNDS = (1.000001, 25.0)
 def per_site_id_counts(profiles: Sequence[SiteIdProfile]) -> dict[IdKind, dict[int, float]]:
     """Per kind: fraction of bearing sites holding exactly k distinct keys."""
     out: dict[IdKind, dict[int, float]] = {}
-    for kind in KIND_ORDER:
+    for kind in IdKind:
         counts: dict[int, int] = {}
         for p in profiles:
             k = len(p.keys_for(kind))

@@ -31,14 +31,13 @@ from adgraph.corpus import (
     default_suffix_table,
 )
 from adgraph.extractor import (
-    KIND_ORDER,
     CrawlExtraction,
     IdKind,
     SiteIdProfile,
     Source,
     load_profiles,
 )
-from adgraph.graphs import FAMILY_ORDER, KINDS_OF_FAMILY, Metagraph
+from adgraph.graphs import KINDS_OF_FAMILY, IdFamily, Metagraph
 from adgraph.history import (
     Snapshot,
     class_population_series,
@@ -196,9 +195,9 @@ def profile_to_json_obj_reference(p):
                 key: sorted(s.value for s in p.sources.get(key, frozenset()))
                 for key in sorted(p.keys_for(kind))
             }
-            for kind in KIND_ORDER
+            for kind in IdKind
         },
-        "raw_counts": {kind.value: p.raw_counts.get(kind, 0) for kind in KIND_ORDER},
+        "raw_counts": {kind.value: p.raw_counts.get(kind, 0) for kind in IdKind},
     }
 
 
@@ -210,7 +209,7 @@ def profile_from_json_obj_reference(obj):
     if not isinstance(ids, dict) or not isinstance(counts, dict):
         raise ValueError("ids and raw_counts must be objects")
     keys, sources, raw_counts = {}, {}, {}
-    for kind in KIND_ORDER:
+    for kind in IdKind:
         entry = ids.get(kind.value, {})
         if not isinstance(entry, dict):
             raise ValueError(f"ids.{kind.value} is not an object")
@@ -245,7 +244,7 @@ def random_profiles(n, seed):
     profiles = []
     for i in range(n):
         keys, sources, raw_counts = {}, {}, {}
-        for kind in KIND_ORDER:
+        for kind in IdKind:
             if rng.random() < 1 / 3:
                 continue
             ks = frozenset(shapes[kind].format(rng.randrange(50)) for _ in range(rng.randint(1, 4)))
@@ -277,7 +276,7 @@ ORACLE_PATTERNS = {
 def scan_text_oracle(text):
     """(value, kind) matches of ORACLE_PATTERNS ordered by (position, kind)."""
     found = sorted(
-        (m.start(), KIND_ORDER.index(kind), m.group(), kind)
+        (m.start(), list(IdKind).index(kind), m.group(), kind)
         for kind, pattern in ORACLE_PATTERNS.items()
         for m in pattern.finditer(text)
     )
@@ -606,15 +605,15 @@ def random_url_inputs(n, seed):
 # ---------------------------------------------------------------------------
 
 def brute_force_metagraph(profiles, normalizers=None):
-    sites_per_key = {family: {} for family in FAMILY_ORDER}
-    for family in FAMILY_ORDER:
+    sites_per_key = {family: {} for family in IdFamily}
+    for family in IdFamily:
         for p in profiles:
             for kind in KINDS_OF_FAMILY[family]:
                 for key in p.keys_for(kind):
                     sites_per_key[family].setdefault(key, set()).add(p.landing_domain)
     weights = {}
     nodes = set()
-    for family in FAMILY_ORDER:
+    for family in IdFamily:
         for sites in sites_per_key[family].values():
             nodes.update(sites)
         if normalizers is not None:

@@ -7,12 +7,16 @@ they print. Every tolerance is pinned here, not configurable.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
-
+import adgraph
 from adgraph.cli import run
 from adgraph.communities import girvan_newman, modularity, prune_edges
 from adgraph.extractor import extract_crawl, extract_profile, load_blocklist, load_dictionary
@@ -280,19 +284,21 @@ def test_criterion_8_history():
             assert abs(slopes[cls] - target) <= 0.05 * abs(target)
 
 
-def test_criterion_9_thread_determinism(tmp_path):
-    with criterion(9, "--threads 1 and --threads 8 produce byte-identical CSVs"):
+def test_criterion_9_cross_process_determinism(tmp_path):
+    with criterion(9, "report under PYTHONHASHSEED 0 and 1 writes byte-identical CSVs"):
         records, _ = fixture_corpus()
         crawl = tmp_path / "crawl.jsonl"
         crawl.write_text(crawl_jsonl(records), encoding="utf-8")
-        for threads, name in ((1, "t1"), (8, "t8")):
-            code = run(["report", "--in", str(crawl), "--out-dir", str(tmp_path / name),
-                        "--top-fraction", "1.0", "--threads", str(threads)])
-            assert code == 0
+        script = "import sys\nfrom adgraph.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+        env = {**os.environ, "PYTHONPATH": str(Path(adgraph.__file__).resolve().parents[1])}
+        for hash_seed in ("0", "1"):
+            subprocess.run([sys.executable, "-c", script, "report", "--in", str(crawl),
+                            "--out-dir", str(tmp_path / hash_seed), "--top-fraction", "1.0"],
+                           env={**env, "PYTHONHASHSEED": hash_seed}, check=True)
         compared = 0
-        for path in sorted((tmp_path / "t1").iterdir()):
+        for path in sorted((tmp_path / "0").iterdir()):
             if path.suffix in (".csv", ".jsonl"):
-                other = tmp_path / "t8" / path.name
+                other = tmp_path / "1" / path.name
                 assert path.read_bytes() == other.read_bytes(), path.name
                 compared += 1
         assert compared >= 8

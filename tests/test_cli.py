@@ -80,7 +80,7 @@ def test_extract_config_echo_has_parameters(crawl_file, tmp_path):
     _extract(crawl_file, tmp_path)
     echo = json.loads((tmp_path / "config_extract.json").read_text(encoding="utf-8"))
     assert echo["command"] == "extract"
-    assert echo["parameters"]["threads"] >= 1
+    assert "threads" not in echo["parameters"]
     assert "infile" in echo["parameters"]
 
 
@@ -365,7 +365,7 @@ def test_exit_codes(tmp_path, crawl_file):
     # config errors exit before any output is written
     out = tmp_path / "out"
     for argv in (
-        ["extract", "--in", str(crawl_file), "--out", str(out / "p.jsonl"), "--threads", "0"],
+        ["extract", "--in", str(crawl_file), "--out", str(out / "p.jsonl"), "--threads", "1"],
         ["extract", "--in", str(crawl_file), "--out", str(out / "p.jsonl"),
          "--anomaly-threshold", "0"],
         ["report", "--in", str(crawl_file), "--out-dir", str(out), "--top-fraction", "0"],
@@ -391,6 +391,20 @@ def test_exit_codes(tmp_path, crawl_file):
     bad = tmp_path / "bad.csv"
     bad.write_text("site_a,site_b\n", encoding="utf-8")
     assert run(["communities", "--metagraph", str(bad), "--out-dir", str(tmp_path)]) == 1
+
+
+def test_max_communities_above_the_node_count_is_an_input_error(tmp_path, capsys):
+    """Six sites cannot make seven communities: exit 1, and nothing is written."""
+    mg = tmp_path / "metagraph.csv"
+    edges = ("a,b", "a,c", "b,c", "c,d", "d,e", "d,f")
+    mg.write_text("site_a,site_b,weight\n" + "".join(f"{e},1\n" for e in edges), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["communities", "--metagraph", str(mg), "--top-fraction", "1.0", "--out-dir", str(out)]
+    assert run([*argv, "--max-communities", "7"]) == 1
+    assert "max_communities is 7, more than the graph's 6 nodes" in capsys.readouterr().err
+    assert not out.exists()
+    assert run([*argv, "--max-communities", "6"]) == 0
+    assert (out / "communities.csv").read_text(encoding="utf-8").count("\n") == 7
 
 
 @pytest.mark.parametrize("text, skipped", [("", 0), ("garbage\n", 1)], ids=["empty", "garbage"])
@@ -431,14 +445,6 @@ def test_rerun_is_byte_identical(crawl_file, tmp_path):
     a = (tmp_path / "one" / "profiles.jsonl").read_bytes()
     b = (tmp_path / "two" / "profiles.jsonl").read_bytes()
     assert a == b
-
-
-def test_threads_default_ignores_the_environment(crawl_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("ADGRAPH_THREADS", "0")
-    out = tmp_path / "profiles.jsonl"
-    assert run(["extract", "--in", str(crawl_file), "--out", str(out)]) == 0
-    echo = json.loads((tmp_path / "config_extract.json").read_text(encoding="utf-8"))
-    assert echo["parameters"]["threads"] == 1
 
 
 def test_report_runs_the_stage_commands(crawl_file, tmp_path):
@@ -813,8 +819,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(crawl_file, tmp_path):
     ]
     script = ("import json, sys\nfrom adgraph.cli import run\n"
               "for argv in json.loads(sys.argv[1]):\n    assert run(argv) == 0, argv\n")
-    env = {k: v for k, v in os.environ.items() if k != "ADGRAPH_THREADS"}
-    env["PYTHONPATH"] = str(Path(adgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": str(Path(adgraph.__file__).resolve().parents[1])}
     outputs = []
     for hash_seed in ("0", "1"):
         cwd = tmp_path / f"hashseed{hash_seed}"

@@ -232,6 +232,17 @@ def test_max_communities_stops_early():
     assert partition.dendrogram == (("C", "D"),)
 
 
+def test_max_communities_above_the_node_count_raises():
+    mg = metagraph_from_edges(
+        [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("d", "f")]
+    )
+    assert girvan_newman(mg, max_communities=6).communities == tuple(map(frozenset, "abcdef"))
+    for k in (7, 50):
+        with pytest.raises(ValueError, match=f"max_communities is {k}, more than the graph's 6"):
+            girvan_newman(mg, max_communities=k)
+    assert girvan_newman(Metagraph(), max_communities=50) == Partition((), Fraction(0))
+
+
 def test_gn_matches_oracle_on_named_fixtures():
     fixtures = {
         "two_triangles_bridge": TWO_TRIANGLES_BRIDGE,

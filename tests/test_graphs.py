@@ -10,7 +10,6 @@ import pytest
 from adgraph.corpus import FormatError
 from adgraph.extractor import IdKind
 from adgraph.graphs import (
-    FAMILY_ORDER,
     KINDS_OF_FAMILY,
     IdFamily,
     Metagraph,
@@ -92,7 +91,7 @@ def test_bipartite_edge_count_invariant():
     rng = random.Random(2)
     for _ in range(20):
         profiles = _random_profiles(rng)
-        for family in FAMILY_ORDER:
+        for family in IdFamily:
             bg = build_bipartite(profiles)[family]
             kinds = {IdFamily.PUBLISHER: (IdKind.PUBLISHER,),
                      IdFamily.ANALYTICS: (IdKind.TRACKING, IdKind.MEASUREMENT),
@@ -141,7 +140,7 @@ def test_components_partition_nodes():
     rng = random.Random(3)
     for _ in range(20):
         profiles = _random_profiles(rng)
-        for family in FAMILY_ORDER:
+        for family in IdFamily:
             bg = build_bipartite(profiles)[family]
             comps = connected_components(bg)
             covered = [n for c in comps for n in c]
@@ -165,8 +164,9 @@ def test_metagraph_hand_fixture():
         make_profile("c.example", tracking={"UA-2000"}),
         make_profile("d.example", tracking={"UA-3000"}),
     ]
+    assert family_normalizers(build_bipartite(profiles))[IdFamily.ANALYTICS] == 2
     mg = _graphs(profiles)
-    assert mg.normalizers[IdFamily.ANALYTICS] == 2
+    assert mg.denominator == 2
     assert mg.weight("a.example", "b.example") == Fraction(1, 2)
     assert mg.weight("b.example", "c.example") == Fraction(1, 2)
     assert mg.edge_count == 2
@@ -223,11 +223,14 @@ def test_metagraph_numerators_share_the_normalizers_lcm():
         for normalizers in (None, family_normalizers(others)):
             mg = build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS],
                                  bgs[IdFamily.CONTAINER], normalizers=normalizers)
-            assert mg.denominator == math.lcm(*(n for n in mg.normalizers.values() if n))
+            n = family_normalizers(bgs) if normalizers is None else normalizers
+            assert mg.denominator == math.lcm(*filter(None, n.values()))
             assert all(type(a) is int and a > 0 for a in mg.numerators.values())
             _, expected = brute_force_metagraph(profiles, normalizers)
             assert mg.weights == expected
             assert mg.total_weight() == sum(expected.values(), Fraction(0))
+            # A graph is its nodes and weights: nothing else of the build shows in ==.
+            assert Metagraph.from_weights(mg.weights, mg.nodes) == mg
 
 
 def _cross_family_profiles(rng):
@@ -258,16 +261,16 @@ def test_key_walks_match_brute_counts_on_random_corpora():
             return {p.landing_domain for p in profiles if any(key in p.keys_for(k) for k in kinds)}
 
         graphs = build_bipartite(iter(profiles))  # one pass over a stream
-        for f in FAMILY_ORDER:
+        for f in IdFamily:
             expected = {key: carriers(key, KINDS_OF_FAMILY[f]) for key in all_keys}
             assert graphs[f].key_to_sites == {k: sites for k, sites in expected.items() if sites}
             assert all(type(sites) is frozenset for sites in graphs[f].key_to_sites.values())
         assert family_normalizers(graphs) == {
             f: sum(1 for key in all_keys if len(carriers(key, KINDS_OF_FAMILY[f])) > 1)
-            for f in FAMILY_ORDER
+            for f in IdFamily
         }
         cross_family_keys += sum(
-            sum(key in graphs[f].key_to_sites for f in FAMILY_ORDER) > 1 for key in all_keys
+            sum(key in graphs[f].key_to_sites for f in IdFamily) > 1 for key in all_keys
         )
         assert Snapshot.build("s", profiles).publisher_sizes == {
             r.key: r.size for r in publisher_sizes(graphs[IdFamily.PUBLISHER])
@@ -276,7 +279,7 @@ def test_key_walks_match_brute_counts_on_random_corpora():
             heavy = intermediary_keys(graphs, threshold)
             assert heavy == {k for k in all_keys if len(carriers(k)) > threshold}
             reduced = build_bipartite(exclude_intermediaries_reference(profiles, threshold))
-            for f in FAMILY_ORDER:
+            for f in IdFamily:
                 assert without_keys(graphs[f], heavy) == reduced[f]
     assert cross_family_keys > 100
 
@@ -344,7 +347,7 @@ def test_exclude_infinite_threshold_is_identity():
     graphs = build_bipartite(profiles)
     excluded = intermediary_keys(graphs, threshold=math.inf)
     assert excluded == frozenset()
-    for f in FAMILY_ORDER:
+    for f in IdFamily:
         assert without_keys(graphs[f], excluded) == graphs[f]
 
 
