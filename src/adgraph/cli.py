@@ -36,7 +36,6 @@ from .extractor import (
     iter_profiles,
     load_blocklist,
     load_dictionary,
-    load_profiles,
     summarize_extraction,
 )
 from .graphs import (
@@ -64,6 +63,9 @@ from .history import (
     publisher_id_count_series,
     top_publishers_series,
     transition_series,
+    _MANIFEST,
+    _PROFILES,
+    _write_manifest,
 )
 from .stats import (
     PublisherRecord,
@@ -244,7 +246,9 @@ def _communities_stage(
     return partition.communities
 
 
-def _id_counts_stage(profiles: list[SiteIdProfile], out_dir: Path | _Bundle, name: str) -> None:
+def _id_counts_stage(
+    profiles: Iterable[SiteIdProfile], out_dir: Path | _Bundle, name: str
+) -> None:
     histograms = per_site_id_counts(profiles)
     _write_csv(
         out_dir / name,
@@ -297,7 +301,10 @@ def _popularity_stage(
 
 
 def _categories_stage(
-    profiles: list[SiteIdProfile], categories: dict[str, str], out_dir: Path | _Bundle, name: str
+    profiles: Iterable[SiteIdProfile],
+    categories: dict[str, str],
+    out_dir: Path | _Bundle,
+    name: str,
 ) -> None:
     _write_csv(
         out_dir / name,
@@ -347,10 +354,7 @@ def _cmd_extract(args: argparse.Namespace) -> None:
     out = Path(args.out)
     _, _, site_count = _extract_stage(args, out.parent, out.name, args.anomaly_threshold)
     if args.snapshot_id:
-        _write_json(
-            out.parent / "manifest.json",
-            {"snapshot_id": args.snapshot_id, "total_sites": site_count},
-        )
+        _write_manifest(out.parent, args.snapshot_id, site_count)
 
 
 def _cmd_graph(args: argparse.Namespace) -> None:
@@ -379,7 +383,7 @@ def _cmd_communities(args: argparse.Namespace) -> None:
 
 def _cmd_stats_ids(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    _id_counts_stage(load_profiles(args.profiles), out.parent, out.name)
+    _id_counts_stage(iter_profiles(args.profiles), out.parent, out.name)
 
 
 def _load_site_ranks(path) -> dict[str, int]:
@@ -423,9 +427,8 @@ def _cmd_stats_popularity(args: argparse.Namespace) -> None:
 
 def _cmd_stats_categories(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    profiles = load_profiles(args.profiles)
     categories = load_category_map(args.categories)
-    _categories_stage(profiles, categories, out.parent, out.name)
+    _categories_stage(iter_profiles(args.profiles), categories, out.parent, out.name)
 
 
 def _read_communities_csv(path) -> list[tuple[int, list[str]]]:
@@ -531,7 +534,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
         except ValueError as exc:
             skipped.append({"analysis": analysis, "reason": str(exc)})
 
-    profiles, site_ranks, _ = _extract_stage(args, bundle, "profiles.jsonl", _ANOMALY_THRESHOLD)
+    profiles, site_ranks, _ = _extract_stage(args, bundle, _PROFILES, _ANOMALY_THRESHOLD)
     graphs, metagraph = _graph_stage(
         profiles, args.intermediary_threshold, False, args.normalizer_mode, bundle
     )
@@ -621,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     def extract(p: argparse.ArgumentParser) -> None:
         _extract_flags(p)
         p.add_argument("--out", required=True, help="profiles JSONL output path")
-        p.add_argument("--snapshot-id", default=None, help="also write manifest.json with this id")
+        p.add_argument("--snapshot-id", default=None, help=f"also write {_MANIFEST} with this id")
         p.add_argument("--anomaly-threshold", type=_at_least(1), default=_ANOMALY_THRESHOLD)
         p.set_defaults(func=_cmd_extract)
 
@@ -747,8 +750,8 @@ def _run(argv: Sequence[str] | None) -> int:
     try:
         args = parser.parse_args(argv)
         # history reads a snapshot directory's profiles under this one name.
-        if getattr(args, "snapshot_id", None) and Path(args.out).name != "profiles.jsonl":
-            parser.error("--snapshot-id needs --out to name a profiles.jsonl file")
+        if getattr(args, "snapshot_id", None) and Path(args.out).name != _PROFILES:
+            parser.error(f"--snapshot-id needs --out to name a {_PROFILES} file")
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     del parser  # else an escaping exception keeps it, in this frame, past run's collection

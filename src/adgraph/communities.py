@@ -1,7 +1,7 @@
 """Metagraph pruning and Girvan-Newman administrator communities.
 
 The metagraph is first reduced to its heaviest edges (top fraction by
-weight, boundary ties kept, dangling nodes dropped), then split by
+weight, boundary ties kept) and their endpoints, then split by
 iteratively removing the highest-betweenness edge. Betweenness uses hop
 metric shortest paths by default (weights express confidence, not
 distance) and exact rational arithmetic throughout, so tie-breaking and
@@ -43,8 +43,9 @@ def _modularity_term(mg: Metagraph) -> tuple[Callable[[Collection[str]], int], i
     must be nodes of ``mg`` and support ``in``.
     """
     total = sum(mg.numerators.values())
-    strength = dict.fromkeys(mg.nodes, 0)
-    upper: dict[str, list[tuple[str, int]]] = {n: [] for n in mg.nodes}
+    nodes = mg.nodes
+    strength = dict.fromkeys(nodes, 0)
+    upper: dict[str, list[tuple[str, int]]] = {n: [] for n in nodes}
     for (u, v), a in mg.numerators.items():
         strength[u] += a
         strength[v] += a
@@ -67,12 +68,13 @@ def modularity(mg: Metagraph, communities: Iterable[frozenset[str]]) -> Fraction
     nodes of ``mg``, contribute nothing.
     """
     term, scale = _modularity_term(mg)
-    return Fraction(sum(term(mg.nodes.intersection(c)) for c in communities), scale)
+    nodes = mg.nodes
+    return Fraction(sum(term(nodes.intersection(c)) for c in communities), scale)
 
 
 def prune_edges(mg: Metagraph, top_fraction: float = 0.05) -> Metagraph:
     """Keep the heaviest ceil(top_fraction * E) edges; boundary-weight ties
-    all survive; degree-0 nodes are dropped afterwards."""
+    all survive, and so do their endpoints, the pruned graph's nodes."""
     if not 0 < top_fraction <= 1:
         raise ValueError("top_fraction must be in (0, 1]")
     if not mg.numerators:
@@ -80,12 +82,7 @@ def prune_edges(mg: Metagraph, top_fraction: float = 0.05) -> Metagraph:
     # From the decimal the caller wrote: in float, 0.07 * 100 rounds up to 8.
     k = math.ceil(Fraction(str(top_fraction)) * len(mg.numerators))
     cutoff = sorted(mg.numerators.values(), reverse=True)[k - 1]
-    kept = {e: a for e, a in mg.numerators.items() if a >= cutoff}
-    return Metagraph(
-        nodes={n for e in kept for n in e},
-        numerators=kept,
-        denominator=mg.denominator,
-    )
+    return Metagraph({e: a for e, a in mg.numerators.items() if a >= cutoff}, mg.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +172,9 @@ def _distances(mg: Metagraph, weighted: bool) -> dict[str, dict[str, int]] | Non
     if not weighted:
         return None
     scale = math.lcm(*mg.numerators.values())
-    out: dict[str, dict[str, int]] = {n: {} for n in mg.nodes}
+    out: dict[str, dict[str, int]] = {}
     for (u, v), a in mg.numerators.items():
-        out[u][v] = out[v][u] = scale // a
+        out.setdefault(u, {})[v] = out.setdefault(v, {})[u] = scale // a
     return out
 
 
@@ -221,13 +218,13 @@ def girvan_newman(
     """
     if max_communities is not None and max_communities < 1:
         raise ValueError("max_communities must be >= 1")
-    if not mg.nodes:
-        return Partition(communities=(), modularity=Fraction(0))
-    if max_communities is not None and max_communities > len(mg.nodes):
-        raise ValueError(
-            f"max_communities is {max_communities}, more than the graph's {len(mg.nodes)} nodes"
-        )
     adj = mg.adjacency()
+    if not adj:
+        return Partition(communities=(), modularity=Fraction(0))
+    if max_communities is not None and max_communities > len(adj):
+        raise ValueError(
+            f"max_communities is {max_communities}, more than the graph's {len(adj)} nodes"
+        )
     distances = _distances(mg, weighted_paths)
     term, scale = _modularity_term(mg)
     # The current parts, each with its modularity term (over scale).

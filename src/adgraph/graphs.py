@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Any, Callable, Collection, Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import IO, Any, Callable, Collection, Iterable, Mapping
 
 from .corpus import FormatError
 from .extractor import IdKind, SiteIdProfile
@@ -35,10 +36,6 @@ KINDS_OF_FAMILY: dict[IdFamily, tuple[IdKind, ...]] = {
 }
 
 Edge = tuple[str, str]
-
-
-def _edge(u: str, v: str) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass
@@ -66,45 +63,25 @@ class BipartiteGraph:
         return sorted((site, key) for key, sites in self.key_to_sites.items() for site in sites)
 
 
-class _FractionView(Mapping[Edge, Fraction]):
-    """Read-only view of integer numerators over one denominator as Fractions."""
-
-    def __init__(self, numerators: Mapping[Edge, int], denominator: int) -> None:
-        self._numerators = numerators
-        self._denominator = denominator
-
-    def __getitem__(self, edge: Edge) -> Fraction:
-        return Fraction(self._numerators[edge], self._denominator)
-
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self._numerators)
-
-    def __len__(self) -> int:
-        return len(self._numerators)
-
-
 @dataclass(eq=False)
 class Metagraph:
-    """Undirected, rationally-weighted site-site graph.
+    """Undirected, rationally-weighted site-site graph: its edges, and
+    their endpoints as its nodes.
 
     Edge (u, v), with u < v, weighs ``numerators[(u, v)] / denominator``:
     every weight shares the one positive integer denominator, so sums and
-    comparisons of weights stay in integers. ``weights``, ``weight`` and
-    ``total_weight`` read them as Fractions; ``from_weights`` builds a graph
-    from Fractions.
+    comparisons of weights stay in integers. ``weights`` reads them as
+    Fractions; ``from_weights`` builds a graph from Fractions.
     """
 
-    nodes: set[str] = field(default_factory=set)
     numerators: dict[Edge, int] = field(default_factory=dict)
     denominator: int = 1
 
     @classmethod
-    def from_weights(
-        cls, weights: Mapping[Edge, Fraction | int], nodes: Iterable[str] = ()
-    ) -> Metagraph:
+    def from_weights(cls, weights: Mapping[Edge, Fraction | int]) -> Metagraph:
         """The graph of the given positive rational edge weights, keyed by
-        (u, v) with u < v, over their endpoints and any extra ``nodes``.
-        Its denominator is the lcm of the weights' denominators."""
+        (u, v) with u < v. Its denominator is the lcm of the weights'
+        denominators."""
         exact = {e: Fraction(w) for e, w in weights.items()}
         for (u, v), w in exact.items():
             if not u < v:
@@ -113,36 +90,34 @@ class Metagraph:
                 raise ValueError(f"edge {u},{v} has weight {w}, which is not positive")
         denominator = math.lcm(*(w.denominator for w in exact.values()))
         return cls(
-            nodes={n for e in exact for n in e}.union(nodes),
-            numerators={e: w.numerator * (denominator // w.denominator) for e, w in exact.items()},
-            denominator=denominator,
+            {e: w.numerator * (denominator // w.denominator) for e, w in exact.items()},
+            denominator,
         )
 
     @property
+    def nodes(self) -> set[str]:
+        return {n for e in self.numerators for n in e}
+
+    @property
     def weights(self) -> Mapping[Edge, Fraction]:
-        return _FractionView(self.numerators, self.denominator)
+        d = self.denominator
+        return MappingProxyType({e: Fraction(a, d) for e, a in self.numerators.items()})
 
     @property
     def edge_count(self) -> int:
         return len(self.numerators)
 
-    def weight(self, u: str, v: str) -> Fraction:
-        return Fraction(self.numerators.get(_edge(u, v), 0), self.denominator)
-
     def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
+        adj: dict[str, set[str]] = {}
         for u, v in self.numerators:
-            adj[u].add(v)
-            adj[v].add(u)
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
         return adj
-
-    def total_weight(self) -> Fraction:
-        return Fraction(sum(self.numerators.values()), self.denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Metagraph):
             return NotImplemented
-        return (self.nodes, self.weights) == (other.nodes, other.weights)
+        return self.weights == other.weights
 
 
 def _shared_keys(key_to_sites: Mapping[str, Collection[str]]) -> int:
@@ -211,10 +186,8 @@ def _components(adj: Mapping[str, Iterable[str]]) -> list[frozenset[str]]:
     return out
 
 
-def connected_components(graph: BipartiteGraph | Metagraph) -> list[frozenset[str]]:
-    """Undirected components, largest first, ties by smallest member."""
-    if isinstance(graph, Metagraph):
-        return _components(graph.adjacency())
+def connected_components(graph: BipartiteGraph) -> list[frozenset[str]]:
+    """Components over site and id nodes, largest first, ties by smallest member."""
     adj: dict[str, set[str]] = {}
     for key, sites in graph.key_to_sites.items():
         adj.setdefault(key, set()).update(sites)
@@ -259,8 +232,6 @@ def build_metagraph(
     }
     mg = Metagraph(denominator=math.lcm(*filter(None, effective.values())))
     numerators = mg.numerators
-    for bg in graphs.values():
-        mg.nodes.update(*bg.key_to_sites.values())
     for family, bg in graphs.items():
         n = effective[family]
         if n == 0:
@@ -306,10 +277,7 @@ def dump_bipartite_csv(graph: BipartiteGraph, stream: IO[str]) -> None:
 
 
 def dump_metagraph_csv(mg: Metagraph, stream: IO[str]) -> None:
-    """Edge list ``site_a,site_b,weight`` with site_a < site_b, as decimals.
-
-    Isolated metagraph nodes are not representable in the edge list.
-    """
+    """Edge list ``site_a,site_b,weight`` with site_a < site_b, as decimals."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["site_a", "site_b", "weight"])
     # int / int is correctly rounded, so this is the float of the Fraction.

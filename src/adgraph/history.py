@@ -368,19 +368,27 @@ def top_publishers_series(snapshots: Sequence[Snapshot], k: int = 10) -> TopPubl
 # Snapshot I/O (directory per snapshot: profiles.jsonl + manifest.json)
 # ---------------------------------------------------------------------------
 
+_PROFILES = "profiles.jsonl"
+_MANIFEST = "manifest.json"
+
+
+def _write_manifest(directory: Path, snapshot_id: str, total_sites: int) -> None:
+    """The manifest of a snapshot directory, in UTF-8 with LF endings."""
+    manifest = {"snapshot_id": snapshot_id, "total_sites": total_sites}
+    with open(directory / _MANIFEST, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
 def save_snapshot(
     profiles: Iterable[SiteIdProfile], directory: str | Path, snapshot_id: str, total_sites: int
 ) -> None:
     """Write a snapshot directory: the profiles, sorted by domain, and a
-    manifest with the id and the number of sites crawled."""
+    manifest with the id and the number of sites crawled, with LF endings."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "profiles.jsonl", "w", encoding="utf-8") as fh:
+    with open(directory / _PROFILES, "w", encoding="utf-8", newline="\n") as fh:
         dump_profiles(profiles, fh)
-    manifest = {"snapshot_id": snapshot_id, "total_sites": total_sites}
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_manifest(directory, snapshot_id, total_sites)
 
 
 def load_snapshot(directory: str | Path) -> Snapshot:
@@ -388,9 +396,9 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     publisher_sizes in the same pass. Profile lines are checked, and
     errors worded, as ``load_profiles`` does."""
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
+    manifest_path = directory / _MANIFEST
     if not manifest_path.exists():
-        raise FileNotFoundError(f"{directory} has no manifest.json")
+        raise FileNotFoundError(f"{directory} has no {_MANIFEST}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -408,7 +416,7 @@ def load_snapshot(directory: str | Path) -> Snapshot:
         site = _site_keys(keys.get(IdKind.PUBLISHER, ()), keys.get(IdKind.TRACKING, ()))
         return _count_publishers(site, sizes)
 
-    profiles = dict(_read_profile_lines(directory / "profiles.jsonl", site_keys))
+    profiles = dict(_read_profile_lines(directory / _PROFILES, site_keys))
     return Snapshot(str(manifest["snapshot_id"]), profiles, total_sites, sizes)
 
 

@@ -30,17 +30,19 @@ _ALPHA_BOUNDS = (1.000001, 25.0)
 # Identifier and publisher distributions
 # ---------------------------------------------------------------------------
 
-def per_site_id_counts(profiles: Sequence[SiteIdProfile]) -> dict[IdKind, dict[int, float]]:
-    """Per kind: fraction of bearing sites holding exactly k distinct keys."""
+def per_site_id_counts(profiles: Iterable[SiteIdProfile]) -> dict[IdKind, dict[int, float]]:
+    """Per kind: fraction of bearing sites holding exactly k distinct keys,
+    in one pass over the profiles."""
+    counts: dict[IdKind, dict[int, int]] = {kind: {} for kind in IdKind}
+    for p in profiles:
+        for kind, keys in p.keys.items():
+            if keys:
+                by_size = counts[kind]
+                by_size[len(keys)] = by_size.get(len(keys), 0) + 1
     out: dict[IdKind, dict[int, float]] = {}
-    for kind in IdKind:
-        counts: dict[int, int] = {}
-        for p in profiles:
-            k = len(p.keys_for(kind))
-            if k > 0:
-                counts[k] = counts.get(k, 0) + 1
-        total = sum(counts.values())
-        out[kind] = {k: c / total for k, c in sorted(counts.items())} if total else {}
+    for kind, by_size in counts.items():
+        total = sum(by_size.values())
+        out[kind] = {k: c / total for k, c in sorted(by_size.items())}
     return out
 
 
@@ -75,7 +77,7 @@ def publisher_sizes(
 
 
 def category_distribution(
-    profiles: Sequence[SiteIdProfile], category_map: Mapping[str, str]
+    profiles: Iterable[SiteIdProfile], category_map: Mapping[str, str]
 ) -> dict[str, float]:
     """Category shares among labeled Publisher-bearing sites."""
     labels = [

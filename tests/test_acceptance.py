@@ -94,8 +94,9 @@ def test_criterion_2_metagraph_formula():
                                    bgs[IdFamily.CONTAINER])
 
         mg = project(profiles)
-        assert mg.weight("a.example", "b.example") == Fraction(3, 2)
-        assert mg.weight("b.example", "c.example") == Fraction(1, 2)
+        weights = mg.weights
+        assert weights[("a.example", "b.example")] == Fraction(3, 2)
+        assert weights[("b.example", "c.example")] == Fraction(1, 2)
         assert mg.edge_count == 2
         _, oracle = brute_force_metagraph(profiles)
         assert mg.weights == oracle

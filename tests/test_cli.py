@@ -91,6 +91,10 @@ def test_extract_snapshot_manifest(crawl_file, tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     assert manifest == {"snapshot_id": "2021-04-01", "total_sites": 50}
+    # save_snapshot writes the same snapshot directory, byte for byte.
+    save_snapshot(load_profiles(out), tmp_path / "api", "2021-04-01", 50)
+    for name in ("profiles.jsonl", "manifest.json"):
+        assert (tmp_path / "api" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_graph_then_communities(crawl_file, tmp_path):

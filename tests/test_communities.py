@@ -219,12 +219,6 @@ def test_empty_graph_empty_partition():
     assert partition.communities == ()
 
 
-def test_single_node_single_community():
-    mg = Metagraph(nodes={"solo"})
-    partition = girvan_newman(mg)
-    assert partition.communities == (frozenset({"solo"}),)
-
-
 def test_max_communities_stops_early():
     mg = metagraph_from_edges(TWO_TRIANGLES_BRIDGE)
     partition = girvan_newman(mg, max_communities=2)

@@ -167,8 +167,9 @@ def test_metagraph_hand_fixture():
     assert family_normalizers(build_bipartite(profiles))[IdFamily.ANALYTICS] == 2
     mg = _graphs(profiles)
     assert mg.denominator == 2
-    assert mg.weight("a.example", "b.example") == Fraction(1, 2)
-    assert mg.weight("b.example", "c.example") == Fraction(1, 2)
+    weights = mg.weights
+    assert weights[("a.example", "b.example")] == Fraction(1, 2)
+    assert weights[("b.example", "c.example")] == Fraction(1, 2)
     assert mg.edge_count == 2
 
 
@@ -179,9 +180,9 @@ def test_metagraph_hand_fixture_with_publisher():
         make_profile("c.example", tracking={"UA-2000"}),
         make_profile("d.example", tracking={"UA-3000"}),
     ]
-    mg = _graphs(profiles)
-    assert mg.weight("a.example", "b.example") == Fraction(3, 2)
-    assert mg.weight("b.example", "c.example") == Fraction(1, 2)
+    weights = _graphs(profiles).weights
+    assert weights[("a.example", "b.example")] == Fraction(3, 2)
+    assert weights[("b.example", "c.example")] == Fraction(1, 2)
 
 
 def test_metagraph_no_shared_keys_is_empty():
@@ -200,7 +201,6 @@ def test_metagraph_symmetry_and_positivity():
     for (u, v), w in mg.weights.items():
         assert u < v
         assert w > 0
-        assert mg.weight(u, v) == mg.weight(v, u) == w
 
 
 def test_metagraph_matches_brute_force_on_random_corpora():
@@ -227,10 +227,11 @@ def test_metagraph_numerators_share_the_normalizers_lcm():
             assert mg.denominator == math.lcm(*filter(None, n.values()))
             assert all(type(a) is int and a > 0 for a in mg.numerators.values())
             _, expected = brute_force_metagraph(profiles, normalizers)
-            assert mg.weights == expected
-            assert mg.total_weight() == sum(expected.values(), Fraction(0))
-            # A graph is its nodes and weights: nothing else of the build shows in ==.
-            assert Metagraph.from_weights(mg.weights, mg.nodes) == mg
+            weights = mg.weights
+            assert weights == expected
+            assert sum(weights.values(), Fraction(0)) == sum(expected.values(), Fraction(0))
+            # A graph is its weights: nothing else of the build shows in ==.
+            assert Metagraph.from_weights(weights) == mg
 
 
 def _cross_family_profiles(rng):
@@ -297,7 +298,7 @@ def test_metagraph_weight_sum_identity():
             n = len(multi)
             for sites in multi.values():
                 expected += Fraction(math.comb(len(sites), 2), n)
-        assert mg.total_weight() == expected
+        assert sum(mg.weights.values(), Fraction(0)) == expected
 
 
 def test_metagraph_pre_exclusion_normalizers():
@@ -313,10 +314,10 @@ def test_metagraph_pre_exclusion_normalizers():
     excluded = intermediary_keys(graphs, threshold=3)
     assert excluded == {"UA-1000"}
     # projected mode: only UA-2000 is still multi-site -> weight 1
-    assert _graphs(profiles, excluded=excluded).weight("x.example", "y.example") == Fraction(1)
+    assert _graphs(profiles, excluded=excluded).weights == {("x.example", "y.example"): 1}
     # pre-exclusion mode: n stays 2 -> weight 1/2
     mg = _graphs(profiles, normalizers=pre, excluded=excluded)
-    assert mg.weight("x.example", "y.example") == Fraction(1, 2)
+    assert mg.weights == {("x.example", "y.example"): Fraction(1, 2)}
 
 
 # --- intermediary_keys and without_keys -------------------------------------
@@ -421,6 +422,29 @@ def test_metagraph_csv_reads_decimals_over_one_denominator():
         assert again.getvalue() == first.getvalue()
 
 
+def test_metagraph_csv_round_trip_keeps_nodes_and_edges():
+    """A metagraph's nodes are its edges' endpoints, so a site whose keys
+    nobody else shares is none of them, and its edge list loads back to
+    the same nodes and edges, each weight the float of the exact one."""
+    rng = random.Random(29)
+    for _ in range(30):
+        lone = [f"lone{i}.example" for i in range(rng.randrange(1, 4))]
+        profiles = _random_profiles(rng) + [
+            make_profile(site, publisher={f"pub-90000000{i}"}, tracking={f"UA-900{i}"})
+            for i, site in enumerate(lone)
+        ]
+        mg = _graphs(profiles)
+        buf = io.StringIO()
+        dump_metagraph_csv(mg, buf)
+        buf.seek(0)
+        loaded = load_metagraph_csv(buf)
+        assert mg.nodes.isdisjoint(lone)
+        assert loaded.nodes == mg.nodes
+        assert loaded.numerators.keys() == mg.numerators.keys()
+        weights = mg.weights
+        assert all(float(w) == float(weights[e]) for e, w in loaded.weights.items())
+
+
 def test_metagraph_csv_rejects_a_repeated_pair():
     text = ("site_a,site_b,weight\na.example,b.example,1\nb.example,c.example,1\n\n"
             "a.example,b.example,2\n")
@@ -430,12 +454,12 @@ def test_metagraph_csv_rejects_a_repeated_pair():
 
 
 def test_from_weights_checks_edges():
-    mg = Metagraph.from_weights({("a", "b"): Fraction(1, 6), ("b", "c"): Fraction(3, 4)}, {"d"})
-    assert (mg.nodes, mg.numerators, mg.denominator) == ({"a", "b", "c", "d"},
+    mg = Metagraph.from_weights({("a", "b"): Fraction(1, 6), ("b", "c"): Fraction(3, 4)})
+    assert (mg.nodes, mg.numerators, mg.denominator) == ({"a", "b", "c"},
                                                          {("a", "b"): 2, ("b", "c"): 9}, 12)
     # Equal weights over different denominators make equal graphs.
     assert Metagraph.from_weights({("a", "b"): Fraction(1, 2)}) == Metagraph(
-        nodes={"a", "b"}, numerators={("a", "b"): 2}, denominator=4
+        numerators={("a", "b"): 2}, denominator=4
     )
     with pytest.raises(ValueError, match="u < v"):
         Metagraph.from_weights({("b", "a"): 1})

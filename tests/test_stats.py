@@ -65,6 +65,18 @@ def test_id_counts_fractions_sum_to_one():
     assert sum(hist.values()) == pytest.approx(1.0)
 
 
+def test_id_counts_read_a_one_shot_iterable_once():
+    rng = random.Random(9)
+    profiles = [
+        make_profile(f"s{i}.example",
+                     publisher={f"pub-10000000{k}" for k in range(4) if rng.random() < 0.4},
+                     tracking={f"UA-100{k}" for k in range(4) if rng.random() < 0.4},
+                     container={f"GTM-C{k:05d}" for k in range(3) if rng.random() < 0.3})
+        for i in range(40)
+    ]
+    assert per_site_id_counts(p for p in profiles) == per_site_id_counts(profiles)
+
+
 # --- publisher_sizes --------------------------------------------------------
 
 def _bipartite(profile_specs):
