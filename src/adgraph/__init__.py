@@ -30,7 +30,6 @@ from .extractor import (
     iter_profiles,
     load_blocklist,
     load_dictionary,
-    load_profiles,
     summarize_extraction,
 )
 from .graphs import (

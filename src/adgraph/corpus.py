@@ -372,15 +372,20 @@ def load_rank_list(path: str | Path) -> dict[str, int]:
 
 
 def load_category_map(path: str | Path) -> dict[str, str]:
-    """Load a headerless ``domain,category`` CSV into domain -> label."""
+    """Load a ``domain,category`` CSV into domain -> label. A first row of
+    ``domain,category`` itself, in any case, is a header and is skipped."""
     categories: dict[str, str] = {}
     duplicates = 0
+    first = True
     with open(path, encoding="utf-8") as fh:
         for row_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split(",", 1)
+            header, first = first, False
+            if header and [p.strip().lower() for p in parts] == ["domain", "category"]:
+                continue
             if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
                 raise FormatError(f"{path}: malformed category row {row_no}: {line!r}")
             domain, label = parts[0].strip().lower(), parts[1].strip()

@@ -31,7 +31,7 @@ import json
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     CrawlRecord,
@@ -211,16 +211,18 @@ class SiteIdProfile:
         an object with a string ``domain``, ``ids`` maps each kind to an
         object of key -> list of distinct source names, and every
         ``raw_counts`` value is something ``int()`` accepts."""
-        keys, sources, raw_counts = _profile_fields(obj)
-        return cls(obj["domain"], keys, sources, raw_counts)
+        return cls(*_profile_fields(obj))
 
 
-def _profile_fields(
-    obj: object,
-) -> tuple[dict[IdKind, frozenset[str]], dict[str, frozenset[Source]], dict[IdKind, int]]:
-    """The keys, sources and raw counts of one profile JSON object, after
-    the checks ``SiteIdProfile.from_json_obj`` documents: every reader of
-    profile lines rejects the same lines with the same messages."""
+# (domain, keys, sources, raw_counts): the arguments of SiteIdProfile.
+_ProfileFields = tuple[str, dict[IdKind, frozenset[str]], dict[str, frozenset[Source]],
+                       dict[IdKind, int]]
+
+
+def _profile_fields(obj: object) -> _ProfileFields:
+    """The domain, keys, sources and raw counts of one profile JSON object,
+    after the checks ``SiteIdProfile.from_json_obj`` documents: every reader
+    of profile lines rejects the same lines with the same messages."""
     if not isinstance(obj, dict) or not isinstance(obj.get("domain"), str):
         raise ValueError("not a profile object with a string domain")
     ids, counts = obj.get("ids", _NO_ENTRIES), obj.get("raw_counts", _NO_ENTRIES)
@@ -250,7 +252,7 @@ def _profile_fields(
                 raise ValueError(f"raw_counts.{name} is not an integer") from None
         if count:
             raw_counts[kind] = count
-    return keys, sources, raw_counts
+    return obj["domain"], keys, sources, raw_counts
 
 
 def extract_profile(
@@ -437,7 +439,6 @@ def dump_profiles(profiles: Iterable[SiteIdProfile], stream: IO[str]) -> None:
 # JSON's own whitespace; str.isspace() also accepts "\x0c", "\u2028" and more.
 _JSON_SPACE = " \t\n\r"
 _decode_json_prefix = json.JSONDecoder().raw_decode
-_T = TypeVar("_T")
 
 
 def _parse_json_line(line: str) -> object:
@@ -454,28 +455,17 @@ def _parse_json_line(line: str) -> object:
     return obj
 
 
-def _decode_line(line: str, decode: Callable[[object], _T]) -> tuple[str, _T]:
-    # The parsed line dies on return, so the next line's parse reuses its
-    # memory and the decoded values of consecutive lines stay close together.
-    obj = _parse_json_line(line)
-    value = decode(obj)
-    return obj["domain"], value
+def _read_profile_lines(source: str | Path | IO[str]) -> Iterator[_ProfileFields]:
+    """``_profile_fields`` of each profile line of a JSONL file or stream,
+    in file order; blank lines are skipped.
 
-
-def _read_profile_lines(
-    source: str | Path | IO[str], decode: Callable[[object], _T]
-) -> Iterator[tuple[str, _T]]:
-    """(domain, ``decode(obj)``) for each profile line of a JSONL file or
-    stream, in file order; blank lines are skipped.
-
-    ``decode`` takes the parsed object and raises ValueError unless
-    ``_profile_fields`` accepts it. A line that is not one JSON value, that
-    ``decode`` rejects, or whose domain an earlier line already holds,
-    raises FormatError naming the file and the 1-based line.
+    A line that is not one JSON value, that ``_profile_fields`` rejects, or
+    whose domain an earlier line already holds, raises FormatError naming
+    the file and the 1-based line.
     """
     if not hasattr(source, "read"):
         with open(source, encoding="utf-8") as fh:
-            yield from _read_profile_lines(fh, decode)
+            yield from _read_profile_lines(fh)
         return
     name = getattr(source, "name", "profiles stream")
     first_line: dict[str, int] = {}
@@ -483,13 +473,15 @@ def _read_profile_lines(
         if line.isspace():
             continue
         try:
-            domain, value = _decode_line(line, decode)
+            # The parsed line dies within this expression, so the next line's
+            # parse reuses its memory and consecutive lines' fields stay close.
+            fields = _profile_fields(_parse_json_line(line))
         except ValueError as exc:  # json.JSONDecodeError included
             raise FormatError(f"{name}: line {line_no}: {exc}") from None
-        first = first_line.setdefault(domain, line_no)
+        first = first_line.setdefault(fields[0], line_no)
         if first != line_no:
-            raise FormatError(f"{name}: line {line_no}: domain {domain} repeats line {first}")
-        yield domain, value
+            raise FormatError(f"{name}: line {line_no}: domain {fields[0]} repeats line {first}")
+        yield fields
 
 
 def iter_profiles(source: str | Path | IO[str]) -> Iterator[SiteIdProfile]:
@@ -500,10 +492,5 @@ def iter_profiles(source: str | Path | IO[str]) -> Iterator[SiteIdProfile]:
     or whose domain an earlier line already holds, raises FormatError
     naming the file and the 1-based line.
     """
-    for _, profile in _read_profile_lines(source, SiteIdProfile.from_json_obj):
-        yield profile
-
-
-def load_profiles(source: str | Path | IO[str]) -> list[SiteIdProfile]:
-    """Every profile of ``iter_profiles(source)``, in file order."""
-    return list(iter_profiles(source))
+    for fields in _read_profile_lines(source):
+        yield SiteIdProfile(*fields)

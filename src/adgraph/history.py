@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import FormatError
-from .extractor import IdKind, SiteIdProfile, _profile_fields, _read_profile_lines, dump_profiles
+from .extractor import IdKind, SiteIdProfile, _read_profile_lines, dump_profiles
 from .stats import RegressionFit, linear_fit
 
 
@@ -102,19 +102,14 @@ class Snapshot:
     def build(
         cls,
         snapshot_id: str,
-        profiles: Iterable[SiteIdProfile] | Mapping[str, SiteIdProfile | SiteKeys],
+        profiles: Iterable[SiteIdProfile],
         total_sites: int | None = None,
         publisher_sizes: Mapping[str, int] | None = None,
     ) -> "Snapshot":
-        """``profiles`` maps domains to anything with ``keys_for``, or is an
-        iterable of profiles."""
-        if isinstance(profiles, Mapping):
-            items = profiles.items()
-        else:
-            items = ((p.landing_domain, p) for p in profiles)
+        """A repeated domain keeps its last profile."""
         by_domain = {
-            domain: _site_keys(p.keys_for(IdKind.PUBLISHER), p.keys_for(IdKind.TRACKING))
-            for domain, p in items
+            p.landing_domain: _site_keys(p.keys_for(IdKind.PUBLISHER), p.keys_for(IdKind.TRACKING))
+            for p in profiles
         }
         if publisher_sizes is None:
             publisher_sizes = {}
@@ -394,7 +389,8 @@ def save_snapshot(
 def load_snapshot(directory: str | Path) -> Snapshot:
     """Read a snapshot directory straight into ``SiteKeys``, counting
     publisher_sizes in the same pass. Profile lines are checked, and
-    errors worded, as ``load_profiles`` does."""
+    errors worded, as ``iter_profiles`` does: both read them through
+    ``_read_profile_lines``."""
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
     if not manifest_path.exists():
@@ -409,14 +405,11 @@ def load_snapshot(directory: str | Path) -> Snapshot:
         total_sites = int(manifest["total_sites"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{manifest_path}: total_sites: {exc}") from None
+    profiles: dict[str, SiteKeys] = {}
     sizes: dict[str, int] = {}
-
-    def site_keys(obj: object) -> SiteKeys:
-        keys = _profile_fields(obj)[0]
+    for domain, keys, _, _ in _read_profile_lines(directory / _PROFILES):
         site = _site_keys(keys.get(IdKind.PUBLISHER, ()), keys.get(IdKind.TRACKING, ()))
-        return _count_publishers(site, sizes)
-
-    profiles = dict(_read_profile_lines(directory / _PROFILES, site_keys))
+        profiles[domain] = _count_publishers(site, sizes)
     return Snapshot(str(manifest["snapshot_id"]), profiles, total_sites, sizes)
 
 

@@ -35,7 +35,7 @@ from adgraph.extractor import (
     IdKind,
     SiteIdProfile,
     Source,
-    load_profiles,
+    iter_profiles,
 )
 from adgraph.graphs import KINDS_OF_FAMILY, IdFamily, Metagraph
 from adgraph.history import (
@@ -87,7 +87,7 @@ def first_pair_only_snapshots():
 
 
 # ---------------------------------------------------------------------------
-# History reference: snapshots of full profiles, read through load_profiles
+# History reference: snapshots of full profiles, read through iter_profiles
 # and sized by counting each profile's Publisher keys. The library decodes a
 # snapshot straight into compact per-site keys; every series must come out
 # the same over both.
@@ -96,7 +96,7 @@ def first_pair_only_snapshots():
 def load_snapshot_reference(directory):
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
-    profiles = {p.landing_domain: p for p in load_profiles(directory / "profiles.jsonl")}
+    profiles = {p.landing_domain: p for p in iter_profiles(directory / "profiles.jsonl")}
     sizes = {}
     for p in profiles.values():
         for key in p.keys_for(IdKind.PUBLISHER):

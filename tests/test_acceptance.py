@@ -6,6 +6,7 @@ they print. Every tolerance is pinned here, not configurable.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import random
@@ -250,7 +251,7 @@ def test_criterion_8_history():
 
         # antisymmetry under snapshot reversal (relabeled to keep ids rising)
         relabeled = [
-            Snapshot.build(sid, snap.profiles, publisher_sizes=snap.publisher_sizes)
+            dataclasses.replace(snap, snapshot_id=sid)
             for sid, snap in zip(("2021-01-01", "2021-04-01", "2021-07-01"), (s3, s2, s1))
         ]
         reversed_series = transition_series(relabeled)

@@ -17,7 +17,7 @@ import adgraph.corpus
 from adgraph.cli import run
 from adgraph.communities import girvan_newman, prune_edges
 from adgraph.corpus import CrawlRecord
-from adgraph.extractor import SiteIdProfile, dump_profiles, load_profiles
+from adgraph.extractor import SiteIdProfile, dump_profiles, iter_profiles
 from adgraph.graphs import (
     KINDS_OF_FAMILY,
     IdFamily,
@@ -92,7 +92,7 @@ def test_extract_snapshot_manifest(crawl_file, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     assert manifest == {"snapshot_id": "2021-04-01", "total_sites": 50}
     # save_snapshot writes the same snapshot directory, byte for byte.
-    save_snapshot(load_profiles(out), tmp_path / "api", "2021-04-01", 50)
+    save_snapshot(list(iter_profiles(out)), tmp_path / "api", "2021-04-01", 50)
     for name in ("profiles.jsonl", "manifest.json"):
         assert (tmp_path / "api" / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -196,7 +196,7 @@ def test_graph_normalizer_and_intermediary_flags(tmp_path):
     crawl = tmp_path / "crawl.jsonl"
     crawl.write_text(crawl_jsonl(records), encoding="utf-8")
     profiles_path = _extract(crawl, tmp_path)
-    profiles = load_profiles(profiles_path)
+    profiles = list(iter_profiles(profiles_path))
     for name, extra, threshold in (  # threshold None: keep every key
         ("dflt", [], 100),
         ("keep", ["--keep-intermediaries"], None),
@@ -280,6 +280,20 @@ def test_stats_poisson(tmp_path):
     assert code == 0
     baseline = json.loads((tmp_path / "baseline.json").read_text(encoding="utf-8"))
     assert baseline == {"size": 2, "labeled_sites": 4, "mean_richness": 5 / 3}
+
+
+def test_stats_poisson_ignores_a_category_header(tmp_path):
+    cats = _categories(tmp_path)
+    headed = tmp_path / "headed.csv"
+    headed.write_text("domain,category\n" + cats.read_text(encoding="utf-8"), encoding="utf-8")
+    written = []
+    for name, path in (("plain", cats), ("headed", headed)):
+        out = tmp_path / name / "baseline.json"
+        assert run(["stats", "poisson", "--categories", str(path), "--size", "3",
+                    "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["labeled_sites"] == 50
 
 
 def test_stats_diversity(tmp_path):
@@ -799,10 +813,10 @@ def test_history_builds_no_site_profile(tmp_path, monkeypatch):
 
     before = outputs("before")
 
-    def refuse(obj):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("history built a SiteIdProfile")
 
-    monkeypatch.setattr(SiteIdProfile, "from_json_obj", refuse)
+    monkeypatch.setattr(SiteIdProfile, "__init__", refuse)
     assert outputs("after") == before
 
 

@@ -365,3 +365,13 @@ def test_load_category_map(tmp_path):
     cats = load_category_map(path)
     assert cats["a.example"] == "News and Media"
     assert "c.example" not in cats
+
+
+def test_load_category_map_skips_a_header_row(tmp_path):
+    path = tmp_path / "cats.csv"
+    for header in ("domain,category\n", "\n Domain , CATEGORY \n"):
+        path.write_text(header + "a.example,News\n", encoding="utf-8")
+        assert load_category_map(path) == {"a.example": "News"}
+    # Only the first row can be a header; later it is a site called "domain".
+    path.write_text("a.example,News\ndomain,category\n", encoding="utf-8")
+    assert load_category_map(path) == {"a.example": "News", "domain": "category"}

@@ -22,7 +22,6 @@ from adgraph.extractor import (
     extract_profile,
     flag_anomalies,
     iter_profiles,
-    load_profiles,
     summarize_extraction,
 )
 from helpers import (
@@ -475,7 +474,7 @@ def test_profile_jsonl_roundtrip(corpus50, dictionary, blocklist):
     buf = io.StringIO()
     dump_profiles(profiles, buf)
     buf.seek(0)
-    again = load_profiles(buf)
+    again = list(iter_profiles(buf))
     assert again == profiles
 
 
@@ -485,7 +484,7 @@ def test_iter_profiles_opens_its_file_at_the_first_profile(tmp_path):
     profiles = random_profiles(8, 1)
     with open(path, "w", encoding="utf-8") as fh:
         dump_profiles(profiles, fh)
-    assert list(reader) == profiles == load_profiles(path)
+    assert list(reader) == profiles == list(iter_profiles(path))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -497,7 +496,7 @@ def test_profile_codec_matches_reference(seed):
     assert text == "".join(
         json.dumps(profile_to_json_obj_reference(p), sort_keys=True) + "\n" for p in profiles
     )
-    again = load_profiles(io.StringIO(text))
+    again = list(iter_profiles(io.StringIO(text)))
     assert again == profiles
     rng = random.Random(seed)
     for line in text.splitlines():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -229,8 +230,7 @@ def test_transition_series_counts_sum_to_universe():
 
 def test_transition_series_identical_snapshots_all_no_change():
     earlier, _ = _transition_pair()
-    later = Snapshot.build("2020-04-01", earlier.profiles,
-                           publisher_sizes=earlier.publisher_sizes)
+    later = dataclasses.replace(earlier, snapshot_id="2020-04-01")
     series = transition_series([earlier, later])
     _, _, counts = series.intervals[0]
     assert counts[TransitionClass.NO_CHANGE] == 4
