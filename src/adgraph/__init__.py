@@ -26,7 +26,6 @@ from .extractor import (
     dump_profiles,
     extract_crawl,
     extract_profile,
-    flag_anomalies,
     iter_profiles,
     load_blocklist,
     load_dictionary,

@@ -32,11 +32,11 @@ from .extractor import (
     SiteIdProfile,
     dump_profiles,
     extract_crawl,
-    flag_anomalies,
     iter_profiles,
     load_blocklist,
     load_dictionary,
     summarize_extraction,
+    _ANOMALY_THRESHOLD,
 )
 from .graphs import (
     BipartiteGraph,
@@ -79,8 +79,6 @@ from .stats import (
     richness_vs_baseline,
     shannon_diversity,
 )
-
-_ANOMALY_THRESHOLD = 40  # extract's default; report uses it too
 
 
 def _at_least(low: float, kind: Callable[[str], float] = int) -> Callable[[str], float]:
@@ -177,11 +175,8 @@ def _extract_stage(
         raise FormatError(f"{args.infile}: no well-formed crawl line ({len(skips)} skipped)")
     with _open_out(out_dir / profiles_name) as fh:
         dump_profiles(profiles, fh)
-    summary = summarize_extraction(profiles, corpus_size=site_count).to_json_obj()
+    summary = summarize_extraction(profiles, site_count, anomaly_threshold).to_json_obj()
     summary["skipped_lines"] = len(skips)
-    summary["anomalies"] = [
-        {"domain": d, "distinct_keys": n} for d, n in flag_anomalies(profiles, anomaly_threshold)
-    ]
     _write_json(out_dir / "summary.json", summary)
     _write_csv(
         out_dir / "site_ranks.csv",
@@ -432,8 +427,16 @@ def _cmd_stats_categories(args: argparse.Namespace) -> None:
 
 
 def _read_communities_csv(path) -> list[tuple[int, list[str]]]:
+    """communities.csv: each site in one row, else FormatError naming the row."""
+    first_row: dict[str, int] = {}
+
+    def check(row: list, row_no: int) -> None:
+        first = first_row.setdefault(row[1], row_no)
+        if first != row_no:
+            raise ValueError(f"site {row[1]} repeats row {first}")
+
     groups: dict[int, list[str]] = {}
-    for community_id, site in _read_table(path, {"community_id": int, "site": str}):
+    for community_id, site in _read_table(path, {"community_id": int, "site": str}, check):
         groups.setdefault(community_id, []).append(site)
     return sorted(groups.items())
 

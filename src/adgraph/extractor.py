@@ -31,7 +31,7 @@ import json
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import (
     CrawlRecord,
@@ -77,10 +77,6 @@ PATTERNS: dict[IdKind, re.Pattern[str]] = {
 _WORD_KINDS = frozenset({IdKind.MEASUREMENT, IdKind.CONTAINER})
 
 
-def _is_word(value: str, dictionary: frozenset[str] | set[str]) -> bool:
-    return value.split("-", 1)[1].lower() in dictionary
-
-
 def canonical_key(value: str, kind: IdKind) -> str:
     """Tracking values collapse to their account prefix; others pass through."""
     if kind is IdKind.TRACKING:
@@ -109,36 +105,6 @@ def load_blocklist(path: str | Path | None = None) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # Per-site profiles
 # ---------------------------------------------------------------------------
-
-def _matches(
-    record: CrawlRecord,
-    dictionary: frozenset[str] | set[str],
-    blocklist: frozenset[str] | set[str],
-) -> Iterator[tuple[Source, IdKind, list[str]]]:
-    """The filtered matches of one record as (channel, kind, values), one
-    triple per channel and kind that kept any; values repeat as often as
-    they occur.
-
-    Each channel is one findall per kind. Request URLs, and cookie names
-    and values, are scanned joined by newlines: no pattern matches a
-    newline, and every boundary check treats it as the edge of a string,
-    so each text keeps its own matches.
-    """
-    for source, text in (
-        (Source.HTML, record.page_text),
-        (Source.REQUEST, "\n".join(record.request_urls)),
-        (Source.COOKIE, "\n".join(itertools.chain.from_iterable(record.cookies))),
-    ):
-        if not text:
-            continue
-        for kind, pattern in PATTERNS.items():
-            values = pattern.findall(text)
-            if values:
-                values = [v for v in values if v not in blocklist
-                          and not (kind in _WORD_KINDS and _is_word(v, dictionary))]
-                if values:
-                    yield source, kind, values
-
 
 # The profile JSON codec works from these tables, so it runs no Enum code
 # per profile: each kind with its JSON name, and each of the 8 source
@@ -219,6 +185,15 @@ _ProfileFields = tuple[str, dict[IdKind, frozenset[str]], dict[str, frozenset[So
                        dict[IdKind, int]]
 
 
+def _whole_number(value: object) -> int:
+    """``int(value)``, unless that drops a fraction: "3", 2.0 and true are
+    whole numbers, and 2.7 raises ValueError as "x" does."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def _profile_fields(obj: object) -> _ProfileFields:
     """The domain, keys, sources and raw counts of one profile JSON object,
     after the checks ``SiteIdProfile.from_json_obj`` documents: every reader
@@ -245,9 +220,9 @@ def _profile_fields(obj: object) -> _ProfileFields:
                 except (KeyError, TypeError):  # unsorted, repeated or bad names
                     sources[key] = _source_set(key, srcs)
         count = counts.get(name, 0)
-        if type(count) is not int:  # "3", 2.0 and true are counts too
+        if type(count) is not int:
             try:
-                count = int(count)
+                count = _whole_number(count)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"raw_counts.{name} is not an integer") from None
         if count:
@@ -260,7 +235,13 @@ def extract_profile(
     dictionary: frozenset[str] | set[str],
     blocklist: frozenset[str] | set[str],
 ) -> SiteIdProfile:
-    """Aggregate one record's filtered matches into canonical keys.
+    """Scan one record for the four ID kinds, drop dictionary words and
+    blocklisted values, and fold the rest into canonical keys.
+
+    Each channel is one findall per kind. Request URLs, and cookie names
+    and values, are scanned joined by newlines: no pattern matches a
+    newline, and every boundary check treats it as the edge of a string,
+    so each text keeps its own matches.
 
     raw_counts tally every filtered match occurrence per kind, before
     canonical merging.
@@ -268,13 +249,26 @@ def extract_profile(
     found: dict[IdKind, set[str]] = {}
     sources: dict[str, frozenset[Source]] = {}
     counts: dict[IdKind, int] = {}
-    for source, kind, values in _matches(record, dictionary, blocklist):
-        counts[kind] = counts.get(kind, 0) + len(values)
-        if kind is IdKind.TRACKING:
-            values = [canonical_key(value, kind) for value in values]
-        found.setdefault(kind, set()).update(values)
-        for key in values:
-            sources[key] = _WITH_SOURCE[sources.get(key, _NO_SOURCES), source]
+    for source, text in (
+        (Source.HTML, record.page_text),
+        (Source.REQUEST, "\n".join(record.request_urls)),
+        (Source.COOKIE, "\n".join(itertools.chain.from_iterable(record.cookies))),
+    ):
+        if not text:
+            continue
+        for kind, pattern in PATTERNS.items():
+            values = pattern.findall(text)
+            if values:
+                values = [v for v in values if v not in blocklist and not (
+                    kind in _WORD_KINDS and v.split("-", 1)[1].lower() in dictionary)]
+            if not values:
+                continue
+            counts[kind] = counts.get(kind, 0) + len(values)
+            if kind is IdKind.TRACKING:
+                values = [canonical_key(value, kind) for value in values]
+            found.setdefault(kind, set()).update(values)
+            for key in values:
+                sources[key] = _WITH_SOURCE[sources.get(key, _NO_SOURCES), source]
     return SiteIdProfile(
         landing_domain=record.landing_domain,
         keys={kind: frozenset(found[kind]) for kind in _KINDS_BY_NAME if kind in found},
@@ -354,74 +348,74 @@ class KindSummary:
     pct_in_cookies: float
 
 
+_ANOMALY_THRESHOLD = 40  # distinct keys a site may carry before it is flagged
+
+
 @dataclass(frozen=True)
 class ExtractionSummary:
     corpus_size: int
     kinds: dict[IdKind, KindSummary]
+    anomalies: list[tuple[str, int]]  # (domain, distinct keys), heaviest first
 
     def to_json_obj(self) -> dict:
         return {
             "corpus_size": self.corpus_size,
             "kinds": {kind.value: asdict(ks) for kind, ks in self.kinds.items()},
+            "anomalies": [{"domain": d, "distinct_keys": n} for d, n in self.anomalies],
         }
 
 
-def summarize_extraction(profiles: Sequence[SiteIdProfile], corpus_size: int) -> ExtractionSummary:
-    """Per-kind ID counts, site coverage and source-channel shares.
+def summarize_extraction(
+    profiles: Iterable[SiteIdProfile],
+    corpus_size: int,
+    anomaly_threshold: int = _ANOMALY_THRESHOLD,
+) -> ExtractionSummary:
+    """Per-kind ID counts, site coverage and source-channel shares, and the
+    anomalies, from one walk over ``profiles``; empty profiles are skipped.
 
     Channel shares are fractions of the kind's unique keys whose source set
-    (unioned across sites) includes that channel.
+    (unioned across sites) includes that channel. Anomalies are the sites
+    whose distinct keys across all kinds strictly exceed the threshold,
+    heaviest first and ties by domain. High counts tend to indicate
+    scripted or abusive ID stuffing rather than ordinary multi-author
+    sites.
     """
     if corpus_size <= 0:
         raise ValueError("corpus_size must be positive")
-    bearing = [p for p in profiles if not p.is_empty()]
-    if len({p.landing_domain for p in bearing}) > corpus_size:
-        raise ValueError("more profiled sites than corpus_size")
+    if anomaly_threshold < 1:
+        raise ValueError("threshold must be >= 1")
     key_sources_of: dict[IdKind, dict[str, set[Source]]] = {kind: {} for kind in IdKind}
     sites_of = dict.fromkeys(IdKind, 0)
-    for p in bearing:
+    domains: set[str] = set()
+    anomalies: list[tuple[str, int]] = []
+    for p in profiles:
+        if p.is_empty():
+            continue
+        domains.add(p.landing_domain)
         for kind, ks in p.keys.items():
             if ks:
                 sites_of[kind] += 1
                 key_sources = key_sources_of[kind]
                 for key in ks:
                     key_sources.setdefault(key, set()).update(p.sources.get(key, _NO_SOURCES))
+        if p.total_keys() > anomaly_threshold:
+            anomalies.append((p.landing_domain, p.total_keys()))
+    if len(domains) > corpus_size:
+        raise ValueError("more profiled sites than corpus_size")
+    anomalies.sort(key=lambda t: (-t[1], t[0]))
     kinds: dict[IdKind, KindSummary] = {}
-    for kind in IdKind:
-        key_sources, sites = key_sources_of[kind], sites_of[kind]
-        n_ids = len(key_sources)
-
-        def share(source: Source) -> float:
-            if n_ids == 0:
-                return 0.0
-            return sum(1 for s in key_sources.values() if source in s) / n_ids
-
+    for kind, key_sources in key_sources_of.items():
+        n_ids, sites = len(key_sources), sites_of[kind]
+        channels = list(itertools.chain.from_iterable(key_sources.values()))
         kinds[kind] = KindSummary(
             unique_ids=n_ids,
             unique_sites=sites,
             pct_of_sites=sites / corpus_size,
-            pct_in_html=share(Source.HTML),
-            pct_in_requests=share(Source.REQUEST),
-            pct_in_cookies=share(Source.COOKIE),
+            pct_in_html=channels.count(Source.HTML) / (n_ids or 1),
+            pct_in_requests=channels.count(Source.REQUEST) / (n_ids or 1),
+            pct_in_cookies=channels.count(Source.COOKIE) / (n_ids or 1),
         )
-    return ExtractionSummary(corpus_size=corpus_size, kinds=kinds)
-
-
-def flag_anomalies(
-    profiles: Sequence[SiteIdProfile], threshold: int = 40
-) -> list[tuple[str, int]]:
-    """Sites whose distinct keys across all kinds strictly exceed the
-    threshold, heaviest first. High counts tend to indicate scripted or
-    abusive ID stuffing rather than ordinary multi-author sites."""
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    flagged = [
-        (p.landing_domain, p.total_keys())
-        for p in profiles
-        if p.total_keys() > threshold
-    ]
-    flagged.sort(key=lambda t: (-t[1], t[0]))
-    return flagged
+    return ExtractionSummary(corpus_size=corpus_size, kinds=kinds, anomalies=anomalies)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import FormatError
-from .extractor import IdKind, SiteIdProfile, _read_profile_lines, dump_profiles
+from .extractor import IdKind, SiteIdProfile, _read_profile_lines, _whole_number, dump_profiles
 from .stats import RegressionFit, linear_fit
 
 
@@ -401,8 +401,11 @@ def load_snapshot(directory: str | Path) -> Snapshot:
         raise FormatError(f"{manifest_path}: not JSON ({exc})") from None
     if not isinstance(manifest, dict) or not {"snapshot_id", "total_sites"} <= manifest.keys():
         raise FormatError(f"{manifest_path}: expected an object with snapshot_id and total_sites")
+    snapshot_id = manifest["snapshot_id"]
+    if not isinstance(snapshot_id, str):
+        raise FormatError(f"{manifest_path}: snapshot_id is not a string")
     try:
-        total_sites = int(manifest["total_sites"])
+        total_sites = _whole_number(manifest["total_sites"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{manifest_path}: total_sites: {exc}") from None
     profiles: dict[str, SiteKeys] = {}
@@ -410,7 +413,7 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     for domain, keys, _, _ in _read_profile_lines(directory / _PROFILES):
         site = _site_keys(keys.get(IdKind.PUBLISHER, ()), keys.get(IdKind.TRACKING, ()))
         profiles[domain] = _count_publishers(site, sizes)
-    return Snapshot(str(manifest["snapshot_id"]), profiles, total_sites, sizes)
+    return Snapshot(snapshot_id, profiles, total_sites, sizes)
 
 
 def load_snapshots(directories: Iterable[str | Path]) -> list[Snapshot]:

@@ -292,7 +292,8 @@ def shannon_diversity(categories: Iterable[str]) -> DiversityReport:
     if total == 0:
         raise ValueError("empty category multiset")
     proportions = {label: c / total for label, c in sorted(counts.items())}
-    h = -sum(p * math.log(p) for p in proportions.values() if p > 0)
+    # 0.0 - x rather than -x: one category must give 0.0, not -0.0.
+    h = 0.0 - sum(p * math.log(p) for p in proportions.values() if p > 0)
     return DiversityReport(
         richness=len(counts),
         proportions=proportions,

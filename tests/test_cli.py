@@ -298,15 +298,17 @@ def test_stats_poisson_ignores_a_category_header(tmp_path):
 
 def test_stats_diversity(tmp_path):
     cats = tmp_path / "cats.csv"
-    cats.write_text("a.example,News\nb.example,News\nc.example,Arts\n", encoding="utf-8")
+    cats.write_text("a.example,News\nb.example,News\nc.example,Arts\nd.example,News\n",
+                    encoding="utf-8")
     communities = tmp_path / "communities.csv"
-    communities.write_text("community_id,site\n0,a.example\n0,b.example\n0,c.example\n",
-                           encoding="utf-8")
+    communities.write_text("community_id,site\n0,a.example\n0,b.example\n0,c.example\n"
+                           "1,d.example\n", encoding="utf-8")
     assert run(["stats", "diversity", "--communities", str(communities),
                 "--categories", str(cats), "--out", str(tmp_path / "div.csv")]) == 0
     with open(tmp_path / "div.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][3] == "2"  # richness
+    assert rows[2] == ["1", "1", "1", "1", "0.0", "0.0"]  # one category: H' is +0.0
 
 
 def test_history_commands(crawl_file, tmp_path):
@@ -686,6 +688,22 @@ def test_repeated_metagraph_row_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", ["0,a.example\n0,a.example\n", "0,a.example\n1,a.example\n"],
+                         ids=["same_community", "two_communities"])
+def test_repeated_community_site_is_an_input_error(tmp_path, capsys, rows):
+    """A site listed twice would count twice towards size and labels, so it
+    names the file and both rows instead."""
+    bad = tmp_path / "communities.csv"
+    bad.write_text("community_id,site\n" + rows, encoding="utf-8")
+    cats = tmp_path / "cats.csv"
+    cats.write_text("a.example,News\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["stats", "diversity", "--communities", str(bad), "--categories", str(cats),
+                "--out", str(out / "div.csv")]) == 1
+    assert f"{bad}: row 3: site a.example repeats row 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 MALFORMED_PROFILE_LINES = (
     '{not json', '["pub-100000001"]', '{"ids": {}}', '{"domain": 5}',
     '{"domain": "b.example", "ids": []}',
@@ -724,6 +742,31 @@ def test_malformed_profiles_and_manifest_are_input_errors(tmp_path, capsys):
                     "--out", str(tmp_path / "h" / "coverage.csv")]) == 1
         assert f"{manifest}: " in capsys.readouterr().err
     assert not (tmp_path / "ids").exists() and not (tmp_path / "h").exists()
+
+
+@pytest.mark.parametrize("raw_counts, manifest, reason", [
+    ('{"publisher": 2.7}', '{"snapshot_id": "2021-01-01", "total_sites": 1}',
+     "profiles.jsonl: line 1: raw_counts.publisher is not an integer"),
+    ("{}", '{"snapshot_id": "2021-01-01", "total_sites": 2.7}',
+     "manifest.json: total_sites: 2.7 is not an integer"),
+    ("{}", '{"snapshot_id": null, "total_sites": 1}', "manifest.json: snapshot_id is not a string"),
+    ("{}", '{"snapshot_id": 20210101, "total_sites": 1}',
+     "manifest.json: snapshot_id is not a string"),
+], ids=["fractional_raw_count", "fractional_total_sites", "null_snapshot_id", "number_snapshot_id"])
+def test_lossy_count_or_non_string_snapshot_id_is_an_input_error(tmp_path, capsys,
+                                                                  raw_counts, manifest, reason):
+    """A count int() would truncate, or a snapshot id that is not a string,
+    names its file; nothing is written."""
+    snap = tmp_path / "snap"
+    snap.mkdir()
+    (snap / "profiles.jsonl").write_text(
+        f'{{"domain": "a.example", "raw_counts": {raw_counts}}}\n', encoding="utf-8")
+    (snap / "manifest.json").write_text(manifest + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["history", "coverage", "--snapshots", str(snap),
+                "--out", str(out / "coverage.csv")]) == 1
+    assert f"{snap / reason}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _profile_readers(profiles, snap, out):

@@ -20,7 +20,6 @@ from adgraph.extractor import (
     dump_profiles,
     extract_crawl,
     extract_profile,
-    flag_anomalies,
     iter_profiles,
     summarize_extraction,
 )
@@ -447,22 +446,39 @@ def test_summary_rejects_zero_corpus():
 
 # --- anomalies --------------------------------------------------------------
 
-def test_flag_anomalies_strict_threshold():
+def test_summary_anomalies_strict_threshold():
     big = make_profile("big.example", tracking={f"UA-9{i:06d}" for i in range(94)})
     edge = make_profile("edge.example", tracking={f"UA-8{i:06d}" for i in range(40)})
-    flagged = flag_anomalies([big, edge], threshold=40)
+    flagged = summarize_extraction([big, edge], 2, anomaly_threshold=40).anomalies
     assert flagged == [("big.example", 94)]
 
 
-def test_flag_anomalies_empty():
-    assert flag_anomalies([]) == []
+def test_summary_anomalies_empty():
+    assert summarize_extraction([], 1).anomalies == []
 
 
-def test_flag_anomalies_counts_across_kinds():
+def test_summary_anomalies_count_across_kinds():
     p = make_profile("m.example",
                      publisher={f"pub-10000000{i:02d}" for i in range(30)},
                      container={f"GTM-Z{i:05d}" for i in range(15)})
-    assert flag_anomalies([p], threshold=40) == [("m.example", 45)]
+    assert summarize_extraction([p], 1, anomaly_threshold=40).anomalies == [("m.example", 45)]
+
+
+def test_summary_anomalies_match_a_naive_filter_in_one_walk():
+    profiles = random_profiles(300, seed=11)
+    expected = sorted(
+        ((p.landing_domain, p.total_keys()) for p in profiles if p.total_keys() > 6),
+        key=lambda t: (-t[1], t[0]),
+    )
+    summary = summarize_extraction(profiles, 300, anomaly_threshold=6)
+    assert expected and len(expected) < len(profiles)
+    assert summary.anomalies == expected
+    assert summarize_extraction(iter(profiles), 300, anomaly_threshold=6) == summary
+
+
+def test_summary_rejects_a_threshold_below_one():
+    with pytest.raises(ValueError, match="threshold must be >= 1"):
+        summarize_extraction([], 1, anomaly_threshold=0)
 
 
 # --- profile dumps ----------------------------------------------------------

@@ -335,6 +335,7 @@ def test_popularity_max_size_clamps():
 def test_shannon_single_category():
     report = shannon_diversity(["News"] * 4)
     assert report.shannon_h == 0.0 and report.richness == 1 and report.h_max == 0.0
+    assert math.copysign(1, report.shannon_h) == 1  # +0.0, not -0.0
 
 
 def test_shannon_uniform_two():
