@@ -21,7 +21,6 @@ NO_FILTER = frozenset()
 def crawled(page_text, request_urls=(), cookies=()):
     return CrawlRecord(
         requested_domain="news-site.example",
-        landing_url="https://news-site.example/",
         landing_domain="news-site.example",
         page_text=page_text,
         request_urls=request_urls,

@@ -381,25 +381,10 @@ def _cmd_stats_ids(args: argparse.Namespace) -> None:
     _id_counts_stage(iter_profiles(args.profiles), out.parent, out.name)
 
 
-def _load_site_ranks(path) -> dict[str, int]:
-    """site_ranks.csv: one rank >= 1 per domain, else FormatError naming the row."""
-    first_row: dict[str, int] = {}
-
-    def check(row: list, row_no: int) -> None:
-        rank, domain = row
-        if rank < 1:
-            raise ValueError(f"rank {rank} is below 1")
-        first = first_row.setdefault(domain, row_no)
-        if first != row_no:
-            raise ValueError(f"domain {domain} repeats row {first}")
-
-    return {domain: rank for rank, domain in _read_table(path, {"rank": int, "domain": str}, check)}
-
-
 def _cmd_stats_sizes(args: argparse.Namespace) -> None:
     out = Path(args.out)
     bipartite = build_bipartite(iter_profiles(args.profiles))[IdFamily(args.family)]
-    ranks = _load_site_ranks(args.site_ranks) if args.site_ranks else None
+    ranks = load_rank_list(args.site_ranks) if args.site_ranks else None
     _sizes_stage(bipartite, ranks, out.parent, out.name)
 
 
@@ -416,7 +401,7 @@ def _cmd_stats_powerlaw(args: argparse.Namespace) -> None:
 def _cmd_stats_popularity(args: argparse.Namespace) -> None:
     out = Path(args.out)
     bipartite = build_bipartite(iter_profiles(args.profiles))[IdFamily.PUBLISHER]
-    ranks = _load_site_ranks(args.site_ranks)
+    ranks = load_rank_list(args.site_ranks)
     _popularity_stage(publisher_sizes(bipartite, ranks), args.max_size, out.parent, out.name)
 
 

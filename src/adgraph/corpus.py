@@ -7,6 +7,7 @@ registrable landing domain (public suffix + one label).
 
 from __future__ import annotations
 
+import csv
 import ipaddress
 import json
 import logging
@@ -184,13 +185,11 @@ class CrawlRecord:
     """One crawled website: rendered text plus observed requests and cookies."""
 
     requested_domain: str
-    landing_url: str
     landing_domain: str
     page_text: str = ""
     request_urls: tuple[str, ...] = ()
     cookies: tuple[tuple[str, str], ...] = ()
     rank: int | None = None
-    snapshot_id: str | None = None
 
 
 def _record_from_obj(obj: dict, table: PublicSuffixTable | None) -> CrawlRecord:
@@ -220,8 +219,7 @@ def _record_from_obj(obj: dict, table: PublicSuffixTable | None) -> CrawlRecord:
     rank = obj.get("rank")
     if rank is not None and (not isinstance(rank, int) or isinstance(rank, bool) or rank < 1):
         raise ValueError("'rank' must be a positive integer")
-    snapshot = obj.get("snapshot")
-    if snapshot is not None and not isinstance(snapshot, str):
+    if not isinstance(obj.get("snapshot"), (str, type(None))):  # no stage reads it
         raise ValueError("'snapshot' must be a string")
 
     # Landing domain from the landing URL; a failed render falls back to the
@@ -232,13 +230,11 @@ def _record_from_obj(obj: dict, table: PublicSuffixTable | None) -> CrawlRecord:
         landing_domain = canonicalize(domain, table)
     return CrawlRecord(
         requested_domain=domain.lower(),
-        landing_url=landing_url,
         landing_domain=landing_domain,
         page_text=html,
         request_urls=tuple(requests),
         cookies=tuple(cookies),
         rank=rank,
-        snapshot_id=snapshot,
     )
 
 
@@ -279,17 +275,22 @@ def _crawl_records(
 def parse_har(source: str | Path | IO[str], table: PublicSuffixTable | None = None) -> CrawlRecord:
     """Build one CrawlRecord from a HAR 1.2 capture of a single page load.
 
-    page_text is the body of the first successful (2xx) text/html response;
-    request_urls lists every entry's request URL; cookies are the union of
-    response cookie pairs, skipping any cookie that is not an object with a
-    string name and a string value. A HAR without entries is a FormatError;
-    a HAR without a document response yields an empty page_text.
+    The capture becomes the crawl JSONL object of its landing host and goes
+    through the crawl line's validator. Its landing URL and page text are
+    those of the first successful (2xx) text/html response, else the first
+    request URL and no text; requests lists every entry's request URL, and
+    cookies the union of response cookie pairs, skipping any that is not an
+    object with a string name and a string value. Whatever the validator or
+    a HAR check rejects, input that is not JSON included, is a FormatError.
     """
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if hasattr(source, "read"):
+            data = json.load(source)
+        else:
+            with open(source, encoding="utf-8") as fh:
+                data = json.load(fh)
+    except ValueError as exc:
+        raise FormatError(f"HAR is not JSON: {exc}") from None
     try:
         entries = data["log"]["entries"]
     except (KeyError, TypeError):
@@ -298,42 +299,42 @@ def parse_har(source: str | Path | IO[str], table: PublicSuffixTable | None = No
         raise FormatError("HAR has no entries")
 
     request_urls: list[str] = []
-    cookies: list[tuple[str, str]] = []
-    seen_cookies: set[tuple[str, str]] = set()
+    cookies: dict[tuple[str, str], None] = {}  # response cookie pairs, first seen first
     page_text = ""
     landing_url = ""
-    for entry in entries:
-        url = entry.get("request", {}).get("url", "")
+    for i, entry in enumerate(entries):
+        request = entry.get("request", {}) if isinstance(entry, dict) else None
+        response = entry.get("response", {}) if isinstance(entry, dict) else None
+        content = response.get("content", {}) if isinstance(response, dict) else None
+        if not all(isinstance(part, dict) for part in (request, response, content)):
+            raise FormatError(f"HAR entry {i} or its request, response or content is not an object")
+        url, mime = request.get("url", ""), content.get("mimeType", "")
+        status, raw_cookies = response.get("status", 0), response.get("cookies", [])
+        if not (isinstance(url, str) and isinstance(mime, str) and isinstance(raw_cookies, list)
+                and isinstance(status, int) and not isinstance(status, bool)):
+            raise FormatError(f"HAR entry {i}: url, mimeType, status or cookies of the wrong type")
         if url:
             request_urls.append(url)
-        response = entry.get("response", {})
-        status = response.get("status", 0)
-        content = response.get("content", {})
-        mime = content.get("mimeType", "")
         if not landing_url and url and 200 <= status < 300 and mime.startswith("text/html"):
             landing_url = url
             page_text = content.get("text", "") or ""
-        for c in response.get("cookies", []):
-            if not (isinstance(c, dict) and isinstance(c.get("name"), str)
+        for c in raw_cookies:
+            if (isinstance(c, dict) and isinstance(c.get("name"), str)
                     and isinstance(c.get("value"), str)):
-                continue  # as in crawl JSONL, a cookie needs a string name and value
-            pair = (c["name"], c["value"])
-            if pair not in seen_cookies:
-                seen_cookies.add(pair)
-                cookies.append(pair)
-    if not landing_url:
-        landing_url = request_urls[0] if request_urls else ""
-    if not landing_url:
+                cookies[c["name"], c["value"]] = None
+    if not request_urls:
         raise FormatError("HAR entries carry no request URLs")
-    host = urlsplit(landing_url).hostname or ""
-    return CrawlRecord(
-        requested_domain=host.lower(),
-        landing_url=landing_url,
-        landing_domain=canonicalize(landing_url, table),
-        page_text=page_text,
-        request_urls=tuple(request_urls),
-        cookies=tuple(cookies),
-    )
+    landing_url = landing_url or request_urls[0]
+    try:
+        return _record_from_obj({
+            "domain": urlsplit(landing_url).hostname or "",
+            "landing_url": landing_url,
+            "html": page_text,
+            "requests": request_urls,
+            "cookies": [{"name": name, "value": value} for name, value in cookies],
+        }, table)
+    except ValueError as exc:  # CanonicalizationError too
+        raise FormatError(f"HAR: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -341,33 +342,40 @@ def parse_har(source: str | Path | IO[str], table: PublicSuffixTable | None = No
 # ---------------------------------------------------------------------------
 
 def load_rank_list(path: str | Path) -> dict[str, int]:
-    """Load a headerless ``rank,domain`` CSV into domain -> rank.
+    """Load a ``rank,domain`` CSV, a crawl's rank list or ``site_ranks.csv``,
+    into lowercased domain -> rank. A first row of ``rank,domain`` itself,
+    in any case, is a header and is skipped.
 
-    Ranks are integers >= 1, as for the crawl JSONL ``rank``. Duplicate
-    domains: last occurrence wins (warning logged with the count).
+    Every other non-blank row holds a rank of decimal digits, at least 1,
+    and a domain that no earlier row holds; any other row is a FormatError
+    naming the file and the row.
     """
     ranks: dict[str, int] = {}
-    duplicates = 0
-    with open(path, encoding="utf-8") as fh:
-        for row_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    row_of: dict[str, int] = {}
+    first = True
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in filter(None, reader):
+            header, first = first, False
+            if header and [field.strip().lower() for field in row] == ["rank", "domain"]:
                 continue
-            parts = line.split(",", 1)
-            if len(parts) != 2 or not parts[0].strip().isdecimal():  # isdigit() passes "²"
-                raise FormatError(f"{path}: malformed rank row {row_no}: {line!r}")
-            rank, domain = int(parts[0]), parts[1].strip().lower()
-            if rank < 1:
-                raise FormatError(f"{path}: rank below 1 at row {row_no}: {line!r}")
-            if not domain:
-                raise FormatError(f"{path}: empty domain at row {row_no}")
-            if domain in ranks:
-                duplicates += 1
-            ranks[domain] = rank
-    if duplicates:
-        logger.warning("%s: %d duplicate domain row(s), last occurrence kept", path, duplicates)
-    if len(set(ranks.values())) != len(ranks):
-        logger.warning("%s: rank values are not unique", path)
+            row_no = reader.line_num
+            if len(row) != 2:
+                raise FormatError(f"{path}: row {row_no} has {len(row)} fields, expected 2")
+            text, domain = row[0], row[1].strip().lower()
+            try:
+                rank = int(text)
+                if rank < 1:
+                    raise ValueError(f"rank {rank} is below 1")
+                if not text.strip().isdecimal():  # int() also reads "+5" and "1_0"
+                    raise ValueError(f"rank {text!r} is not decimal digits")
+                if not domain:
+                    raise ValueError("empty domain")
+                if domain in row_of:
+                    raise ValueError(f"domain {domain} repeats row {row_of[domain]}")
+            except ValueError as exc:
+                raise FormatError(f"{path}: row {row_no}: {exc}") from None
+            ranks[domain], row_of[domain] = rank, row_no
     return ranks
 
 

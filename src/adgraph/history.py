@@ -390,7 +390,8 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     """Read a snapshot directory straight into ``SiteKeys``, counting
     publisher_sizes in the same pass. Profile lines are checked, and
     errors worded, as ``iter_profiles`` does: both read them through
-    ``_read_profile_lines``."""
+    ``_read_profile_lines``. A manifest whose total_sites is below the
+    number of profiled sites is a FormatError."""
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
     if not manifest_path.exists():
@@ -413,6 +414,9 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     for domain, keys, _, _ in _read_profile_lines(directory / _PROFILES):
         site = _site_keys(keys.get(IdKind.PUBLISHER, ()), keys.get(IdKind.TRACKING, ()))
         profiles[domain] = _count_publishers(site, sizes)
+    if total_sites < len(profiles):
+        raise FormatError(f"{manifest_path}: total_sites {total_sites} is below the "
+                          f"{len(profiles)} profiled sites")
     return Snapshot(snapshot_id, profiles, total_sites, sizes)
 
 

@@ -358,13 +358,11 @@ def crawl_jsonl(records):
     reader parses back into the same records."""
     lines = []
     for r in records:
-        obj = {"domain": r.requested_domain, "landing_url": r.landing_url, "html": r.page_text,
-               "requests": list(r.request_urls),
+        obj = {"domain": r.requested_domain, "landing_url": f"https://{r.landing_domain}/",
+               "html": r.page_text, "requests": list(r.request_urls),
                "cookies": [{"name": n, "value": v} for n, v in r.cookies]}
         if r.rank is not None:
             obj["rank"] = r.rank
-        if r.snapshot_id is not None:
-            obj["snapshot"] = r.snapshot_id
         lines.append(json.dumps(obj, sort_keys=True) + "\n")
     return "".join(lines)
 
@@ -435,7 +433,7 @@ def random_scan_records(n, seed, words, blocked):
         cookies = tuple((rng.choice(["", text()]), rng.choice(["", text()]))
                         for _ in range(rng.randrange(4)))
         html = text() if rng.random() < 0.7 else ""
-        records.append(CrawlRecord(domain, f"https://{domain}/", domain, html, requests, cookies))
+        records.append(CrawlRecord(domain, domain, html, requests, cookies))
     return records
 
 
@@ -896,7 +894,6 @@ def fixture_corpus():
         records.append(
             CrawlRecord(
                 requested_domain=domain,
-                landing_url=f"https://{domain}/",
                 landing_domain=domain,
                 page_text=html,
                 request_urls=tuple(requests),

@@ -145,6 +145,27 @@ def test_extract_with_rank_list(crawl_file, tmp_path):
     assert "5,site27.example" in site_ranks
 
 
+def test_one_reader_serves_ranks_and_site_ranks(crawl_file, tmp_path):
+    """extract reads its own site_ranks.csv back through --ranks, and stats
+    sizes reads a rank list without the header through --site-ranks."""
+    ranks = tmp_path / "ranks.csv"
+    ranks.write_text("5,site27.example\n2,site03.example\n", encoding="utf-8")
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["extract", "--in", str(crawl_file), "--out", str(first / "profiles.jsonl"),
+                "--ranks", str(ranks)]) == 0
+    assert run(["extract", "--in", str(crawl_file), "--out", str(again / "profiles.jsonl"),
+                "--ranks", str(first / "site_ranks.csv")]) == 0
+    for name in ("profiles.jsonl", "summary.json", "site_ranks.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    headerless = tmp_path / "headerless.csv"
+    headerless.write_text((first / "site_ranks.csv").read_text(encoding="utf-8")
+                          .split("\n", 1)[1], encoding="utf-8")
+    for site_ranks, out in ((first / "site_ranks.csv", first), (headerless, again)):
+        assert run(["stats", "sizes", "--profiles", str(first / "profiles.jsonl"),
+                    "--site-ranks", str(site_ranks), "--out", str(out / "sizes.csv")]) == 0
+    assert (again / "sizes.csv").read_bytes() == (first / "sizes.csv").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["extract", "report"])
 def test_no_crawl_record_outlives_its_line(crawl_file, tmp_path, monkeypatch, command):
     """When the profiles are written, at most the last record parsed is
@@ -189,7 +210,7 @@ def test_graph_normalizer_and_intermediary_flags(tmp_path):
     only."""
     records, _ = fixture_corpus()
     records += [
-        CrawlRecord(domain, f"https://{domain}/", domain,
+        CrawlRecord(domain, domain,
                     page_text='<script data-ad-client="ca-pub-555555555555"></script>')
         for domain in ("extra-a.example", "extra-b.example")
     ]
@@ -659,21 +680,30 @@ def test_unparseable_csv_value_names_the_row(crawl_file, tmp_path, capsys):
     ("0,a.example\n-3,b.example\n5,a.example\n", 2, "rank 0 is below 1"),
     ("1,a.example\n-3,b.example\n", 3, "rank -3 is below 1"),
     ("1,a.example\n2,b.example\n5,a.example\n", 4, "domain a.example repeats row 2"),
+    ("1,a.example\n2,b.example\n5,A.Example\n", 4, "domain a.example repeats row 2"),
 ])
 def test_site_ranks_reject_low_ranks_and_repeated_domains(crawl_file, tmp_path, capsys,
                                                           rows, row, reason):
-    """site_ranks.csv holds one rank >= 1 per landing domain, as extract
-    writes it; any other row names the file and the row."""
+    """A rank list holds one rank >= 1 per domain, with or without a header,
+    as extract writes site_ranks.csv; any other row names the file and the
+    row, through --site-ranks and --ranks alike."""
     profiles = _extract(crawl_file, tmp_path / "x")
     ranks = tmp_path / "site_ranks.csv"
-    ranks.write_text("rank,domain\n" + rows, encoding="utf-8")
-    for topic in ("sizes", "popularity"):
-        out = tmp_path / topic
-        capsys.readouterr()
-        assert run(["stats", topic, "--profiles", str(profiles), "--site-ranks", str(ranks),
-                    "--out", str(out / "x.csv")]) == 1
-        assert f"{ranks}: row {row}: {reason}" in capsys.readouterr().err
-        assert not out.exists()
+    for header in ("rank,domain\n", ""):
+        ranks.write_text(header + rows, encoding="utf-8")
+        shift = 0 if header else 1  # without the header every row moves up one
+        expected = f"{ranks}: row {row - shift}: " + reason.replace("row 2", f"row {2 - shift}")
+        out = tmp_path / "out"
+        for argv in (["stats", "sizes", "--profiles", str(profiles), "--site-ranks", str(ranks),
+                      "--out", str(out / "x.csv")],
+                     ["stats", "popularity", "--profiles", str(profiles),
+                      "--site-ranks", str(ranks), "--out", str(out / "x.csv")],
+                     ["extract", "--in", str(crawl_file), "--out", str(out / "profiles.jsonl"),
+                      "--ranks", str(ranks)]):
+            capsys.readouterr()
+            assert run(argv) == 1
+            assert expected in capsys.readouterr().err, argv
+            assert not out.exists()
 
 
 def test_repeated_metagraph_row_is_an_input_error(tmp_path, capsys):

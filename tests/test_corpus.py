@@ -109,7 +109,8 @@ def test_canonicalize_matches_urlsplit_reference():
         "\x00http://a.example/", "http://a.example/\x00", "\thttp://a.example\n",
         "http://a.exa\tmple/", "http://a.example\\x", "http://_a.example/",
     ]
-    inputs = named + [rec.landing_url for rec in fixture_corpus()[0]] + random_url_inputs(4000, 17)
+    landing_urls = [f"https://{rec.landing_domain}/" for rec in fixture_corpus()[0]]
+    inputs = named + landing_urls + random_url_inputs(4000, 17)
     outcomes = []
     for s in inputs:
         outcome = _outcome(canonicalize, s)
@@ -245,16 +246,19 @@ def test_parse_unparseable_landing_falls_back_to_domain():
 
 
 def test_parse_optional_fields():
-    records, _ = _parse(io.StringIO(_line(rank=7, snapshot="2021-04-01")))
-    rec = records[0]
-    assert rec.rank == 7 and rec.snapshot_id == "2021-04-01"
+    records, skips = _parse(io.StringIO("\n".join([
+        _line(rank=7, snapshot="2021-04-01"), _line(snapshot=None), _line(snapshot=20210401),
+    ])))
+    assert [rec.rank for rec in records] == [7, None]
+    # no stage reads the snapshot, yet a non-string one still skips its line
+    assert skips == [(3, "'snapshot' must be a string")]
 
 
 def test_parse_reads_back_every_field():
     records = [
-        CrawlRecord("a.example", "https://a.example/", "a.example", "<html>x</html>",
-                    ("https://cdn.example/a.js",), (("sid", "1"),), 3, "2021-01-01"),
-        CrawlRecord("b.example", "https://b.example/", "b.example"),
+        CrawlRecord("a.example", "a.example", "<html>x</html>",
+                    ("https://cdn.example/a.js",), (("sid", "1"),), 3),
+        CrawlRecord("b.example", "b.example"),
     ]
     parsed, skips = _parse(io.StringIO(crawl_jsonl(records)))
     assert not skips
@@ -288,6 +292,31 @@ def test_har_counts_all_request_urls():
     assert len(rec.request_urls) == 3
     assert rec.page_text == "<html>hi</html>"
     assert rec.landing_domain == "a.example"
+
+
+def test_har_reads_as_the_crawl_line_it_stands_for():
+    har = _har([
+        _entry("https://WWW.A.example/x", mime="text/html", text="<html/>", cookies=[("s", "1")]),
+        _entry("https://cdn.example/a.js", cookies=[("s", "1")]),
+    ])
+    line = _line(domain="www.a.example", landing_url="https://WWW.A.example/x",
+                 requests=["https://WWW.A.example/x", "https://cdn.example/a.js"],
+                 cookies=[{"name": "s", "value": "1"}])
+    assert [parse_har(har)] == _parse(io.StringIO(line))[0]
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    _har([1]).getvalue(),
+    _har([_entry("https://a.example/", status="200")]).getvalue(),
+    _har([_entry(5)]).getvalue(),
+    _har([_entry("https://a.example/", mime="text/html", text=7)]).getvalue(),
+], ids=["not_json", "entry_not_object", "string_status", "number_url", "number_text"])
+def test_malformed_har_is_format_error(text):
+    """A capture that the crawl line's validator, or a HAR-specific
+    check, rejects is a FormatError, never another exception."""
+    with pytest.raises(FormatError):
+        parse_har(io.StringIO(text))
 
 
 def test_har_zero_entries_is_format_error():
@@ -341,19 +370,24 @@ def test_load_rank_list(tmp_path):
     path.write_text("1,google.com\n2,youtube.com\n", encoding="utf-8")
     ranks = load_rank_list(path)
     assert ranks == {"google.com": 1, "youtube.com": 2}
+    # a header row in any case, a field csv quoted, a domain in upper case
+    # and a tied rank all read
+    path.write_text('Rank,DOMAIN\n1,"Google.com"\n\n1,youtube.com\n', encoding="utf-8")
+    assert load_rank_list(path) == {"google.com": 1, "youtube.com": 1}
 
 
-def test_load_rank_list_duplicate_last_wins(tmp_path, caplog):
+def test_load_rank_list_repeated_domain_names_both_rows(tmp_path):
     path = tmp_path / "ranks.csv"
-    path.write_text("1,a.example\n2,a.example\n", encoding="utf-8")
-    ranks = load_rank_list(path)
-    assert ranks == {"a.example": 2}
+    path.write_text("1,a.example\n2,b.example\n\n3,A.Example\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=r"ranks\.csv: row 4: domain a\.example repeats row 1$"):
+        load_rank_list(path)
 
 
 def test_load_rank_list_malformed_row(tmp_path):
     path = tmp_path / "ranks.csv"
     for text, row in (("one,a.example\n", 1), ("1,a.example\n0,b.example\n", 2),
-                      ("1,a.example\n²,b.example\n", 2)):
+                      ("1,a.example\n²,b.example\n", 2), ("1,a.example\n+2,b.example\n", 2),
+                      ("1,a.example,x\n", 1), ("1, \n", 1), ("1,a.example\nrank,domain\n", 2)):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=rf"ranks\.csv: .*row {row}\b"):
             load_rank_list(path)

@@ -38,8 +38,7 @@ from helpers import (
 
 
 def _record(domain="a.example", html="", requests=(), cookies=()):
-    return CrawlRecord(domain, f"https://{domain}/", domain, html,
-                       tuple(requests), tuple(cookies))
+    return CrawlRecord(domain, domain, html, tuple(requests), tuple(cookies))
 
 
 P, T, M, C = IdKind.PUBLISHER, IdKind.TRACKING, IdKind.MEASUREMENT, IdKind.CONTAINER
@@ -312,7 +311,7 @@ def test_profile_is_aggregate_of_hits(corpus50, dictionary, blocklist):
 
 def _crawl(*records):
     """(domain, landing domain, rank, html) tuples as crawl JSONL lines."""
-    return crawl_jsonl(CrawlRecord(domain, f"https://{landing}/", landing, html, rank=rank)
+    return crawl_jsonl(CrawlRecord(domain, landing, html, rank=rank)
                        for domain, landing, rank, html in records).splitlines(keepends=True)
 
 

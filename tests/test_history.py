@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 
+from adgraph.corpus import FormatError
 from adgraph.history import (
     PublisherClass,
     Snapshot,
@@ -394,6 +396,19 @@ def test_snapshot_roundtrip(tmp_path):
     assert again.profiles.keys() == snap.profiles.keys()
     assert again.publisher_sizes == snap.publisher_sizes
     assert again == snap
+
+
+def test_total_sites_below_the_profiled_sites_names_the_manifest(tmp_path):
+    """Coverage divides by total_sites, so fewer sites than profiles would
+    give fractions above 1; equal counts still load."""
+    profiles = _profiles({"a.example": ["pub-100000001"], "b.example": ["pub-100000001"]})
+    save_snapshot(profiles, tmp_path / "snap", "2021-04-01", 1)
+    manifest = tmp_path / "snap" / "manifest.json"
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(manifest))}: total_sites 1 is below "
+                                          r"the 2 profiled sites$"):
+        load_snapshot(tmp_path / "snap")
+    save_snapshot(profiles, tmp_path / "snap", "2021-04-01", 2)
+    assert coverage_series([load_snapshot(tmp_path / "snap")]).rows == [("2021-04-01", 1.0, 0.0)]
 
 
 def test_load_snapshots_orders_and_validates(tmp_path):
