@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .corpus import FormatError, load_category_map, load_rank_list
+from .corpus import FormatError, load_category_map, load_rank_list, _read_table
 from .communities import (
     community_size_distribution,
     girvan_newman,
@@ -51,7 +51,6 @@ from .graphs import (
     intermediary_keys,
     load_metagraph_csv,
     without_keys,
-    _read_table,
 )
 from .history import (
     PublisherClass,
@@ -411,17 +410,22 @@ def _cmd_stats_categories(args: argparse.Namespace) -> None:
     _categories_stage(iter_profiles(args.profiles), categories, out.parent, out.name)
 
 
+def _community_entry(row: list[str]) -> tuple[str, int]:
+    """The site and community id of a ``community_id,site`` row. The id must
+    read as `communities` writes it, decimal digits with no sign, separator
+    or leading zero, so that no two texts read as one id."""
+    text = row[0]
+    community_id = int(text)
+    if community_id < 0 or str(community_id) != text:
+        raise ValueError(f"community id {text!r} is not a canonical non-negative integer")
+    return row[1], community_id
+
+
 def _read_communities_csv(path) -> list[tuple[int, list[str]]]:
     """communities.csv: each site in one row, else FormatError naming the row."""
-    first_row: dict[str, int] = {}
-
-    def check(row: list, row_no: int) -> None:
-        first = first_row.setdefault(row[1], row_no)
-        if first != row_no:
-            raise ValueError(f"site {row[1]} repeats row {first}")
-
     groups: dict[int, list[str]] = {}
-    for community_id, site in _read_table(path, {"community_id": int, "site": str}, check):
+    sites = _read_table(path, ["community_id", "site"], _community_entry, "site")
+    for site, community_id in sites.items():
         groups.setdefault(community_id, []).append(site)
     return sorted(groups.items())
 

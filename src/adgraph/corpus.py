@@ -1,21 +1,23 @@
-"""Crawl-data ingestion and domain canonicalization.
+"""Crawl-data ingestion, domain canonicalization and CSV tables.
 
-Normalizes crawl dumps (JSONL or HAR), Tranco-style rank lists and
-domain-category CSVs into an immutable record model keyed by the
-registrable landing domain (public suffix + one label).
+Normalizes crawl dumps (JSONL or HAR) into an immutable record model keyed
+by the registrable landing domain (public suffix + one label), and reads
+every CSV input (Tranco-style rank lists, domain-category lists,
+``metagraph.csv``, ``communities.csv``) under one set of table rules.
 """
 
 from __future__ import annotations
 
 import csv
 import ipaddress
+import itertools
 import json
 import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Any, Callable, Hashable, Iterable, Iterator
 from urllib.parse import urlsplit
 
 logger = logging.getLogger(__name__)
@@ -338,68 +340,90 @@ def parse_har(source: str | Path | IO[str], table: PublicSuffixTable | None = No
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary loaders
+# CSV tables
 # ---------------------------------------------------------------------------
+
+def _read_table(
+    source: str | Path | IO[str],
+    header: list[str],
+    entry: Callable[[list[str]], tuple[Hashable, Any]],
+    noun: str,
+    header_required: bool = True,
+) -> dict[Any, Any]:
+    """The (key, value) entries of a CSV file or stream, in row order.
+
+    With ``header_required``, the first row must be ``header``; otherwise a
+    first non-blank row that reads ``header``, in any case, is skipped.
+    Every other non-blank row must have one field per column, and
+    ``entry`` turns it into its key and value. A wrong header or width, a
+    ValueError or ZeroDivisionError from ``entry``, or a key that an
+    earlier row holds (``<noun> <key> repeats row <N>``) raises FormatError
+    naming the file and the 1-based row.
+    """
+    if not hasattr(source, "read"):
+        with open(source, encoding="utf-8", newline="") as fh:
+            return _read_table(fh, header, entry, noun, header_required)
+    name, reader = getattr(source, "name", "CSV stream"), csv.reader(source)
+    if header_required and next(reader, None) != header:
+        raise FormatError(f"{name}: expected header {','.join(header)}")
+    rows = filter(None, reader)
+    if not header_required:
+        first = next(rows, None)
+        if first is not None and [field.strip().lower() for field in first] != header:
+            rows = itertools.chain([first], rows)
+    width, row_of, table = len(header), {}, {}
+    for row in rows:
+        row_no = reader.line_num
+        if len(row) != width:
+            raise FormatError(f"{name}: row {row_no} has {len(row)} fields, expected {width}")
+        try:
+            key, value = entry(row)
+            first_no = row_of.setdefault(key, row_no)
+            if first_no != row_no:
+                shown = key if isinstance(key, str) else ",".join(key)
+                raise ValueError(f"{noun} {shown} repeats row {first_no}")
+        except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0")
+            raise FormatError(f"{name}: row {row_no}: {exc}") from None
+        table[key] = value
+    return table
+
+
+def _domain(text: str) -> str:
+    domain = text.strip().lower()
+    if not domain:
+        raise ValueError("empty domain")
+    return domain
+
+
+def _rank_entry(row: list[str]) -> tuple[str, int]:
+    """The domain and rank of a ``rank,domain`` row."""
+    text = row[0]
+    rank = int(text)
+    if rank < 1:
+        raise ValueError(f"rank {rank} is below 1")
+    if not text.strip().isdecimal():  # int() also reads "+5" and "1_0"
+        raise ValueError(f"rank {text!r} is not decimal digits")
+    return _domain(row[1]), rank
+
+
+def _category_entry(row: list[str]) -> tuple[str, str]:
+    """The domain and label of a ``domain,category`` row."""
+    domain, label = _domain(row[0]), row[1].strip()
+    if not label:
+        raise ValueError("empty category")
+    return domain, label
+
 
 def load_rank_list(path: str | Path) -> dict[str, int]:
     """Load a ``rank,domain`` CSV, a crawl's rank list or ``site_ranks.csv``,
-    into lowercased domain -> rank. A first row of ``rank,domain`` itself,
-    in any case, is a header and is skipped.
-
-    Every other non-blank row holds a rank of decimal digits, at least 1,
-    and a domain that no earlier row holds; any other row is a FormatError
-    naming the file and the row.
-    """
-    ranks: dict[str, int] = {}
-    row_of: dict[str, int] = {}
-    first = True
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in filter(None, reader):
-            header, first = first, False
-            if header and [field.strip().lower() for field in row] == ["rank", "domain"]:
-                continue
-            row_no = reader.line_num
-            if len(row) != 2:
-                raise FormatError(f"{path}: row {row_no} has {len(row)} fields, expected 2")
-            text, domain = row[0], row[1].strip().lower()
-            try:
-                rank = int(text)
-                if rank < 1:
-                    raise ValueError(f"rank {rank} is below 1")
-                if not text.strip().isdecimal():  # int() also reads "+5" and "1_0"
-                    raise ValueError(f"rank {text!r} is not decimal digits")
-                if not domain:
-                    raise ValueError("empty domain")
-                if domain in row_of:
-                    raise ValueError(f"domain {domain} repeats row {row_of[domain]}")
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {row_no}: {exc}") from None
-            ranks[domain], row_of[domain] = rank, row_no
-    return ranks
+    into lowercased domain -> rank, under the rules of ``_read_table`` with
+    an optional header. A rank is decimal digits, at least 1; ranks may tie,
+    domains may not."""
+    return _read_table(path, ["rank", "domain"], _rank_entry, "domain", header_required=False)
 
 
 def load_category_map(path: str | Path) -> dict[str, str]:
-    """Load a ``domain,category`` CSV into domain -> label. A first row of
-    ``domain,category`` itself, in any case, is a header and is skipped."""
-    categories: dict[str, str] = {}
-    duplicates = 0
-    first = True
-    with open(path, encoding="utf-8") as fh:
-        for row_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split(",", 1)
-            header, first = first, False
-            if header and [p.strip().lower() for p in parts] == ["domain", "category"]:
-                continue
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise FormatError(f"{path}: malformed category row {row_no}: {line!r}")
-            domain, label = parts[0].strip().lower(), parts[1].strip()
-            if domain in categories:
-                duplicates += 1
-            categories[domain] = label
-    if duplicates:
-        logger.warning("%s: %d duplicate domain row(s), last occurrence kept", path, duplicates)
-    return categories
+    """Load a ``domain,category`` CSV into lowercased domain -> label, under
+    the rules of ``_read_table`` with an optional header."""
+    return _read_table(path, ["domain", "category"], _category_entry, "domain",
+                       header_required=False)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Any, Callable, Collection, Iterable, Mapping
+from typing import IO, Any, Collection, Iterable, Mapping
 
-from .corpus import FormatError
+from .corpus import _read_table
 from .extractor import IdKind, SiteIdProfile
 
 
@@ -285,11 +285,15 @@ def dump_metagraph_csv(mg: Metagraph, stream: IO[str]) -> None:
     writer.writerows([u, v, repr(a / d)] for (u, v), a in sorted(mg.numerators.items()))
 
 
-def _positive_weight(text: str) -> Fraction:
+def _edge_entry(row: list[str]) -> tuple[Edge, Fraction]:
+    """The edge and positive weight of a ``site_a,site_b,weight`` row."""
+    u, v, text = row
     weight = Fraction(text)
     if weight <= 0:
         raise ValueError(f"weight {text} is not positive")
-    return weight
+    if u >= v:
+        raise ValueError(f"metagraph rows need site_a < site_b, got {u!r},{v!r}")
+    return (u, v), weight
 
 
 def load_metagraph_csv(source: str | Path | IO[str]) -> Metagraph:
@@ -297,53 +301,6 @@ def load_metagraph_csv(source: str | Path | IO[str]) -> Metagraph:
     denominator is the lcm of the weights' decimal denominators. A row
     with site_a >= site_b, or that repeats an earlier row's pair, raises
     FormatError naming the file and the row."""
-    first_row: dict[Edge, int] = {}
-
-    def check(row: list[Any], row_no: int) -> None:
-        u, v = row[0], row[1]
-        if u >= v:
-            raise ValueError(f"metagraph rows need site_a < site_b, got {u!r},{v!r}")
-        first = first_row.setdefault((u, v), row_no)
-        if first != row_no:
-            raise ValueError(f"edge {u},{v} repeats row {first}")
-
-    columns = {"site_a": str, "site_b": str, "weight": _positive_weight}
-    return Metagraph.from_weights({(u, v): w for u, v, w in _read_table(source, columns, check)})
-
-
-def _read_table(
-    source: str | Path | IO[str],
-    columns: Mapping[str, Callable[[str], Any]],
-    check: Callable[[list[Any], int], None] | None = None,
-) -> list[list[Any]]:
-    """The non-blank rows after the header of a CSV file or stream, each
-    field passed through its column's converter.
-
-    ``columns`` maps each column name, in order, to its converter. The
-    first row must be those names and every later row must have their
-    count; ``check``, if given, then sees each converted row and its row
-    number. A wrong header or width, or a ValueError or ZeroDivisionError
-    from a converter or the check, raises FormatError naming the file and
-    the 1-based row.
-    """
-    if not hasattr(source, "read"):
-        with open(source, encoding="utf-8", newline="") as fh:
-            return _read_table(fh, columns, check)
-    header, converters = list(columns), list(columns.values())
-    name, reader = getattr(source, "name", "CSV stream"), csv.reader(source)
-    if next(reader, None) != header:
-        raise FormatError(f"{name}: expected header {','.join(header)}")
-    rows = []
-    for row in filter(None, reader):
-        if len(row) != len(header):
-            raise FormatError(
-                f"{name}: row {reader.line_num} has {len(row)} fields, expected {len(header)}"
-            )
-        try:
-            converted = [convert(value) for convert, value in zip(converters, row)]
-            if check is not None:
-                check(converted, reader.line_num)
-        except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0")
-            raise FormatError(f"{name}: row {reader.line_num}: {exc}") from None
-        rows.append(converted)
-    return rows
+    return Metagraph.from_weights(
+        _read_table(source, ["site_a", "site_b", "weight"], _edge_entry, "edge")
+    )

@@ -664,6 +664,17 @@ def test_unparseable_csv_value_names_the_row(crawl_file, tmp_path, capsys):
         ("communities.csv", "community_id,site\n0,site00.example\none,site01.example\n",
          ["stats", "diversity", "--communities", "{csv}", "--categories", str(cats),
           "--out", "{out}/div.csv"], "invalid literal for int() with base 10: 'one'"),
+        # int() reads each of these as the id of another row ("01" as 1,
+        # "1_0" as 10), which would merge two communities.
+        *(("communities.csv",
+           f"community_id,site\n1,site00.example\n{cid},site01.example\n10,site02.example\n",
+           ["stats", "diversity", "--communities", "{csv}", "--categories", str(cats),
+            "--out", "{out}/div.csv"],
+           f"community id {cid!r} is not a canonical non-negative integer")
+          for cid in ("01", "1_0", "+1", "-1", " 1")),
+        ("categories.csv", "domain,category\na.example,News\nA.Example,Arts\n",
+         ["stats", "poisson", "--categories", "{csv}", "--size", "1",
+          "--out", "{out}/poisson.json"], "domain a.example repeats row 2"),
     ]
     for i, (name, text, argv, reason) in enumerate(inputs):
         bad = tmp_path / name

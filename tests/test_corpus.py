@@ -4,6 +4,7 @@ import io
 import ipaddress
 import json
 import random
+import re
 
 import pytest
 
@@ -20,7 +21,9 @@ from adgraph.corpus import (
     load_rank_list,
     parse_har,
 )
+from adgraph.cli import _read_communities_csv
 from adgraph.extractor import IdKind, extract_profile
+from adgraph.graphs import load_metagraph_csv
 from helpers import (
     canonicalize_reference,
     crawl_jsonl,
@@ -395,10 +398,49 @@ def test_load_rank_list_malformed_row(tmp_path):
 
 def test_load_category_map(tmp_path):
     path = tmp_path / "cats.csv"
-    path.write_text("a.example,News and Media\nb.example,Arts\n", encoding="utf-8")
+    path.write_text('a.example,News and Media\nb.example,Arts\nC.Example,"News, Media"\n',
+                    encoding="utf-8")
     cats = load_category_map(path)
-    assert cats["a.example"] == "News and Media"
-    assert "c.example" not in cats
+    assert cats == {"a.example": "News and Media", "b.example": "Arts", "c.example": "News, Media"}
+
+
+@pytest.mark.parametrize("load, header, rows, repeat, header_optional", [
+    (load_rank_list, "rank,domain", ("1,a.example", "2,b.example", "3,A.example"),
+     "domain a.example", True),
+    (load_category_map, "domain,category", ("a.example,News", "b.example,Arts", "a.example,Arts"),
+     "domain a.example", True),
+    (load_metagraph_csv, "site_a,site_b,weight",
+     ("a.example,b.example,1", "b.example,c.example,1", "a.example,b.example,2"),
+     "edge a.example,b.example", False),
+    (_read_communities_csv, "community_id,site", ("0,a.example", "1,b.example", "1,a.example"),
+     "site a.example", False),
+], ids=["rank_list", "category_map", "metagraph", "communities"])
+def test_every_csv_input_follows_the_same_table_rules(tmp_path, load, header, rows, repeat,
+                                                      header_optional):
+    """One reader owns the table rules: blank rows are skipped but counted,
+    every row has the header's width, a key may not repeat, and the header
+    is optional, in any case, for rank and category lists only. Each error
+    names the file and the row."""
+    path = tmp_path / "table.csv"
+
+    def load_lines(*lines):
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return load(path)
+
+    loaded = load_lines(header, "", rows[0], "", rows[1])
+    assert load_lines(header, rows[0], rows[1]) == loaded
+    for lines in ((header.upper(), rows[0], rows[1]), (rows[0], rows[1])):
+        if header_optional:
+            assert load_lines(*lines) == loaded
+        else:
+            with pytest.raises(FormatError, match=re.escape(f"{path}: expected header {header}")):
+                load_lines(*lines)
+    width = header.count(",") + 1
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{path}: row 4 has {width + 1} fields, expected {width}")):
+        load_lines(header, rows[0], "", rows[1] + ",x")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: row 5: {repeat} repeats row 2")):
+        load_lines(header, rows[0], "", rows[1], rows[2])
 
 
 def test_load_category_map_skips_a_header_row(tmp_path):
