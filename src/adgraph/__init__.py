@@ -68,7 +68,6 @@ from .stats import (
 )
 from .history import (
     PublisherClass,
-    SiteKeys,
     Snapshot,
     TransitionClass,
     TransitionRecord,

@@ -167,7 +167,7 @@ def _extract_stage(
     """
     dictionary = load_dictionary(args.dict)
     blocklist = load_blocklist(args.blocklist)
-    with open(args.infile, encoding="utf-8") as fh:
+    with open(args.infile, encoding="utf-8-sig") as fh:
         ranks = load_rank_list(args.ranks) if args.ranks else None
         profiles, site_ranks, site_count, skips = extract_crawl(fh, ranks, dictionary, blocklist)
     if site_count == 0:
@@ -517,6 +517,8 @@ def _cmd_history(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_report(args: argparse.Namespace) -> None:
+    # A bad category file fails the run before any output is written.
+    categories = load_category_map(args.categories) if args.categories else None
     bundle = _Bundle(Path(args.out_dir))
     skipped: list[dict[str, str]] = []
 
@@ -545,8 +547,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
             [r.size for r in by_size], bundle, "powerlaw_publisher.json")
     attempt("popularity", _popularity_stage, by_size, None, bundle, "popularity.csv")
 
-    if args.categories:
-        categories = load_category_map(args.categories)
+    if categories is not None:
         groups = [sorted(c) for c in communities]
         _categories_stage(profiles, categories, bundle, "categories.csv")
         _diversity_stage(enumerate(groups), categories, bundle, "diversity.csv")

@@ -36,7 +36,7 @@ def _read_data_file(path: str | Path | None, default_name: str) -> str:
     when ``path`` is None."""
     if path is None:
         return resources.files("adgraph.data").joinpath(default_name).read_text(encoding="utf-8")
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,7 @@ def parse_har(source: str | Path | IO[str], table: PublicSuffixTable | None = No
         if hasattr(source, "read"):
             data = json.load(source)
         else:
-            with open(source, encoding="utf-8") as fh:
+            with open(source, encoding="utf-8-sig") as fh:
                 data = json.load(fh)
     except ValueError as exc:
         raise FormatError(f"HAR is not JSON: {exc}") from None
@@ -350,7 +350,8 @@ def _read_table(
     noun: str,
     header_required: bool = True,
 ) -> dict[Any, Any]:
-    """The (key, value) entries of a CSV file or stream, in row order.
+    """The (key, value) entries of a CSV file or stream, in row order; a
+    file's UTF-8 byte-order mark is skipped.
 
     With ``header_required``, the first row must be ``header``; otherwise a
     first non-blank row that reads ``header``, in any case, is skipped.
@@ -361,7 +362,7 @@ def _read_table(
     naming the file and the 1-based row.
     """
     if not hasattr(source, "read"):
-        with open(source, encoding="utf-8", newline="") as fh:
+        with open(source, encoding="utf-8-sig", newline="") as fh:
             return _read_table(fh, header, entry, noun, header_required)
     name, reader = getattr(source, "name", "CSV stream"), csv.reader(source)
     if header_required and next(reader, None) != header:

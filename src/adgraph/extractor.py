@@ -176,7 +176,8 @@ class SiteIdProfile:
         """The inverse of ``to_json_obj``. Raises ValueError unless ``obj`` is
         an object with a string ``domain``, ``ids`` maps each kind to an
         object of key -> list of distinct source names, and every
-        ``raw_counts`` value is something ``int()`` accepts."""
+        ``raw_counts`` value is a whole number: something ``int()`` accepts
+        that drops no fraction, so "3" and 2.0 load and 2.7 is rejected."""
         return cls(*_profile_fields(obj))
 
 
@@ -451,14 +452,15 @@ def _parse_json_line(line: str) -> object:
 
 def _read_profile_lines(source: str | Path | IO[str]) -> Iterator[_ProfileFields]:
     """``_profile_fields`` of each profile line of a JSONL file or stream,
-    in file order; blank lines are skipped.
+    in file order; blank lines and a file's UTF-8 byte-order mark are
+    skipped.
 
     A line that is not one JSON value, that ``_profile_fields`` rejects, or
     whose domain an earlier line already holds, raises FormatError naming
     the file and the 1-based line.
     """
     if not hasattr(source, "read"):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             yield from _read_profile_lines(fh)
         return
     name = getattr(source, "name", "profiles stream")

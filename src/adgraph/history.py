@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -48,55 +48,22 @@ def classify_publisher(size: int) -> PublisherClass:
     return PublisherClass.MEGA
 
 
-@dataclass(frozen=True, slots=True)
-class SiteKeys:
-    """What the series read of one site: its Publisher and its Tracking
-    keys, each as a sorted tuple."""
-
-    publisher: tuple[str, ...] = ()
-    tracking: tuple[str, ...] = ()
-
-    def keys_for(self, kind: IdKind) -> tuple[str, ...]:
-        """Raises ValueError for Measurement and Container, which a snapshot
-        does not keep."""
-        if kind is IdKind.PUBLISHER:
-            return self.publisher
-        if kind is IdKind.TRACKING:
-            return self.tracking
-        raise ValueError(f"a snapshot keeps no {kind.value} keys")
-
-
-_NO_KEYS = SiteKeys()
-
-
-def _site_keys(publisher: Collection[str], tracking: Collection[str]) -> SiteKeys:
-    """One site's record; keyless sites share one record."""
-    if not publisher and not tracking:
-        return _NO_KEYS
-    return SiteKeys(tuple(sorted(publisher)), tuple(sorted(tracking)))
-
-
-def _count_publishers(site: SiteKeys, sizes: dict[str, int]) -> SiteKeys:
-    """Adds the site to the size of each of its Publisher keys."""
-    for key in site.publisher:
-        sizes[key] = sizes.get(key, 0) + 1
-    return site
-
-
 @dataclass(frozen=True)
 class Snapshot:
     """One timestamped corpus, reduced to what the series read.
 
-    ``profiles`` maps every profiled domain, keyless ones included, to its
-    ``SiteKeys``. publisher_sizes is computed across all sites of the
+    ``profiles`` maps each Publisher-bearing domain to its Publisher keys,
+    a sorted tuple, and ``tracking_sites`` counts the sites that bear a
+    Tracking key. publisher_sizes is computed across all sites of the
     snapshot, never a sub-universe, so transition comparisons see true
     portfolio sizes.
     """
 
     snapshot_id: str
-    profiles: dict[str, SiteKeys]
+    profiles: dict[str, tuple[str, ...]]
     total_sites: int
     publisher_sizes: dict[str, int] = field(default_factory=dict)
+    tracking_sites: int = 0
 
     @classmethod
     def build(
@@ -107,23 +74,37 @@ class Snapshot:
         publisher_sizes: Mapping[str, int] | None = None,
     ) -> "Snapshot":
         """A repeated domain keeps its last profile."""
-        by_domain = {
-            p.landing_domain: _site_keys(p.keys_for(IdKind.PUBLISHER), p.keys_for(IdKind.TRACKING))
-            for p in profiles
-        }
-        if publisher_sizes is None:
-            publisher_sizes = {}
-            for site in by_domain.values():
-                _count_publishers(site, publisher_sizes)
-        return cls(
-            snapshot_id=snapshot_id,
-            profiles=by_domain,
-            total_sites=len(by_domain) if total_sites is None else total_sites,
-            publisher_sizes=dict(publisher_sizes),
-        )
+        sites = {p.landing_domain: p.keys for p in profiles}.items()
+        return _reduce(snapshot_id, sites, total_sites, publisher_sizes)
 
-    def bearing_domains(self, kind: IdKind) -> set[str]:
-        return {d for d, p in self.profiles.items() if p.keys_for(kind)}
+
+def _reduce(
+    snapshot_id: str,
+    sites: Iterable[tuple[str, Mapping[IdKind, Collection[str]]]],
+    total_sites: int | None = None,
+    publisher_sizes: Mapping[str, int] | None = None,
+) -> Snapshot:
+    """The snapshot of one (domain, keys) pair per profiled site, read
+    once. total_sites defaults to the number of pairs, and publisher_sizes
+    to the sites of each Publisher key among them."""
+    profiles: dict[str, tuple[str, ...]] = {}
+    sizes: dict[str, int] = {}
+    tracking_sites = count = 0
+    for count, (domain, keys) in enumerate(sites, start=1):
+        publisher = keys.get(IdKind.PUBLISHER)
+        if publisher:
+            profiles[domain] = tuple(sorted(publisher))
+            for key in publisher:
+                sizes[key] = sizes.get(key, 0) + 1
+        if keys.get(IdKind.TRACKING):
+            tracking_sites += 1
+    return Snapshot(
+        snapshot_id=snapshot_id,
+        profiles=profiles,
+        total_sites=count if total_sites is None else total_sites,
+        publisher_sizes=sizes if publisher_sizes is None else dict(publisher_sizes),
+        tracking_sites=tracking_sites,
+    )
 
 
 def _check_sequence(snapshots: Sequence[Snapshot], minimum: int) -> None:
@@ -158,8 +139,8 @@ def coverage_series(snapshots: Sequence[Snapshot]) -> CoverageSeries:
         rows.append(
             (
                 snap.snapshot_id,
-                len(snap.bearing_domains(IdKind.PUBLISHER)) / snap.total_sites,
-                len(snap.bearing_domains(IdKind.TRACKING)) / snap.total_sites,
+                len(snap.profiles) / snap.total_sites,
+                snap.tracking_sites / snap.total_sites,
             )
         )
 
@@ -187,11 +168,7 @@ def publisher_id_count_series(snapshots: Sequence[Snapshot]) -> list[IdCountRow]
     _check_sequence(snapshots, 1)
     rows = []
     for snap in snapshots:
-        counts = [
-            len(p.keys_for(IdKind.PUBLISHER))
-            for p in snap.profiles.values()
-            if p.keys_for(IdKind.PUBLISHER)
-        ]
+        counts = [len(keys) for keys in snap.profiles.values()]
         total = len(counts)
         if total == 0:
             rows.append(IdCountRow(snap.snapshot_id, 0.0, 0.0, 0.0, 0.0))
@@ -227,12 +204,8 @@ def classify_transition(site: str, earlier: Snapshot, later: Snapshot) -> Transi
     each side (sizes from the full respective snapshot) decides BIGGER,
     SMALLER or, on equality, INSIGNIFICANT.
     """
-    old_profile = earlier.profiles.get(site)
-    new_profile = later.profiles.get(site)
-    if old_profile is None or new_profile is None:
-        raise ValueError(f"site {site!r} is absent from one of the snapshots")
-    old_keys = old_profile.keys_for(IdKind.PUBLISHER)
-    new_keys = new_profile.keys_for(IdKind.PUBLISHER)
+    old_keys = earlier.profiles.get(site)
+    new_keys = later.profiles.get(site)
     if not old_keys or not new_keys:
         raise ValueError(f"site {site!r} lacks Publisher keys in one of the snapshots")
     old_size = max(earlier.publisher_sizes.get(k, 1) for k in old_keys)
@@ -267,13 +240,13 @@ def transition_series(
     _check_sequence(snapshots, 2)
     universes: list[set[str]] = []
     if not per_pair_universe:
-        common = set.intersection(*[s.bearing_domains(IdKind.PUBLISHER) for s in snapshots])
+        common = set(snapshots[0].profiles).intersection(*(s.profiles for s in snapshots[1:]))
         if not common:
             raise ValueError("no site is Publisher-bearing in every snapshot")
         universes = [common] * (len(snapshots) - 1)
     else:
         for a, b in zip(snapshots, snapshots[1:]):
-            both = a.bearing_domains(IdKind.PUBLISHER) & b.bearing_domains(IdKind.PUBLISHER)
+            both = a.profiles.keys() & b.profiles.keys()
             if not both:
                 raise ValueError(
                     f"no common Publisher-bearing site between {a.snapshot_id} and {b.snapshot_id}"
@@ -387,17 +360,18 @@ def save_snapshot(
 
 
 def load_snapshot(directory: str | Path) -> Snapshot:
-    """Read a snapshot directory straight into ``SiteKeys``, counting
-    publisher_sizes in the same pass. Profile lines are checked, and
-    errors worded, as ``iter_profiles`` does: both read them through
-    ``_read_profile_lines``. A manifest whose total_sites is below the
-    number of profiled sites is a FormatError."""
+    """Read a snapshot directory in one pass, straight into the Publisher
+    keys of its Publisher-bearing sites, its Tracking count and its
+    publisher_sizes. Profile lines are checked, and errors worded, as
+    ``iter_profiles`` does: both read them through ``_read_profile_lines``.
+    A manifest whose total_sites is below the number of profiled sites is
+    a FormatError."""
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
     if not manifest_path.exists():
         raise FileNotFoundError(f"{directory} has no {_MANIFEST}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
     except ValueError as exc:
         raise FormatError(f"{manifest_path}: not JSON ({exc})") from None
     if not isinstance(manifest, dict) or not {"snapshot_id", "total_sites"} <= manifest.keys():
@@ -409,15 +383,12 @@ def load_snapshot(directory: str | Path) -> Snapshot:
         total_sites = _whole_number(manifest["total_sites"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{manifest_path}: total_sites: {exc}") from None
-    profiles: dict[str, SiteKeys] = {}
-    sizes: dict[str, int] = {}
-    for domain, keys, _, _ in _read_profile_lines(directory / _PROFILES):
-        site = _site_keys(keys.get(IdKind.PUBLISHER, ()), keys.get(IdKind.TRACKING, ()))
-        profiles[domain] = _count_publishers(site, sizes)
-    if total_sites < len(profiles):
+    sites = ((domain, keys) for domain, keys, _, _ in _read_profile_lines(directory / _PROFILES))
+    snap = _reduce(snapshot_id, sites)
+    if total_sites < snap.total_sites:
         raise FormatError(f"{manifest_path}: total_sites {total_sites} is below the "
-                          f"{len(profiles)} profiled sites")
-    return Snapshot(snapshot_id, profiles, total_sites, sizes)
+                          f"{snap.total_sites} profiled sites")
+    return replace(snap, total_sites=total_sites)
 
 
 def load_snapshots(directories: Iterable[str | Path]) -> list[Snapshot]:

@@ -87,21 +87,28 @@ def first_pair_only_snapshots():
 
 
 # ---------------------------------------------------------------------------
-# History reference: snapshots of full profiles, read through iter_profiles
-# and sized by counting each profile's Publisher keys. The library decodes a
-# snapshot straight into compact per-site keys; every series must come out
-# the same over both.
+# History reference: snapshots read as full profiles through iter_profiles,
+# then cut down to what the series read and sized by counting each profile's
+# Publisher keys. The library decodes a snapshot straight into the Publisher
+# keys of its bearing sites; every series must come out the same over both.
 # ---------------------------------------------------------------------------
 
 def load_snapshot_reference(directory):
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
     profiles = {p.landing_domain: p for p in iter_profiles(directory / "profiles.jsonl")}
+    publisher = {d: sorted(p.keys_for(IdKind.PUBLISHER)) for d, p in profiles.items()}
     sizes = {}
-    for p in profiles.values():
-        for key in p.keys_for(IdKind.PUBLISHER):
+    for keys in publisher.values():
+        for key in keys:
             sizes[key] = sizes.get(key, 0) + 1
-    return Snapshot(str(manifest["snapshot_id"]), profiles, int(manifest["total_sites"]), sizes)
+    return Snapshot(
+        snapshot_id=str(manifest["snapshot_id"]),
+        profiles={d: tuple(keys) for d, keys in publisher.items() if keys},
+        total_sites=int(manifest["total_sites"]),
+        publisher_sizes=sizes,
+        tracking_sites=sum(1 for p in profiles.values() if p.keys_for(IdKind.TRACKING)),
+    )
 
 
 def history_series(snapshots, k=2):

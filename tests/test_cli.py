@@ -466,6 +466,25 @@ def test_crawl_without_a_well_formed_line_is_an_input_error(tmp_path, capsys, mo
     assert not (tmp_path / "out").exists()
 
 
+def test_crawl_may_start_with_a_byte_order_mark(tmp_path):
+    """The mark is not part of the first line, so a one-line crawl loads."""
+    crawl = tmp_path / "crawl.jsonl"
+    line = {"domain": "a.example", "landing_url": "https://a.example/",
+            "html": "<p>pub-1234567890</p>"}
+    crawl.write_text(json.dumps(line) + "\n", encoding="utf-8-sig")
+    out = tmp_path / "out" / "profiles.jsonl"
+    assert run(["extract", "--in", str(crawl), "--out", str(out)]) == 0
+    assert [p.landing_domain for p in iter_profiles(out)] == ["a.example"]
+
+
+def test_report_with_a_missing_category_file_writes_nothing(tmp_path, crawl_file, capsys):
+    out = tmp_path / "out"
+    assert run(["report", "--in", str(crawl_file), "--out-dir", str(out),
+                "--categories", str(tmp_path / "nosuch.csv")]) == 1
+    assert "nosuch.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_removed_baseline_knobs_are_config_errors(tmp_path, crawl_file):
     cats = _categories(tmp_path)
     out = tmp_path / "out"
@@ -879,6 +898,19 @@ def test_profile_lines_led_by_spaces_load(tmp_path):
                 "--out", str(tmp_path / "coverage.csv")]) == 0
     assert "2021-01-01,publisher_fraction,0.5" in \
         (tmp_path / "coverage.csv").read_text(encoding="utf-8")
+
+
+def test_profiles_and_manifest_may_start_with_a_byte_order_mark(tmp_path):
+    snap = tmp_path / "snap"
+    snap.mkdir()
+    line = '{"domain": "a.example", "ids": {"publisher": {"pub-100000001": ["html"]}}}\n'
+    (snap / "profiles.jsonl").write_text(line, encoding="utf-8-sig")
+    (snap / "manifest.json").write_text('{"snapshot_id": "2021-01-01", "total_sites": 2}\n',
+                                        encoding="utf-8-sig")
+    for argv in _profile_readers(snap / "profiles.jsonl", snap, tmp_path / "out"):
+        assert run(argv) == 0, argv
+    assert "2021-01-01,publisher_fraction,0.5" in \
+        (tmp_path / "out" / "x.csv").read_text(encoding="utf-8")
 
 
 def test_history_builds_no_site_profile(tmp_path, monkeypatch):

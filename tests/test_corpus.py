@@ -297,6 +297,13 @@ def test_har_counts_all_request_urls():
     assert rec.landing_domain == "a.example"
 
 
+def test_har_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "a.har"
+    path.write_text(_har([_entry("https://a.example/", mime="text/html")]).getvalue(),
+                    encoding="utf-8-sig")
+    assert parse_har(path).landing_domain == "a.example"
+
+
 def test_har_reads_as_the_crawl_line_it_stands_for():
     har = _har([
         _entry("https://WWW.A.example/x", mime="text/html", text="<html/>", cookies=[("s", "1")]),
@@ -417,18 +424,22 @@ def test_load_category_map(tmp_path):
 ], ids=["rank_list", "category_map", "metagraph", "communities"])
 def test_every_csv_input_follows_the_same_table_rules(tmp_path, load, header, rows, repeat,
                                                       header_optional):
-    """One reader owns the table rules: blank rows are skipped but counted,
-    every row has the header's width, a key may not repeat, and the header
-    is optional, in any case, for rank and category lists only. Each error
-    names the file and the row."""
+    """One reader owns the table rules: a byte-order mark is skipped, blank
+    rows are skipped but counted, every row has the header's width, a key
+    may not repeat, and the header is optional, in any case, for rank and
+    category lists only. Each error names the file and the row."""
     path = tmp_path / "table.csv"
 
-    def load_lines(*lines):
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    def load_lines(*lines, encoding="utf-8"):
+        path.write_text("".join(line + "\n" for line in lines), encoding=encoding)
         return load(path)
 
     loaded = load_lines(header, "", rows[0], "", rows[1])
     assert load_lines(header, rows[0], rows[1]) == loaded
+    # A UTF-8 byte-order mark, as spreadsheets write, is not part of the first field.
+    assert load_lines(header, rows[0], rows[1], encoding="utf-8-sig") == loaded
+    if header_optional:
+        assert load_lines(rows[0], rows[1], encoding="utf-8-sig") == loaded
     for lines in ((header.upper(), rows[0], rows[1]), (rows[0], rows[1])):
         if header_optional:
             assert load_lines(*lines) == loaded

@@ -21,6 +21,8 @@ from adgraph.extractor import (
     extract_crawl,
     extract_profile,
     iter_profiles,
+    load_blocklist,
+    load_dictionary,
     summarize_extraction,
 )
 from helpers import (
@@ -177,6 +179,12 @@ def test_filters_only_remove_and_commute(dictionary, blocklist):
     assert both < keys(NO_FILTER, NO_FILTER)
     assert extract_profile(rec, dictionary, blocklist) == \
         extract_profile_reference(rec, dictionary, blocklist)
+
+
+def test_word_lists_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("backpack\nnoodle\n", encoding="utf-8-sig")
+    assert load_dictionary(path) == load_blocklist(path) == {"backpack", "noodle"}
 
 
 def test_canonical_tracking_shape(dictionary, blocklist):

@@ -217,9 +217,13 @@ def test_classify_transition_max_size_rule():
 
 
 def test_classify_transition_absent_site_errors():
+    # An absent site and a site without Publisher keys raise the same error.
     earlier, later = _transition_pair()
-    with pytest.raises(ValueError):
-        classify_transition("missing.example", earlier, later)
+    keyless = Snapshot.build("2020-07-01", [make_profile("stay.example", tracking={"UA-1234"})])
+    for site, a, b in (("missing.example", earlier, later), ("stay.example", earlier, keyless)):
+        with pytest.raises(ValueError, match=rf"^site '{site}' lacks Publisher keys in one of "
+                                             r"the snapshots$"):
+            classify_transition(site, a, b)
 
 
 def test_transition_series_counts_sum_to_universe():
@@ -436,9 +440,10 @@ def test_snapshot_ids_must_increase():
 
 
 def test_compact_snapshots_match_the_full_profile_reference(tmp_path):
-    """Snapshots decoded straight into per-site keys give every series the
-    full-profile path gives, on seeded sets that hold the site shapes,
-    shared publishers, universes and k the series treat apart."""
+    """Snapshots decoded straight into the Publisher keys of their bearing
+    sites give every series the full-profile path gives, on seeded sets
+    that hold the site shapes, shared publishers, universes and k the
+    series treat apart."""
     seen = dict.fromkeys(("tracking only", "measurement only", "keyless", "shared publisher",
                           "universes differ", "clamped k"), 0)
     for seed in range(40):
@@ -447,27 +452,22 @@ def test_compact_snapshots_match_the_full_profile_reference(tmp_path):
         for sid, profiles, total_sites in random_snapshot_set(seed):
             dirs.append(tmp_path / str(seed) / sid)
             write_shuffled_snapshot(dirs[-1], sid, profiles, total_sites, rng)
+            for p in profiles:
+                kinds = set(p.keys)
+                seen["tracking only"] += kinds == {IdKind.TRACKING}
+                seen["measurement only"] += kinds == {IdKind.MEASUREMENT}
+                seen["keyless"] += not kinds
         rng.shuffle(dirs)
         compact = load_snapshots(dirs)
         reference = sorted(map(load_snapshot_reference, dirs), key=lambda s: s.snapshot_id)
         for got, want in zip(compact, reference, strict=True):
-            assert (got.snapshot_id, got.total_sites) == (want.snapshot_id, want.total_sites)
+            assert got == want
             assert list(got.profiles) == list(want.profiles)
-            for domain, profile in want.profiles.items():
-                for kind in (IdKind.PUBLISHER, IdKind.TRACKING):
-                    keys = got.profiles[domain].keys_for(kind)
-                    assert keys == tuple(sorted(profile.keys_for(kind)))
-            assert got.publisher_sizes == want.publisher_sizes
         k = random.Random(seed).choice((1, 2, 3))
         got, want = history_series(compact, k), history_series(reference, k)
         assert got == want, seed
 
         for snap in reference:
-            for p in snap.profiles.values():
-                kinds = set(p.keys)
-                seen["tracking only"] += kinds == {IdKind.TRACKING}
-                seen["measurement only"] += kinds == {IdKind.MEASUREMENT}
-                seen["keyless"] += not kinds
             seen["shared publisher"] += any(size > 1 for size in snap.publisher_sizes.values())
         seen["universes differ"] += got["transitions"] != got["transitions_per_pair"]
         seen["clamped k"] += got["top"] != got["top_clamped"]
@@ -478,18 +478,13 @@ def test_compact_snapshots_keep_only_publisher_and_tracking_keys():
     snap = Snapshot.build("2021-01-01", [
         make_profile("a.example", publisher={"pub-200000001", "pub-100000001"},
                      tracking={"UA-1234"}, measurement={"G-ABCDEFG"}),
-        make_profile("b.example", container={"GTM-ABC123"}),
+        make_profile("b.example", tracking={"UA-5678"}),
+        make_profile("c.example", container={"GTM-ABC123"}),
+        make_profile("d.example"),
     ])
-    a = snap.profiles["a.example"]
-    assert a.keys_for(IdKind.PUBLISHER) == ("pub-100000001", "pub-200000001")
-    assert a.keys_for(IdKind.TRACKING) == ("UA-1234",)
-    assert snap.profiles["b.example"].keys_for(IdKind.PUBLISHER) == ()
-    assert snap.bearing_domains(IdKind.TRACKING) == {"a.example"}
-    for kind in (IdKind.MEASUREMENT, IdKind.CONTAINER):
-        with pytest.raises(ValueError, match=f"keeps no {kind.value} keys"):
-            a.keys_for(kind)
-        with pytest.raises(ValueError, match=f"keeps no {kind.value} keys"):
-            snap.bearing_domains(kind)
+    assert snap.profiles == {"a.example": ("pub-100000001", "pub-200000001")}
+    assert snap.tracking_sites == 2
+    assert snap.total_sites == 4
 
 
 def test_build_counts_publisher_sizes_over_the_sites_it_keeps():
@@ -498,7 +493,10 @@ def test_build_counts_publisher_sizes_over_the_sites_it_keeps():
         make_profile("a.example", publisher={"pub-100000001"}),
         make_profile("a.example", publisher={"pub-200000002"}),
         make_profile("b.example", publisher={"pub-200000002"}),
+        make_profile("c.example", publisher={"pub-300000003"}, tracking={"UA-1234"}),
+        make_profile("c.example"),
     ])
-    assert snap.profiles["a.example"].keys_for(IdKind.PUBLISHER) == ("pub-200000002",)
+    assert snap.profiles == {"a.example": ("pub-200000002",), "b.example": ("pub-200000002",)}
     assert snap.publisher_sizes == {"pub-200000002": 2}
-    assert snap.total_sites == 2
+    assert snap.tracking_sites == 0
+    assert snap.total_sites == 3
