@@ -30,7 +30,6 @@ from .communities import (
 from .extractor import (
     IdKind,
     SiteIdProfile,
-    dump_profiles,
     extract_crawl,
     iter_profiles,
     load_blocklist,
@@ -68,6 +67,7 @@ from .history import (
 )
 from .stats import (
     PublisherRecord,
+    SiteIdCounts,
     category_distribution,
     fit_power_law,
     loglikelihood_ratio,
@@ -157,24 +157,26 @@ def _extract_stage(
     out_dir: Path | _Bundle,
     profiles_name: str,
     anomaly_threshold: int,
-) -> tuple[list[SiteIdProfile], dict[str, int], int]:
+) -> tuple[dict[str, int], int]:
     """Crawl JSONL -> profiles, summary.json and site_ranks.csv.
 
     Reads the files named by the shared extraction flags (``--in``,
-    ``--dict``, ``--blocklist``, ``--ranks``) and returns the profiles, the
-    landing-domain ranks and the number of landing domains. A crawl without
-    one well-formed line raises FormatError before any file is written.
+    ``--dict``, ``--blocklist``, ``--ranks``) and returns the landing-domain
+    ranks and the number of landing domains; the profiles live on only in
+    the file. A crawl without one well-formed line raises FormatError
+    before any file is written.
     """
     dictionary = load_dictionary(args.dict)
     blocklist = load_blocklist(args.blocklist)
     with open(args.infile, encoding="utf-8-sig") as fh:
         ranks = load_rank_list(args.ranks) if args.ranks else None
-        profiles, site_ranks, site_count, skips = extract_crawl(fh, ranks, dictionary, blocklist)
+        lines, site_ranks, site_count, skips = extract_crawl(fh, ranks, dictionary, blocklist)
     if site_count == 0:
         raise FormatError(f"{args.infile}: no well-formed crawl line ({len(skips)} skipped)")
     with _open_out(out_dir / profiles_name) as fh:
-        dump_profiles(profiles, fh)
-    summary = summarize_extraction(profiles, site_count, anomaly_threshold).to_json_obj()
+        fh.writelines(lines)
+    summary = summarize_extraction(iter_profiles(lines), site_count, anomaly_threshold).to_json_obj()
+    del lines  # freed before the rows of site_ranks.csv are built
     summary["skipped_lines"] = len(skips)
     _write_json(out_dir / "summary.json", summary)
     _write_csv(
@@ -182,7 +184,7 @@ def _extract_stage(
         ["rank", "domain"],
         [[rank, domain] for domain, rank in sorted(site_ranks.items())],
     )
-    return profiles, site_ranks, site_count
+    return site_ranks, site_count
 
 
 def _graph_stage(
@@ -191,10 +193,13 @@ def _graph_stage(
     keep_intermediaries: bool,
     normalizer_mode: str,
     out_dir: Path | _Bundle,
-) -> tuple[dict[IdFamily, BipartiteGraph], Metagraph]:
+) -> tuple[dict[IdFamily, BipartiteGraph], Metagraph, set[str]]:
     """Profiles -> bipartite_<family>.csv and metagraph.csv; ``profiles``
-    is read once, before any file is written."""
+    is read once, before any file is written. Also returns the
+    Publisher-bearing sites: the site nodes of the Publisher graph before
+    intermediary exclusion."""
     graphs = build_bipartite(profiles)
+    publisher_sites = graphs[IdFamily.PUBLISHER].site_nodes
     normalizers = family_normalizers(graphs) if normalizer_mode == "pre-exclusion" else None
     if not keep_intermediaries:
         excluded = intermediary_keys(graphs, threshold)
@@ -210,7 +215,7 @@ def _graph_stage(
             dump_bipartite_csv(bg, fh)
     with _open_out(out_dir / "metagraph.csv") as fh:
         dump_metagraph_csv(metagraph, fh)
-    return graphs, metagraph
+    return graphs, metagraph, publisher_sites
 
 
 def _communities_stage(
@@ -241,9 +246,8 @@ def _communities_stage(
 
 
 def _id_counts_stage(
-    profiles: Iterable[SiteIdProfile], out_dir: Path | _Bundle, name: str
+    histograms: dict[IdKind, dict[int, float]], out_dir: Path | _Bundle, name: str
 ) -> None:
-    histograms = per_site_id_counts(profiles)
     _write_csv(
         out_dir / name,
         ["kind", "count", "fraction"],
@@ -295,15 +299,16 @@ def _popularity_stage(
 
 
 def _categories_stage(
-    profiles: Iterable[SiteIdProfile],
+    publisher_sites: Iterable[str],
     categories: dict[str, str],
     out_dir: Path | _Bundle,
     name: str,
 ) -> None:
+    shares = category_distribution(publisher_sites, categories)
     _write_csv(
         out_dir / name,
         ["category", "fraction"],
-        [[label, _fmt(f)] for label, f in category_distribution(profiles, categories).items()],
+        [[label, _fmt(f)] for label, f in shares.items()],
     )
 
 
@@ -346,7 +351,7 @@ def _richness_stage(groups: list[list[str]], categories: dict[str, str], out_dir
 
 def _cmd_extract(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    _, _, site_count = _extract_stage(args, out.parent, out.name, args.anomaly_threshold)
+    _, site_count = _extract_stage(args, out.parent, out.name, args.anomaly_threshold)
     if args.snapshot_id:
         _write_manifest(out.parent, args.snapshot_id, site_count)
 
@@ -377,19 +382,24 @@ def _cmd_communities(args: argparse.Namespace) -> None:
 
 def _cmd_stats_ids(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    _id_counts_stage(iter_profiles(args.profiles), out.parent, out.name)
+    _id_counts_stage(per_site_id_counts(iter_profiles(args.profiles)), out.parent, out.name)
+
+
+def _family_graph(profiles_path: str, family: IdFamily) -> BipartiteGraph:
+    """The bipartite graph of one family; the walk skips the other keys."""
+    return build_bipartite(iter_profiles(profiles_path), (family,))[family]
 
 
 def _cmd_stats_sizes(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    bipartite = build_bipartite(iter_profiles(args.profiles))[IdFamily(args.family)]
+    bipartite = _family_graph(args.profiles, IdFamily(args.family))
     ranks = load_rank_list(args.site_ranks) if args.site_ranks else None
     _sizes_stage(bipartite, ranks, out.parent, out.name)
 
 
 def _cmd_stats_powerlaw(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    bipartite = build_bipartite(iter_profiles(args.profiles))[IdFamily(args.family)]
+    bipartite = _family_graph(args.profiles, IdFamily(args.family))
     if args.population == "publishers":
         sizes = [r.size for r in publisher_sizes(bipartite)]
     else:
@@ -399,7 +409,7 @@ def _cmd_stats_powerlaw(args: argparse.Namespace) -> None:
 
 def _cmd_stats_popularity(args: argparse.Namespace) -> None:
     out = Path(args.out)
-    bipartite = build_bipartite(iter_profiles(args.profiles))[IdFamily.PUBLISHER]
+    bipartite = _family_graph(args.profiles, IdFamily.PUBLISHER)
     ranks = load_rank_list(args.site_ranks)
     _popularity_stage(publisher_sizes(bipartite, ranks), args.max_size, out.parent, out.name)
 
@@ -407,7 +417,8 @@ def _cmd_stats_popularity(args: argparse.Namespace) -> None:
 def _cmd_stats_categories(args: argparse.Namespace) -> None:
     out = Path(args.out)
     categories = load_category_map(args.categories)
-    _categories_stage(iter_profiles(args.profiles), categories, out.parent, out.name)
+    publisher_sites = _family_graph(args.profiles, IdFamily.PUBLISHER).site_nodes
+    _categories_stage(publisher_sites, categories, out.parent, out.name)
 
 
 def _community_entry(row: list[str]) -> tuple[str, int]:
@@ -516,6 +527,13 @@ def _cmd_history(args: argparse.Namespace) -> None:
 # report: the full pipeline in one output directory
 # ---------------------------------------------------------------------------
 
+def _tallied(profiles: Iterable[SiteIdProfile], id_counts: SiteIdCounts) -> Iterator[SiteIdProfile]:
+    """``profiles``, each added to ``id_counts`` as it passes."""
+    for p in profiles:
+        id_counts.add(p)
+        yield p
+
+
 def _cmd_report(args: argparse.Namespace) -> None:
     # A bad category file fails the run before any output is written.
     categories = load_category_map(args.categories) if args.categories else None
@@ -528,9 +546,13 @@ def _cmd_report(args: argparse.Namespace) -> None:
         except ValueError as exc:
             skipped.append({"analysis": analysis, "reason": str(exc)})
 
-    profiles, site_ranks, _ = _extract_stage(args, bundle, _PROFILES, _ANOMALY_THRESHOLD)
-    graphs, metagraph = _graph_stage(
-        profiles, args.intermediary_threshold, False, args.normalizer_mode, bundle
+    site_ranks, _ = _extract_stage(args, bundle, _PROFILES, _ANOMALY_THRESHOLD)
+    # One read of the profiles just written feeds the graphs, the ID counts
+    # and the category shares, so no list of profiles outlives extraction.
+    id_counts = SiteIdCounts()
+    graphs, metagraph, publisher_sites = _graph_stage(
+        _tallied(iter_profiles(bundle.path / _PROFILES), id_counts),
+        args.intermediary_threshold, False, args.normalizer_mode, bundle,
     )
     communities = _communities_stage(metagraph, args.top_fraction, bundle)
     # Community report skeleton: the legal entity column is filled by hand.
@@ -539,7 +561,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
         ["community_id", "size", "entity", "websites"],
         [[i, len(c), "", ";".join(sorted(c))] for i, c in enumerate(communities)],
     )
-    _id_counts_stage(profiles, bundle, "id_counts.csv")
+    _id_counts_stage(id_counts.fractions(), bundle, "id_counts.csv")
     # Publisher sizes come from the Publisher graph after intermediary
     # exclusion, unlike `stats sizes`, which counts every key in profiles.
     by_size = _sizes_stage(graphs[IdFamily.PUBLISHER], site_ranks, bundle, "publisher_sizes.csv")
@@ -549,7 +571,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
 
     if categories is not None:
         groups = [sorted(c) for c in communities]
-        _categories_stage(profiles, categories, bundle, "categories.csv")
+        _categories_stage(publisher_sites, categories, bundle, "categories.csv")
         _diversity_stage(enumerate(groups), categories, bundle, "diversity.csv")
         attempt("richness_vs_baseline", _richness_stage, groups, categories, bundle)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import os
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -124,6 +125,10 @@ _WITH_SOURCE: dict[tuple[frozenset[Source], Source], frozenset[Source]] = {
     for combo in _SOURCE_NAMES
     for source in Source
 }
+# Each pair of shared source sets joined, as a shared set.
+_JOINED: dict[tuple[frozenset[Source], frozenset[Source]], frozenset[Source]] = {
+    (a, b): _SOURCE_SETS[_SOURCE_NAMES[a | b]] for a in _SOURCE_NAMES for b in _SOURCE_NAMES
+}
 # Kinds enter a profile in name order, whichever channel finds them first.
 _KINDS_BY_NAME: tuple[IdKind, ...] = tuple(sorted(IdKind, key=lambda kind: kind.value))
 _NO_ENTRIES: dict = {}  # the default of a missing JSON object; never written to
@@ -160,24 +165,14 @@ class SiteIdProfile:
     def is_empty(self) -> bool:
         return not any(self.keys.values())
 
-    def to_json_obj(self) -> dict:
-        keys, sources, counts = self.keys, self.sources, self.raw_counts
-        ids: dict[str, dict[str, list[str]]] = {}
-        raw_counts: dict[str, int] = {}
-        for kind, name in _KIND_NAMES:
-            entry = ids[name] = {}
-            for key in sorted(keys.get(kind, ())):
-                entry[key] = list(_SOURCE_NAMES[sources.get(key, frozenset())])
-            raw_counts[name] = counts.get(kind, 0)
-        return {"domain": self.landing_domain, "ids": ids, "raw_counts": raw_counts}
-
     @classmethod
     def from_json_obj(cls, obj: object) -> "SiteIdProfile":
-        """The inverse of ``to_json_obj``. Raises ValueError unless ``obj`` is
-        an object with a string ``domain``, ``ids`` maps each kind to an
-        object of key -> list of distinct source names, and every
-        ``raw_counts`` value is a whole number: something ``int()`` accepts
-        that drops no fraction, so "3" and 2.0 load and 2.7 is rejected."""
+        """The profile of one parsed ``dump_profiles`` line. Raises
+        ValueError unless ``obj`` is an object with a string ``domain``,
+        ``ids`` maps each kind to an object of key -> list of distinct
+        source names, and every ``raw_counts`` value is a whole number:
+        something ``int()`` accepts that drops no fraction, so "3" and 2.0
+        load and 2.7 is rejected."""
         return cls(*_profile_fields(obj))
 
 
@@ -281,14 +276,14 @@ def extract_profile(
 _UNRANKED = float("inf")  # the rank key of a rank-less record
 
 
-def _keyed(profile: SiteIdProfile) -> SiteIdProfile | None:
-    return None if profile.is_empty() else profile
+def _keyed_line(profile: SiteIdProfile) -> str | None:
+    return None if profile.is_empty() else _profile_line(profile)
 
 
 class CrawlExtraction(NamedTuple):
     """What ``extract_crawl`` keeps of a crawl."""
 
-    profiles: list[SiteIdProfile]  # non-empty profiles, sorted by domain
+    profiles: list[str]  # the dump_profiles line of each non-empty profile, sorted by domain
     site_ranks: dict[str, int]  # landing domain -> its survivor's rank
     site_count: int  # distinct landing domains
     skips: list[tuple[int, str]]  # (line number, reason) of malformed lines
@@ -301,15 +296,18 @@ def extract_crawl(
     blocklist: frozenset[str] | set[str] | None = None,
     table: PublicSuffixTable | None = None,
 ) -> CrawlExtraction:
-    """Crawl JSONL straight to profiles, in one pass that keeps no record.
+    """Crawl JSONL straight to profile lines, in one pass that keeps no
+    record and no profile.
 
     A record's rank is ``ranks[requested domain]``, else its JSONL
     ``rank``. Each landing domain keeps one survivor: the record of
     smallest rank, a rank-less record losing to any ranked one and a tie
     keeping the earlier line. A record is extracted as its line is read,
-    and only if it beats the survivor so far, so memory grows with the
-    landing domains kept, not with the page bytes. A survivor without keys
-    is kept as None, since it only counts towards ``site_count``.
+    and only if it beats the survivor so far; its profile is kept only as
+    the line ``dump_profiles`` writes for it, so memory grows with the
+    encoded lines kept, not with the page bytes. A survivor without keys
+    is kept as None, since it only counts towards ``site_count``. Read the
+    lines back with ``iter_profiles``.
     """
     if ranks is None:
         ranks = {}
@@ -318,19 +316,16 @@ def extract_crawl(
     if blocklist is None:
         blocklist = load_blocklist()
     skips: list[tuple[int, str]] = []
-    # landing domain -> (rank or _UNRANKED, rank, profile or None)
-    survivors: dict[str, tuple[float, int | None, SiteIdProfile | None]] = {}
+    # landing domain -> (rank or _UNRANKED, rank, profile line or None)
+    survivors: dict[str, tuple[float, int | None, str | None]] = {}
     for record in _crawl_records(lines, table, skips):
         rank = ranks.get(record.requested_domain, record.rank)
         rank_key = _UNRANKED if rank is None else rank
         current = survivors.get(record.landing_domain)
         if current is None or rank_key < current[0]:
-            profile = _keyed(extract_profile(record, dictionary, blocklist))
-            survivors[record.landing_domain] = (rank_key, rank, profile)
-    profiles = sorted(
-        (entry[2] for entry in survivors.values() if entry[2] is not None),
-        key=lambda p: p.landing_domain,
-    )
+            line = _keyed_line(extract_profile(record, dictionary, blocklist))
+            survivors[record.landing_domain] = (rank_key, rank, line)
+    profiles = [line for line in (survivors[d][2] for d in sorted(survivors)) if line is not None]
     site_ranks = {domain: entry[1] for domain, entry in survivors.items() if entry[1] is not None}
     return CrawlExtraction(profiles, site_ranks, len(survivors), skips)
 
@@ -385,7 +380,8 @@ def summarize_extraction(
         raise ValueError("corpus_size must be positive")
     if anomaly_threshold < 1:
         raise ValueError("threshold must be >= 1")
-    key_sources_of: dict[IdKind, dict[str, set[Source]]] = {kind: {} for kind in IdKind}
+    # key -> the shared set of its sources so far, so a key costs no set of its own
+    key_sources_of: dict[IdKind, dict[str, frozenset[Source]]] = {kind: {} for kind in IdKind}
     sites_of = dict.fromkeys(IdKind, 0)
     domains: set[str] = set()
     anomalies: list[tuple[str, int]] = []
@@ -398,7 +394,8 @@ def summarize_extraction(
                 sites_of[kind] += 1
                 key_sources = key_sources_of[kind]
                 for key in ks:
-                    key_sources.setdefault(key, set()).update(p.sources.get(key, _NO_SOURCES))
+                    key_sources[key] = _JOINED[key_sources.get(key, _NO_SOURCES),
+                                               p.sources.get(key, _NO_SOURCES)]
         if p.total_keys() > anomaly_threshold:
             anomalies.append((p.landing_domain, p.total_keys()))
     if len(domains) > corpus_size:
@@ -423,12 +420,40 @@ def summarize_extraction(
 # Profile dumps (JSONL, one profile per line)
 # ---------------------------------------------------------------------------
 
-_encode_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True)
+# A profile line as json.dumps(obj, sort_keys=True) writes it: strings
+# ASCII-escaped, and the kinds in name order in both ``ids`` and
+# ``raw_counts``. The template leaves a slot for the domain, for each kind's
+# key entries and for each kind's count; each shared source set maps to the
+# text that follows a key.
+_encode_string = json.encoder.encode_basestring_ascii
+_KIND_JSON_NAMES = [_encode_string(kind.value) for kind in _KINDS_BY_NAME]
+_LINE_TEMPLATE = (
+    '{"domain": %s, "ids": {' + ", ".join(f"{name}: {{%s}}" for name in _KIND_JSON_NAMES)
+    + '}, "raw_counts": {' + ", ".join(f"{name}: %s" for name in _KIND_JSON_NAMES) + "}}\n"
+)
+_AFTER_KEY: dict[frozenset[Source], str] = {
+    combo: ": " + json.dumps(list(names)) for combo, names in _SOURCE_NAMES.items()
+}
+
+
+def _profile_line(profile: SiteIdProfile) -> str:
+    """The profile as one JSONL line, newline included: byte for byte
+    ``json.dumps(obj, sort_keys=True)`` of its JSON object, whose ``ids``
+    and ``raw_counts`` name every kind."""
+    keys, sources, counts = profile.keys, profile.sources, profile.raw_counts
+    slots: list[object] = [_encode_string(profile.landing_domain)]
+    for kind in _KINDS_BY_NAME:
+        ks = keys.get(kind)
+        slots.append(", ".join([_encode_string(key) + _AFTER_KEY[sources.get(key, _NO_SOURCES)]
+                                for key in sorted(ks)]) if ks else "")
+    slots += [counts.get(kind, 0) for kind in _KINDS_BY_NAME]
+    return _LINE_TEMPLATE % tuple(slots)
 
 
 def dump_profiles(profiles: Iterable[SiteIdProfile], stream: IO[str]) -> None:
+    """Write each profile as one JSON line, sorted by domain."""
     for p in sorted(profiles, key=lambda p: p.landing_domain):
-        stream.write(_encode_json(p.to_json_obj()) + "\n")
+        stream.write(_profile_line(p))
 
 
 # JSON's own whitespace; str.isspace() also accepts "\x0c", "\u2028" and more.
@@ -450,16 +475,16 @@ def _parse_json_line(line: str) -> object:
     return obj
 
 
-def _read_profile_lines(source: str | Path | IO[str]) -> Iterator[_ProfileFields]:
-    """``_profile_fields`` of each profile line of a JSONL file or stream,
-    in file order; blank lines and a file's UTF-8 byte-order mark are
-    skipped.
+def _read_profile_lines(source: str | os.PathLike | Iterable[str]) -> Iterator[_ProfileFields]:
+    """``_profile_fields`` of each profile line of a JSONL file, or of a
+    stream or other iterable of lines, in order; blank lines and a file's
+    UTF-8 byte-order mark are skipped.
 
     A line that is not one JSON value, that ``_profile_fields`` rejects, or
     whose domain an earlier line already holds, raises FormatError naming
     the file and the 1-based line.
     """
-    if not hasattr(source, "read"):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8-sig") as fh:
             yield from _read_profile_lines(fh)
         return
@@ -480,9 +505,10 @@ def _read_profile_lines(source: str | Path | IO[str]) -> Iterator[_ProfileFields
         yield fields
 
 
-def iter_profiles(source: str | Path | IO[str]) -> Iterator[SiteIdProfile]:
-    """Profiles from a JSONL file or stream, one per line as it is read;
-    blank lines are skipped. A path is opened at the first ``next()``.
+def iter_profiles(source: str | os.PathLike | Iterable[str]) -> Iterator[SiteIdProfile]:
+    """Profiles from a JSONL file, a stream or a list of lines (such as
+    ``CrawlExtraction.profiles``), one per line as it is read; blank lines
+    are skipped. A path is opened at the first ``next()``.
 
     A line that is not JSON, that ``SiteIdProfile.from_json_obj`` rejects,
     or whose domain an earlier line already holds, raises FormatError

@@ -125,27 +125,31 @@ def _shared_keys(key_to_sites: Mapping[str, Collection[str]]) -> int:
     return sum(1 for sites in key_to_sites.values() if len(sites) > 1)
 
 
-def build_bipartite(profiles: Iterable[SiteIdProfile]) -> dict[IdFamily, BipartiteGraph]:
-    """The bipartite graph of every family, in one pass over the profiles.
+def build_bipartite(
+    profiles: Iterable[SiteIdProfile], families: Collection[IdFamily] = tuple(IdFamily)
+) -> dict[IdFamily, BipartiteGraph]:
+    """The bipartite graph of each of ``families`` (default: all three), in
+    one pass over the profiles; the keys of other families are skipped.
 
     Each graph has one site node per profile with at least one key in the
     family, one id node per distinct canonical key, and one edge per
     (site, key) pair; a key found under two kinds of one family counts
     once. ``without_keys`` leaves keys out afterwards.
     """
-    maps: dict[IdFamily, dict[str, Any]] = {family: {} for family in IdFamily}
-    map_of_kind = {kind: maps[f] for f in IdFamily for kind in KINDS_OF_FAMILY[f]}
+    maps: dict[IdFamily, dict[str, Any]] = {family: {} for family in families}
+    map_of_kind = {kind: maps[f] for f in maps for kind in KINDS_OF_FAMILY[f]}
     for p in profiles:
         domain = p.landing_domain
         for kind, keys in p.keys.items():
-            key_to_sites = map_of_kind[kind]
-            for key in keys:
-                key_to_sites.setdefault(key, set()).add(domain)
+            key_to_sites = map_of_kind.get(kind)
+            if key_to_sites is not None:
+                for key in keys:
+                    key_to_sites.setdefault(key, set()).add(domain)
     # In place, so a family never holds a key's set and its frozenset at once.
     for key_to_sites in maps.values():
         for key, sites in key_to_sites.items():
             key_to_sites[key] = frozenset(sites)
-    return {family: BipartiteGraph(family, maps[family]) for family in IdFamily}
+    return {family: BipartiteGraph(family, key_to_sites) for family, key_to_sites in maps.items()}
 
 
 def without_keys(graph: BipartiteGraph, excluded: Collection[str]) -> BipartiteGraph:

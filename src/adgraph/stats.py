@@ -30,20 +30,34 @@ _ALPHA_BOUNDS = (1.000001, 25.0)
 # Identifier and publisher distributions
 # ---------------------------------------------------------------------------
 
+class SiteIdCounts:
+    """``per_site_id_counts`` as a fold: ``add`` each profile as it passes,
+    then read ``fractions()``."""
+
+    def __init__(self) -> None:
+        self.sites: dict[IdKind, dict[int, int]] = {kind: {} for kind in IdKind}
+
+    def add(self, profile: SiteIdProfile) -> None:
+        for kind, keys in profile.keys.items():
+            if keys:
+                by_size = self.sites[kind]
+                by_size[len(keys)] = by_size.get(len(keys), 0) + 1
+
+    def fractions(self) -> dict[IdKind, dict[int, float]]:
+        out: dict[IdKind, dict[int, float]] = {}
+        for kind, by_size in self.sites.items():
+            total = sum(by_size.values())
+            out[kind] = {k: c / total for k, c in sorted(by_size.items())}
+        return out
+
+
 def per_site_id_counts(profiles: Iterable[SiteIdProfile]) -> dict[IdKind, dict[int, float]]:
     """Per kind: fraction of bearing sites holding exactly k distinct keys,
     in one pass over the profiles."""
-    counts: dict[IdKind, dict[int, int]] = {kind: {} for kind in IdKind}
+    counts = SiteIdCounts()
     for p in profiles:
-        for kind, keys in p.keys.items():
-            if keys:
-                by_size = counts[kind]
-                by_size[len(keys)] = by_size.get(len(keys), 0) + 1
-    out: dict[IdKind, dict[int, float]] = {}
-    for kind, by_size in counts.items():
-        total = sum(by_size.values())
-        out[kind] = {k: c / total for k, c in sorted(by_size.items())}
-    return out
+        counts.add(p)
+    return counts.fractions()
 
 
 @dataclass(frozen=True)
@@ -77,14 +91,11 @@ def publisher_sizes(
 
 
 def category_distribution(
-    profiles: Iterable[SiteIdProfile], category_map: Mapping[str, str]
+    publisher_sites: Iterable[str], category_map: Mapping[str, str]
 ) -> dict[str, float]:
-    """Category shares among labeled Publisher-bearing sites."""
-    labels = [
-        category_map[p.landing_domain]
-        for p in profiles
-        if p.keys_for(IdKind.PUBLISHER) and p.landing_domain in category_map
-    ]
+    """Category shares among the labeled sites of ``publisher_sites``, the
+    Publisher-bearing domains (the site nodes of a Publisher graph)."""
+    labels = [category_map[site] for site in publisher_sites if site in category_map]
     if not labels:
         return {}
     counts: dict[str, int] = {}

@@ -20,7 +20,13 @@ from pathlib import Path
 import adgraph
 from adgraph.cli import run
 from adgraph.communities import girvan_newman, modularity, prune_edges
-from adgraph.extractor import extract_crawl, extract_profile, load_blocklist, load_dictionary
+from adgraph.extractor import (
+    extract_crawl,
+    extract_profile,
+    iter_profiles,
+    load_blocklist,
+    load_dictionary,
+)
 from adgraph.graphs import (
     IdFamily,
     build_bipartite,
@@ -312,7 +318,7 @@ def test_criterion_10_scale_smoke():
         started = time.monotonic()
         extraction = extract_crawl(iter(lines))
         assert extraction.site_count == 100_000 and not extraction.skips
-        graphs = build_bipartite(extraction.profiles)
+        graphs = build_bipartite(iter_profiles(extraction.profiles))
         excluded = intermediary_keys(graphs, 100)
         bgs = {f: without_keys(bg, excluded) for f, bg in graphs.items()}
         mg = build_metagraph(bgs[IdFamily.PUBLISHER], bgs[IdFamily.ANALYTICS],

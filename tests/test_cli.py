@@ -166,29 +166,53 @@ def test_one_reader_serves_ranks_and_site_ranks(crawl_file, tmp_path):
     assert (again / "sizes.csv").read_bytes() == (first / "sizes.csv").read_bytes()
 
 
+class _WeakProfile(SiteIdProfile):
+    """A profile that a weak reference can watch (``SiteIdProfile`` has
+    slots and no ``__weakref__``)."""
+
+    __slots__ = ("__weakref__",)
+
+
 @pytest.mark.parametrize("command", ["extract", "report"])
 def test_no_crawl_record_outlives_its_line(crawl_file, tmp_path, monkeypatch, command):
-    """When the profiles are written, at most the last record parsed is
-    still alive: memory holds profiles, not page text."""
-    refs, alive = [], []
-    record_from_obj, dump = adgraph.corpus._record_from_obj, adgraph.cli.dump_profiles
+    """When profiles.jsonl is written, at most the last record parsed and
+    the last profile extracted are still alive: memory holds encoded lines,
+    not page text or profiles. report then reads that file once."""
+    records, profiles, alive, reads = [], [], [], []
+    record_from_obj, extract = adgraph.corpus._record_from_obj, adgraph.extractor.extract_profile
+    open_out, read = adgraph.cli._open_out, adgraph.cli.iter_profiles
 
-    def tracked(obj, table):
+    def tracked_record(obj, table):
         record = record_from_obj(obj, table)
-        refs.append(weakref.ref(record))
+        records.append(weakref.ref(record))
         return record
 
-    def counting_dump(profiles, fh):
-        alive.append(sum(ref() is not None for ref in refs))
-        dump(profiles, fh)
+    def tracked_profile(*args):
+        p = extract(*args)
+        profile = _WeakProfile(p.landing_domain, p.keys, p.sources, p.raw_counts)
+        profiles.append(weakref.ref(profile))
+        return profile
 
-    monkeypatch.setattr(adgraph.corpus, "_record_from_obj", tracked)
-    monkeypatch.setattr(adgraph.cli, "dump_profiles", counting_dump)
+    def census_open(path):
+        if path.name == "profiles.jsonl":
+            alive.append([sum(ref() is not None for ref in refs) for refs in (records, profiles)])
+        return open_out(path)
+
+    def counted_read(source):
+        if isinstance(source, (str, os.PathLike)):  # not the lines the summary decodes
+            reads.append(Path(source))
+        return read(source)
+
+    monkeypatch.setattr(adgraph.corpus, "_record_from_obj", tracked_record)
+    monkeypatch.setattr(adgraph.extractor, "extract_profile", tracked_profile)
+    monkeypatch.setattr(adgraph.cli, "_open_out", census_open)
+    monkeypatch.setattr(adgraph.cli, "iter_profiles", counted_read)
     out = (["--out", str(tmp_path / "profiles.jsonl")] if command == "extract"
            else ["--out-dir", str(tmp_path)])
     assert run([command, "--in", str(crawl_file), *out]) == 0
-    assert len(refs) == 50
-    assert len(alive) == 1 and alive[0] <= 1
+    assert len(records) == len(profiles) == 50
+    assert len(alive) == 1 and alive[0][0] <= 1 and alive[0][1] <= 1
+    assert reads == ([] if command == "extract" else [tmp_path / "profiles.jsonl"])
 
 
 def test_stats_powerlaw_components(crawl_file, tmp_path):

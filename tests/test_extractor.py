@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 import adgraph.extractor
+from adgraph.cli import run
 from adgraph.corpus import CrawlRecord, _crawl_records
 from adgraph.extractor import (
     IdKind,
@@ -342,7 +343,7 @@ def test_extract_crawl_keeps_one_survivor_per_landing_domain(
 ):
     got = extract_crawl(_crawl(*records), ranks, dictionary, blocklist)
     assert got.site_count == 1
-    assert [p.keys for p in got.profiles] == [{IdKind.PUBLISHER: {survivor}}]
+    assert [p.keys for p in iter_profiles(got.profiles)] == [{IdKind.PUBLISHER: {survivor}}]
     assert got.site_ranks == ({} if rank is None else {"c.example": rank})
 
 
@@ -350,8 +351,8 @@ def test_extract_crawl_keeps_distinct_landing_domains(dictionary, blocklist):
     lines = _crawl(("a.example", "a.example", 1, "pub-100000001"),
                    ("b.example", "b.example", 2, "pub-100000002"))
     got = extract_crawl(lines, None, dictionary, blocklist)
-    assert got.profiles == [extract_profile(r, dictionary, blocklist)
-                            for r in _crawl_records(lines, None, [])]
+    assert list(iter_profiles(got.profiles)) == [extract_profile(r, dictionary, blocklist)
+                                                 for r in _crawl_records(lines, None, [])]
     assert got.site_ranks == {"a.example": 1, "b.example": 2} and got.site_count == 2
 
 
@@ -365,7 +366,8 @@ def test_extract_crawl_matches_naive_reference(dictionary, blocklist):
         lines, rank_list = random_crawl_lines(30, seed, sorted(dictionary), blocked)
         for ranks in (rank_list, {}):
             got = extract_crawl(iter(lines), ranks, dictionary, blocklist)
-            assert got == extract_crawl_reference(lines, ranks, dictionary, blocklist)
+            assert got._replace(profiles=list(iter_profiles(got.profiles))) == \
+                extract_crawl_reference(lines, ranks, dictionary, blocklist)
 
             best = {}  # landing domain -> smallest rank key so far
             for rec in _crawl_records(lines, None, []):
@@ -380,6 +382,68 @@ def test_extract_crawl_matches_naive_reference(dictionary, blocklist):
             seen["malformed"] += len(got.skips)
             seen["empty profile"] += got.site_count - len(got.profiles)
     assert all(seen.values()), seen
+
+
+def _displacing_crawl(rng, n):
+    """n crawl lines onto four landing domains, so later records often
+    displace a survivor. Most lines carry a rank from 1..30, so a later
+    record is often better ranked. A record holds no ID, or up to eight
+    drawn from small pools, so survivors share keys and many carry more
+    than four. Each ID sits in the page, a request URL or a cookie."""
+    pools = [[f"pub-1000000{k:02d}" for k in range(6)], [f"UA-{k}000-1" for k in range(1, 6)],
+             [f"G-Z{k:06d}" for k in range(4)], [f"GTM-Q{k:05d}" for k in range(4)]]
+    lines = []
+    for i in range(n):
+        ids = [rng.choice(rng.choice(pools)) for _ in range(rng.choice([0, 0, 1, 2, 5, 8]))]
+        channels = {"html": [], "requests": [], "cookies": []}
+        for value in ids:
+            channel = rng.choice(list(channels))
+            channels[channel].append(value if channel != "requests"
+                                     else f"https://x.example/t?id={value}")
+        obj = {"domain": f"q{i}.example", "landing_url": f"https://l{rng.randrange(4)}.example/",
+               "html": " ".join(channels["html"]), "requests": channels["requests"],
+               "cookies": [{"name": "c", "value": v} for v in channels["cookies"]]}
+        if rng.random() < 0.8:
+            obj["rank"] = rng.randrange(1, 31)
+        lines.append(json.dumps(obj))
+    return lines
+
+
+def test_extract_drops_displaced_survivors_from_lines_and_summary(dictionary, blocklist, tmp_path):
+    """Better-ranked records, keyed or empty, displace keyed survivors,
+    anomalies among them. The lines extract_crawl keeps decode to the
+    reference's profiles, and the summary.json that `adgraph extract`
+    writes from them equals summarize_extraction over those profiles."""
+    seen = Counter()
+    for seed in range(40):
+        lines = _displacing_crawl(random.Random(seed), 30)
+        got = extract_crawl(lines, None, dictionary, blocklist)
+        want = extract_crawl_reference(lines, {}, dictionary, blocklist)
+        assert got._replace(profiles=list(iter_profiles(got.profiles))) == want
+
+        crawl = tmp_path / f"crawl{seed}.jsonl"
+        crawl.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / f"x{seed}"
+        assert run(["extract", "--in", str(crawl), "--out", str(out / "profiles.jsonl"),
+                    "--anomaly-threshold", "4"]) == 0
+        assert (out / "profiles.jsonl").read_text(encoding="utf-8") == "".join(got.profiles)
+        summary = summarize_extraction(want.profiles, want.site_count, 4)
+        assert json.loads((out / "summary.json").read_text(encoding="utf-8")) == \
+            {**summary.to_json_obj(), "skipped_lines": 0}
+
+        survivors = {}  # landing domain -> (rank key, distinct keys)
+        for record in _crawl_records(lines, None, []):
+            rank_key = math.inf if record.rank is None else record.rank
+            keys = extract_profile(record, dictionary, blocklist).total_keys()
+            current = survivors.get(record.landing_domain)
+            if current is None or rank_key < current[0]:
+                if current is not None and current[1]:
+                    seen["keyed displaced by " + ("keyed" if keys else "empty")] += 1
+                    seen["anomaly displaced"] += current[1] > 4
+                survivors[record.landing_domain] = (rank_key, keys)
+        seen["anomaly kept"] += len(summary.anomalies)
+        seen["keyed kept below the threshold"] += len(want.profiles) - len(summary.anomalies)
+    assert len(seen) == 5 and all(seen.values()), seen
 
 
 def test_extract_crawl_keeps_no_keyless_profile(dictionary, blocklist, monkeypatch):
@@ -428,6 +492,27 @@ def test_summary_html_only_sources():
     profiles = [make_profile("a.example", publisher={"pub-111111111"})]
     ks = summarize_extraction(profiles, 1).kinds[IdKind.PUBLISHER]
     assert ks.pct_in_html == 1.0 and ks.pct_in_requests == 0.0 and ks.pct_in_cookies == 0.0
+
+
+def test_summary_channel_shares_union_sources_across_sites():
+    """pub-1 is found in the page of one site and a request of another,
+    pub-2 in a request only, pub-3 in a cookie only: of the three keys, one
+    is in HTML, two in requests and one in cookies."""
+    def profile(domain, sources):
+        return SiteIdProfile(domain, {IdKind.PUBLISHER: frozenset(sources)},
+                             {key: frozenset({source}) for key, source in sources.items()})
+
+    profiles = [profile("a.example", {"pub-1": Source.HTML}),
+                profile("b.example", {"pub-1": Source.REQUEST, "pub-2": Source.REQUEST}),
+                profile("c.example", {"pub-3": Source.COOKIE})]
+    ks = summarize_extraction(profiles, 3).kinds[IdKind.PUBLISHER]
+    assert (ks.unique_ids, ks.unique_sites) == (3, 3)
+    assert (ks.pct_in_html, ks.pct_in_requests, ks.pct_in_cookies) == (1 / 3, 2 / 3, 1 / 3)
+
+
+def test_summary_counts_a_repeated_domain_once_against_the_corpus():
+    p = make_profile("a.example", publisher={"pub-111111111"})
+    assert summarize_extraction([p, p], 1).kinds[IdKind.PUBLISHER].unique_ids == 1
 
 
 def test_summary_unique_sites_matches_bearing_profiles():
@@ -549,6 +634,8 @@ def test_profile_codec_converts_counts_to_int():
                                                  "container": True, "measurement": 0}}
     profile = SiteIdProfile.from_json_obj(obj)
     assert profile == profile_from_json_obj_reference(obj)
-    assert profile.to_json_obj()["raw_counts"] == {"publisher": 3, "tracking": 2,
-                                                   "measurement": 0, "container": 1}
+    buf = io.StringIO()
+    dump_profiles([profile], buf)
+    assert json.loads(buf.getvalue())["raw_counts"] == {"publisher": 3, "tracking": 2,
+                                                        "measurement": 0, "container": 1}
     assert all(type(n) is int for n in profile.raw_counts.values())
